@@ -46,11 +46,15 @@ class BoundedInstance:
     def scale_root(self, xi: Assignment) -> Assignment:
         """Scale a zero of f into a zero of phi, verifying coverage and the
         magnitude precondition.  Exact when every slack square root is
-        rational; phi is checked to vanish via the z^2 substitution."""
+        rational; phi is checked to vanish via the z^2 substitution.
+
+        Only the variables of f are scaled: bindings of other variables are
+        dropped, so the slacks pair with ``base_vars`` as in ``build_phi``."""
         missing = [v for v in self.base_vars if v not in xi.values]
         if missing:
             raise ValueError(f"root does not bind {missing[0]}")
-        scaled = scale_root(xi, self.m)
+        own = Assignment({v: xi.values[v] for v in self.base_vars}, xi.mode)
+        scaled = scale_root(own, self.m)
         residual = phi_residual(self, xi)
         if residual != 0:
             raise ValueError(f"point is not a zero of f (phi residual {residual})")

@@ -501,21 +501,24 @@ def parse_factorization(text: str) -> PSDFactorization:
     cols: Dict[str, Tuple[Vector, ...]] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        side, label = parts[0], parts[1]
-        if side not in ("row", "col"):
+        if len(parts) < 2 or parts[0] not in ("row", "col"):
             raise ValueError(f"malformed factorization line: {ln!r}")
+        side, label = parts[0], parts[1]
         vecs: List[Vector] = []
         if sparse:
-            nvec = int(parts[2])
-            pos = 3
-            for _ in range(nvec):
-                nnz = int(parts[pos]); pos += 1
-                vec: Vector = {}
-                for _ in range(nnz):
-                    coord = int(parts[pos]); val = conv(parts[pos + 1]); pos += 2
-                    if val:
-                        vec[coord] = val
-                vecs.append(vec)
+            try:
+                nvec = int(parts[2])
+                pos = 3
+                for _ in range(nvec):
+                    nnz = int(parts[pos]); pos += 1
+                    vec: Vector = {}
+                    for _ in range(nnz):
+                        coord = int(parts[pos]); val = conv(parts[pos + 1]); pos += 2
+                        if val:
+                            vec[coord] = val
+                    vecs.append(vec)
+            except IndexError:
+                raise ValueError(f"truncated sparse line: {ln!r}") from None
             if pos != len(parts):
                 raise ValueError(f"trailing tokens in sparse line: {ln!r}")
         else:

@@ -89,11 +89,6 @@ def build_A(f: Polynomial) -> SymbolicMatrix:
     return SymbolicMatrix(index_set_H(f))
 
 
-def _dot(u: LabelVector, v: LabelVector) -> Polynomial:
-    a, b = u.coords, v.coords
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatrix:
     """Incomplete shadow of A: constants stay, multiples of f become known
     zeros, everything else is unknown.
@@ -103,6 +98,12 @@ def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatr
     """
     H = index_set_H(f)
     labels = tuple(h.render() for h in H)
+    # Every coordinate of an H label lies in sigma(f), so each dot product
+    # is a sum of three entries of the |sigma| x |sigma| product table.
+    sigma = sigma_set(f).elements
+    pos = {p: t for t, p in enumerate(sigma)}
+    product = [[p * q for q in sigma] for p in sigma]
+    index = [tuple(pos[c] for c in h.coords) for h in H]
     data: Dict[Tuple[str, str], object] = {}
     # Entry decisions depend only on the dot product, so memoize per
     # canonical dot; the H x H table repeats a small set of values.
@@ -126,10 +127,11 @@ def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatr
 
     n = len(H)
     for i in range(n):
+        p0, p1, p2 = (product[t] for t in index[i])
         for j in range(i, n):
-            d = _dot(H[i], H[j])
-            e = decide(d)
-            if isinstance(e, Fraction) and e == 0:
+            a, b, c = index[j]
+            e = decide(p0[a] + p1[b] + p2[c])
+            if e is not UNKNOWN and not e:
                 continue
             data[(labels[i], labels[j])] = e
             if i != j:

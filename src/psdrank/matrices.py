@@ -43,7 +43,7 @@ Entry = Union[Fraction, _Mark]
 
 
 def _check_label(label: str) -> str:
-    if not label or any(ch.isspace() for ch in label):
+    if label.split() != [label]:
         raise ValueError(f"matrix labels must be nonempty and whitespace-free: {label!r}")
     if label in ("row", "col", "r"):
         raise ValueError(f"label {label!r} collides with a format keyword")
@@ -73,10 +73,12 @@ class InstanceMatrix:
         for (r, c), v in self.data.items():
             if r not in rset or c not in cset:
                 raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
-            v = Fraction(v)
-            if v < 0:
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            num = v.numerator
+            if num < 0:
                 raise ValueError(f"negative entry {v} at ({r!r}, {c!r})")
-            if v:
+            if num:
                 clean[(r, c)] = v
         self.data = clean
 
@@ -139,10 +141,11 @@ class IncompleteMatrix:
                 raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
             if isinstance(v, _Mark):
                 clean[(r, c)] = v
-            else:
+                continue
+            if type(v) is not Fraction:
                 v = Fraction(v)
-                if v:
-                    clean[(r, c)] = v
+            if v.numerator:
+                clean[(r, c)] = v
         self.data = clean
 
     @property
@@ -260,7 +263,7 @@ def write_matrix(m: Union[InstanceMatrix, IncompleteMatrix],
     """Serialize a matrix; a reduction target emits an extra ``r <k>`` line.
 
     Data lines come out in row-major label order, so identical matrices
-    serialize byte-identically.
+    serialize byte-identically.  Each distinct value is rendered once.
     """
     lines = [f"{MATRIX_HEADER} {m.nrows} {m.ncols}"]
     if target_rank is not None:
@@ -271,8 +274,21 @@ def write_matrix(m: Union[InstanceMatrix, IncompleteMatrix],
         lines.append(f"col {j} {l}")
     rpos = {l: i for i, l in enumerate(m.row_labels)}
     cpos = {l: j for j, l in enumerate(m.col_labels)}
-    for (r, c) in sorted(m.data, key=lambda rc: (rpos[rc[0]], cpos[rc[1]])):
-        lines.append(f"{r} {c} {_entry_token(m.data[(r, c)])}")
+    ncols = m.ncols
+    data = m.data
+    # Runs of entries share one value object (M stores K once), so the
+    # identity test skips most lookups; hashing a Fraction is not cheap.
+    tokens: Dict[Entry, str] = {}
+    last: Optional[Entry] = None
+    tok = ""
+    for rc in sorted(data, key=lambda rc: rpos[rc[0]] * ncols + cpos[rc[1]]):
+        v = data[rc]
+        if v is not last:
+            last = v
+            tok = tokens.get(v)
+            if tok is None:
+                tok = tokens[v] = _entry_token(v)
+        lines.append(f"{rc[0]} {rc[1]} {tok}")
     return "\n".join(lines) + "\n"
 
 
@@ -306,7 +322,8 @@ def parse_matrix(text: str) -> ParsedMatrix:
     target_rank: Optional[int] = None
     rows: Dict[int, str] = {}
     cols: Dict[int, str] = {}
-    raw_entries: List[Tuple[str, str, str]] = []
+    incomplete = False
+    data: Dict[Tuple[str, str], Entry] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "r" and len(parts) == 2:
@@ -316,27 +333,27 @@ def parse_matrix(text: str) -> ParsedMatrix:
         elif parts[0] == "col" and len(parts) == 3:
             cols[int(parts[1])] = parts[2]
         elif len(parts) == 3:
-            raw_entries.append((parts[0], parts[1], parts[2]))
+            r, c, tok = parts
+            if tok == "?":
+                data[(r, c)] = UNKNOWN
+                incomplete = True
+            elif tok == "*":
+                data[(r, c)] = NONZERO_UNKNOWN
+                incomplete = True
+            else:
+                try:
+                    data[(r, c)] = parse_fraction(tok)
+                except ValueError as e:
+                    raise ValueError(f"malformed matrix line: {ln!r} ({e})") from None
         else:
             raise ValueError(f"malformed matrix line: {ln!r}")
     if sorted(rows) != list(range(nrows)) or sorted(cols) != list(range(ncols)):
         raise ValueError("row/col label lines do not cover the declared dimensions")
     row_labels = tuple(rows[i] for i in range(nrows))
     col_labels = tuple(cols[j] for j in range(ncols))
-    incomplete = False
-    data: Dict[Tuple[str, str], Entry] = {}
-    for r, c, tok in raw_entries:
-        if tok == "?":
-            data[(r, c)] = UNKNOWN
-            incomplete = True
-        elif tok == "*":
-            data[(r, c)] = NONZERO_UNKNOWN
-            incomplete = True
-        else:
-            data[(r, c)] = parse_fraction(tok)
     if incomplete:
         return ParsedMatrix(IncompleteMatrix(row_labels, col_labels, data), target_rank)
-    return ParsedMatrix(InstanceMatrix(row_labels, col_labels, {k: Fraction(v) for k, v in data.items()}), target_rank)
+    return ParsedMatrix(InstanceMatrix(row_labels, col_labels, data), target_rank)
 
 
 def write_polynomial_matrix(m: SymbolicMatrix) -> str:

@@ -478,5 +478,8 @@ def parse_fraction(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return Fraction(text)

@@ -2,12 +2,12 @@
 
 The search minimizes sum_ij (tr(U_i U_i^T V_j V_j^T) - A_ij)^2 over k x k
 factor blocks with gradient descent plus Armijo backtracking, restarted
-from seeded random initializations, and polishes the best run with
-Levenberg-Marquardt.  A run that ends with max-abs entry residual at or
-below the success threshold yields a float witness; a failed search is
-evidence only, never a proof of a rank lower bound.  Size-1 decisions skip
-numerics entirely: PSD rank 1 equals nonnegative rank 1, which is an exact
-rational rank-one test.
+from seeded random initializations.  Every restart is polished with
+Levenberg-Marquardt, and the best polished run is kept.  A run that ends
+with max-abs entry residual at or below the success threshold yields a
+float witness; a failed search is evidence only, never a proof of a rank
+lower bound.  Size-1 decisions skip numerics entirely: PSD rank 1 equals
+nonnegative rank 1, which is an exact rational rank-one test.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class SearchConfig:
     restarts: int = 32
     seed: int = 1
     iterations: int = 300          # gradient-descent steps per restart
-    polish_iterations: int = 80    # Levenberg-Marquardt steps on the best run
+    polish_iterations: int = 80    # Levenberg-Marquardt steps per restart
     success_tol: float = 1e-8      # max-abs entry residual declaring a witness
     init: Optional[Tuple[np.ndarray, np.ndarray]] = None  # restart-0 override
 
@@ -223,8 +223,9 @@ def psd_rank_search(A: InstanceMatrix, k: int,
     """Look for a size-k witness of A; reproducible from the seed.
 
     Restart r draws its initialization from default_rng([seed, r]) at scale
-    sqrt(mean(A))/k; the best run (ties to the lowest restart index) is
-    polished and compared against the success threshold.
+    sqrt(mean(A))/k.  Every restart is polished; the best polished run (ties
+    to the lowest restart index) is compared against the success threshold,
+    and the first restart at or below it ends the search.
     """
     if k < 1:
         raise ValueError(f"target size must be positive, got {k}")

@@ -105,6 +105,25 @@ class TestVerify:
         assert capsys.readouterr().out == first
 
 
+class TestMalformedFiles:
+    def test_one_token_fac_line(self, workdir, capsys):
+        (workdir / "p.mtx").write_text(write_matrix(build_P(4)))
+        head = write_factorization(p_alpha_factorization(4)).splitlines()[0]
+        (workdir / "bad.fac").write_text(head + "\nrow\n")
+        assert run("verify", "p.mtx", "bad.fac") == 2
+        err = capsys.readouterr().err
+        assert "error code=" in err and "'row'" in err
+
+    def test_zero_denominator_mtx_entry(self, workdir, capsys):
+        text = write_matrix(build_P(4))
+        assert "1 1 4/1\n" in text
+        (workdir / "bad.mtx").write_text(text.replace("1 1 4/1\n", "1 1 1/0\n"))
+        (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(4)))
+        assert run("verify", "bad.mtx", "p.fac") == 2
+        err = capsys.readouterr().err
+        assert "error code=" in err and "1 1 1/0" in err
+
+
 class TestSearch:
     def test_identity_three(self, workdir, capsys):
         (workdir / "i3.mtx").write_text(

@@ -161,6 +161,14 @@ class TestScaleRoot:
         with pytest.raises(ValueError, match="not a zero"):
             inst.scale_root(Assignment.exact({xvar(1): 0}))
 
+    def test_slacks_pair_with_f_variables(self):
+        # x1 is bound but not in f; the slack must still pair with x2.
+        inst = build_phi(P("x2*x2 - 1"), 1)
+        a = inst.scale_root(Assignment.exact({xvar(1): Fraction(1, 2), xvar(2): 1}))
+        z = a.values[inst.slack_of[xvar(2)]]
+        assert abs(float(z) - 15 ** 0.5 / 4) < 1e-12
+        assert abs(evaluate(inst.phi, a)) <= 1e-12
+
     def test_missing_binding_rejected(self):
         inst = build_phi(P("x1*x2 - 1"), 1)
         with pytest.raises(ValueError, match="does not bind"):

@@ -219,3 +219,13 @@ class TestFileFormat:
     def test_header_guard(self):
         with pytest.raises(ValueError, match="header"):
             parse_factorization("bogus\n")
+
+    def test_one_token_line_rejected(self):
+        head = write_factorization(p_alpha_factorization(1)).splitlines()[0]
+        with pytest.raises(ValueError, match="'row'"):
+            parse_factorization(head + "\nrow\n")
+
+    def test_truncated_sparse_line_rejected(self):
+        head = write_factorization(p_alpha_factorization(1), sparse=True).splitlines()[0]
+        with pytest.raises(ValueError, match="truncated"):
+            parse_factorization(head + "\nrow 1 1 2 0 1/1\n")

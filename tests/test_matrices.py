@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from psdrank.matrices import (
     write_matrix,
     write_polynomial_matrix,
 )
-from psdrank.gadgets import build_A, build_P
+from psdrank.gadgets import build_A, build_P, reduce
 from psdrank.polynomials import Polynomial, parse_polynomial
 
 
@@ -40,6 +41,39 @@ class TestInstanceMatrix:
         m = InstanceMatrix.from_dense([[1, 0], [2, Fraction(1, 3)]])
         assert m.to_dense() == [[1, 0], [2, Fraction(1, 3)]]
         assert m.max_entry() == 2
+
+
+@pytest.mark.parametrize("cls", [InstanceMatrix, IncompleteMatrix])
+class TestEntryValidation:
+    @pytest.mark.parametrize("label", ["", "a\tb", "a b", "a\x1cb"])
+    def test_rejects_empty_or_whitespace_labels(self, cls, label):
+        with pytest.raises(ValueError, match="whitespace-free"):
+            cls((label,), ("b",), {})
+        with pytest.raises(ValueError, match="whitespace-free"):
+            cls(("a",), (label,), {})
+
+    def test_numbers_stored_as_fractions(self, cls):
+        m = cls(("a",), ("b", "c"), {("a", "b"): 3, ("a", "c"): 0.5})
+        assert type(m.data[("a", "b")]) is Fraction and m.data[("a", "b")] == 3
+        assert type(m.data[("a", "c")]) is Fraction and m.data[("a", "c")] == Fraction(1, 2)
+
+    def test_zero_entries_dropped(self, cls):
+        m = cls(("a",), ("b", "c", "d", "e"),
+                {("a", "b"): 0, ("a", "c"): Fraction(0), ("a", "d"): 0.0,
+                 ("a", "e"): Fraction(2)})
+        assert m.data == {("a", "e"): Fraction(2)}
+
+
+def test_instance_rejects_negative_int():
+    with pytest.raises(ValueError, match="negative"):
+        InstanceMatrix(("a",), ("b",), {("a", "b"): -2})
+
+
+def test_incomplete_keeps_marks():
+    m = IncompleteMatrix(("a",), ("b", "c", "d"),
+                         {("a", "b"): UNKNOWN, ("a", "c"): NONZERO_UNKNOWN,
+                          ("a", "d"): 0})
+    assert m.data == {("a", "b"): UNKNOWN, ("a", "c"): NONZERO_UNKNOWN}
 
 
 class TestIncompleteMatrix:
@@ -92,6 +126,17 @@ class TestFileFormat:
     def test_byte_stable(self):
         m = build_P(Fraction(1, 2))
         assert write_matrix(m) == write_matrix(m)
+
+    def test_reduction_bytes_pinned(self):
+        out = reduce(parse_polynomial("x1 - 1"))
+        data = write_matrix(out.M, target_rank=out.r).encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == (
+            "e044dec2512c5f7d24f20289333a45dd95ba21b48716777f046948f60072301c")
+
+    def test_zero_denominator_names_line(self):
+        text = "psdrank-matrix v1 1 1\nrow 0 a\ncol 0 b\na b 1/0\n"
+        with pytest.raises(ValueError, match="'a b 1/0'"):
+            parse_matrix(text)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError, match="header"):

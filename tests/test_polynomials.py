@@ -15,6 +15,7 @@ from psdrank.polynomials import (
     format_polynomial,
     is_multiple_of,
     length_of,
+    parse_fraction,
     parse_polynomial,
     rational_sqrt,
     var,
@@ -289,3 +290,9 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(0)) == 0
     with pytest.raises(ValueError):
         rational_sqrt(Fraction(-1))
+
+
+def test_parse_fraction_zero_denominator():
+    assert parse_fraction("3/4") == Fraction(3, 4)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_fraction("1/0")
