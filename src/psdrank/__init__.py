@@ -11,11 +11,10 @@ and inverts explicit factorization witnesses at desk scale.
 from .polynomials import (
     Assignment,
     Monomial,
+    ParseError,
     Polynomial,
     VarId,
     VarKind,
-    arith,
-    canonicalize,
     evaluate,
     format_polynomial,
     is_multiple_of,
@@ -53,7 +52,6 @@ from .matrices import (
 )
 from .gadgets import (
     ReductionOutput,
-    SigmaSet,
     build_A,
     build_B,
     build_C,

@@ -22,7 +22,7 @@ from .factorizations import (
     sparse_dot,
     vector_norm_sq,
 )
-from .gadgets import block_labels, build_B, compute_K, index_set_H
+from .gadgets import build_B, compute_K, index_set_H, instance_labels, sigma_set
 from .matrices import (
     IncompleteMatrix,
     InstanceMatrix,
@@ -64,6 +64,13 @@ def _check_root(f: Polynomial, xi: Assignment, tol: float = 1e-12) -> None:
         raise ValueError(f"point is not a root within {tol}: f(xi) = {residual}")
 
 
+def _root_values(f: Polynomial, xi: Assignment, tol: float) -> Dict[Polynomial, Number]:
+    """Check that xi is a cube root of f, then evaluate each sigma element
+    once; every coordinate of an H label is one of them."""
+    _check_root(f, xi, tol)
+    return {p: evaluate(p, xi) for p in sigma_set(f)}
+
+
 def completion_from_root(f: Polynomial, xi: Assignment, tol: float = 1e-12) -> Completion:
     """Entrywise square of the evaluated label matrix, plus its witness.
 
@@ -71,20 +78,11 @@ def completion_from_root(f: Polynomial, xi: Assignment, tol: float = 1e-12) -> C
     entries stay within 9*(length f)^4 because |xi_i| <= 1.  The witness is
     the rank-one factorization by evaluated label vectors.
     """
-    _check_root(f, xi, tol)
+    value = _root_values(f, xi, tol)
     H = index_set_H(f)
     exact = xi.mode == "exact"
-    sigma_value: Dict[Polynomial, Number] = {}
-
-    def value_of(p: Polynomial) -> Number:
-        hit = sigma_value.get(p)
-        if hit is None:
-            hit = evaluate(p, xi)
-            sigma_value[p] = hit
-        return hit
-
     labels = tuple(h.render() for h in H)
-    points = [tuple(value_of(c) for c in h.coords) for h in H]
+    points = [tuple(value[c] for c in h.coords) for h in H]
     data: Dict[Tuple[str, str], Fraction] = {}
     n = len(H)
     for i in range(n):
@@ -118,21 +116,20 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment,
     M decomposes as the embedded completion plus k disjoint blocks
     K*P(alpha_e) with alpha_e = (K - B'(e))/K; the completion occupies
     coordinates 0..2 and block t occupies coordinates 3+2t, 4+2t, which is
-    exactly the block-diagonal padding of the direct-sum bound.
+    exactly the block-diagonal padding of the direct-sum bound.  B' is read
+    only at the k unknown entries e of B.
     """
-    comp = completion_from_root(f, xi, tol)
+    value = _root_values(f, xi, tol)
     B = build_B(f)
     K = Fraction(compute_K(f))
-    E = B.unknown_positions()
+    E, labels = instance_labels(B)
     k = len(E)
-    ktot = 2 * k + 3
-    exact = comp.factorization.mode == "exact"
 
-    rows: Dict[str, List[Vector]] = {}
-    cols: Dict[str, List[Vector]] = {}
-    for l in B.row_labels:
-        rows[l] = list(comp.factorization.row_vectors[l])
-        cols[l] = list(comp.factorization.col_vectors[l])
+    # The completion's rank-one vectors: the evaluated label points.
+    point = {l: tuple(value[c] for c in h.coords)
+             for l, h in zip(B.row_labels, B.label_vectors)}
+    rows: Dict[str, List[Vector]] = {l: [dense_vector(p)] for l, p in point.items()}
+    cols: Dict[str, List[Vector]] = {l: [dense_vector(p)] for l, p in point.items()}
 
     # Gram vectors per distinct completion value; alpha_e only depends on it.
     block_cache: Dict[Fraction, Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]] = {}
@@ -150,32 +147,26 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment,
 
     for t, (i, j) in enumerate(E):
         base = 3 + 2 * t
-        e1, e2 = block_labels(t)
-        bval = comp.matrix.entry(i, j)
-        prows, pcols = block_vectors(bval)
+        e1, e2 = labels[t], labels[k + t]
+        a, b = point[i], point[j]
+        d = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+        prows, pcols = block_vectors(Fraction(d * d))
 
         def shift(vec: Vector) -> Vector:
             return {base + c: v for c, v in vec.items()}
 
-        rows.setdefault(e1, [])
-        rows.setdefault(e2, [])
-        cols.setdefault(e1, [])
-        cols.setdefault(e2, [])
         rows[i].extend(shift(v) for v in prows[0])
-        rows[e1].extend(shift(v) for v in prows[1])
-        rows[e2].extend(shift(v) for v in prows[2])
+        rows[e1] = [shift(v) for v in prows[1]]
+        rows[e2] = [shift(v) for v in prows[2]]
         cols[j].extend(shift(v) for v in pcols[0])
-        cols[e1].extend(shift(v) for v in pcols[1])
-        cols[e2].extend(shift(v) for v in pcols[2])
+        cols[e1] = [shift(v) for v in pcols[1]]
+        cols[e2] = [shift(v) for v in pcols[2]]
 
-    e1s = tuple(block_labels(t)[0] for t in range(k))
-    e2s = tuple(block_labels(t)[1] for t in range(k))
-    labels = e1s + e2s + B.row_labels
     return PSDFactorization(
-        ktot, labels, labels,
+        2 * k + 3, labels, labels,
         {l: tuple(v) for l, v in rows.items()},
         {l: tuple(v) for l, v in cols.items()},
-        "exact" if exact else "float")
+        xi.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,14 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from . import certificates, cube, factorizations, formulas, gadgets, matrices, search
-from .polynomials import Assignment, format_polynomial, parse_fraction, parse_polynomial, var
+from .polynomials import (
+    Assignment,
+    ParseError,
+    format_polynomial,
+    parse_fraction,
+    parse_polynomial,
+    var,
+)
 
 
 def _digest(data: str) -> str:
@@ -117,7 +124,7 @@ def cmd_matrices(args, trace: _Trace) -> int:
            trace, "matrix-A", _digest(text))
     B = gadgets.build_B(f, args.square_multiple_test)
     _write(str(outdir / "B.mtx"), matrices.write_matrix(B), trace, "matrix-B", _digest(text))
-    C = gadgets.build_C(f, args.square_multiple_test)
+    C = gadgets.build_C(B)
     _write(str(outdir / "C.mtx"), matrices.write_matrix(C), trace, "matrix-C", _digest(text))
     return 0
 
@@ -295,7 +302,7 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args, trace)
     except FileNotFoundError as e:
         return _fail("io", str(e), 2)
-    except formulas.FormulaParseError as e:
+    except ParseError as e:
         return _fail("parse", str(e), 2)
     except ValueError as e:
         return _fail("usage", str(e), 2)

@@ -17,13 +17,14 @@ change the certified size, which is the vector dimension k.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .matrices import InstanceMatrix
-from .polynomials import Number, parse_fraction
+from .polynomials import Number, ParseError, parse_fraction
 
 Vector = Dict[int, Number]  # sparse coordinate -> value
 
@@ -484,29 +485,36 @@ def write_factorization(F: PSDFactorization, sparse: Optional[bool] = None) -> s
 
 
 def parse_factorization(text: str) -> PSDFactorization:
+    """Read back a factorization file; every rejected line, including a
+    repeated row or col label, raises ParseError naming it."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(FACTORIZATION_HEADER):
-        raise ValueError(f"missing '{FACTORIZATION_HEADER}' header")
+        raise ParseError(f"missing '{FACTORIZATION_HEADER}' header")
     head = lines[0].split()
-    if len(head) not in (6, 7):
-        raise ValueError("malformed factorization header")
-    k = int(head[2])
-    nrows, ncols = int(head[3]), int(head[4])
+    try:
+        if len(head) not in (6, 7):
+            raise ValueError("expected 6 or 7 tokens")
+        k = int(head[2])
+        nrows, ncols = int(head[3]), int(head[4])
+        if k < 1:
+            raise ValueError(f"size {k} is not positive")
+    except ValueError as e:
+        raise ParseError(f"malformed factorization header: {lines[0]!r} ({e})") from None
     mode = head[5]
     sparse = len(head) == 7 and head[6] == "sparse"
-    conv = parse_fraction if mode == "exact" else float
-    row_labels: List[str] = []
-    col_labels: List[str] = []
-    rows: Dict[str, Tuple[Vector, ...]] = {}
-    cols: Dict[str, Tuple[Vector, ...]] = {}
+    # Few distinct values fill most of a witness: convert each token once.
+    conv = functools.cache(parse_fraction if mode == "exact" else float)
+    tables: Dict[str, Dict[str, Tuple[Vector, ...]]] = {"row": {}, "col": {}}
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) < 2 or parts[0] not in ("row", "col"):
-            raise ValueError(f"malformed factorization line: {ln!r}")
+        if len(parts) < 2 or parts[0] not in tables:
+            raise ParseError(f"malformed factorization line: {ln!r}")
         side, label = parts[0], parts[1]
+        if label in tables[side]:
+            raise ParseError(f"repeated {side} label in line {ln!r}")
         vecs: List[Vector] = []
-        if sparse:
-            try:
+        try:
+            if sparse:
                 nvec = int(parts[2])
                 pos = 3
                 for _ in range(nvec):
@@ -517,23 +525,23 @@ def parse_factorization(text: str) -> PSDFactorization:
                         if val:
                             vec[coord] = val
                     vecs.append(vec)
-            except IndexError:
-                raise ValueError(f"truncated sparse line: {ln!r}") from None
-            if pos != len(parts):
-                raise ValueError(f"trailing tokens in sparse line: {ln!r}")
-        else:
-            numbers = parts[2:]
-            if len(numbers) % k:
-                raise ValueError(f"dense vector data is not a multiple of k={k}: {ln!r}")
-            for off in range(0, len(numbers), k):
-                vec = {i: conv(numbers[off + i]) for i in range(k) if conv(numbers[off + i])}
-                vecs.append(vec)
-        if side == "row":
-            row_labels.append(label)
-            rows[label] = tuple(vecs)
-        else:
-            col_labels.append(label)
-            cols[label] = tuple(vecs)
-    if len(row_labels) != nrows or len(col_labels) != ncols:
-        raise ValueError("factorization label lines do not match the header counts")
-    return PSDFactorization(k, tuple(row_labels), tuple(col_labels), rows, cols, mode)
+                if pos != len(parts):
+                    raise ValueError("trailing tokens")
+            else:
+                numbers = [conv(t) for t in parts[2:]]
+                if len(numbers) % k:
+                    raise ValueError(f"dense vector data is not a multiple of k={k}")
+                for off in range(0, len(numbers), k):
+                    vecs.append({i: x for i, x in enumerate(numbers[off:off + k]) if x})
+        except IndexError:
+            raise ParseError(f"truncated sparse line: {ln!r}") from None
+        except ValueError as e:
+            raise ParseError(f"malformed factorization line: {ln!r} ({e})") from None
+        tables[side][label] = tuple(vecs)
+    rows, cols = tables["row"], tables["col"]
+    if len(rows) != nrows or len(cols) != ncols:
+        raise ParseError("factorization label lines do not match the header counts")
+    try:
+        return PSDFactorization(k, tuple(rows), tuple(cols), rows, cols, mode)
+    except ValueError as e:
+        raise ParseError(str(e)) from None

@@ -20,6 +20,7 @@ from typing import Dict, List, Mapping, Tuple, Union
 from .polynomials import (
     Assignment,
     Number,
+    ParseError,
     Polynomial,
     VarId,
     VarKind,
@@ -88,7 +89,7 @@ def formula_size(f: Formula) -> int:
 # Parsing
 # ---------------------------------------------------------------------------
 
-class FormulaParseError(ValueError):
+class FormulaParseError(ParseError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
@@ -316,15 +317,7 @@ def expr_to_polynomial(e: Expr) -> Polynomial:
         return Polynomial.constant(e.value)
     l = expr_to_polynomial(e.left)
     r = expr_to_polynomial(e.right)
-    return arith_op(l, r, e.op)
-
-
-def arith_op(l: Polynomial, r: Polynomial, op: str) -> Polynomial:
-    if op == "+":
-        return l + r
-    if op == "-":
-        return l - r
-    return l * r
+    return l + r if e.op == "+" else l - r if e.op == "-" else l * r
 
 
 def expr_value(e: Expr, values: Mapping[VarId, Number]) -> Number:

@@ -26,28 +26,13 @@ from .matrices import (
 from .polynomials import Polynomial, length_of, is_multiple_of
 
 
-@dataclass(frozen=True)
-class SigmaSet:
-    """Deduplicated, deterministically ordered closure set of f."""
-
-    elements: Tuple[Polynomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, p: Polynomial) -> bool:
-        return p in set(self.elements)
-
-
-def sigma_set(f: Polynomial) -> SigmaSet:
+def sigma_set(f: Polynomial) -> Tuple[Polynomial, ...]:
     """Prefix products of every monomial, partial sums of f, 0 and ±1.
 
     Per monomial p = ±x_{i1}...x_{ik} (stored sorted order) the prefixes
     x_{i1}, x_{i1}x_{i2}, ..., |p| enter with both signs; per term position
     t the partial sum p_1+...+p_t enters with both signs; 0 and ±1 always.
+    The result is deduplicated and ordered by ``Polynomial.sort_key``.
     """
     if f.is_zero:
         raise ValueError("sigma set of the zero polynomial is not defined")
@@ -66,22 +51,19 @@ def sigma_set(f: Polynomial) -> SigmaSet:
     for t in f.terms:
         partial = partial + Polynomial.monomial(t.vars, t.sign)
         add(partial)
-    ordered = sorted(seen, key=lambda p: p.sort_key())
-    return SigmaSet(tuple(ordered))
+    return tuple(sorted(seen, key=lambda p: p.sort_key()))
+
+
+def _triples_with_one(sigma: Sequence[Polynomial]) -> Tuple[LabelVector, ...]:
+    one = Polynomial.constant(1)
+    return tuple(LabelVector((a, b, c)) for a in sigma for b in sigma for c in sigma
+                 if a == one or b == one or c == one)
 
 
 def index_set_H(f: Polynomial) -> Tuple[LabelVector, ...]:
     """All sigma-triples with some coordinate equal to 1, in lexicographic
     order of the sigma ordering; |H| = |sigma|^3 - (|sigma|-1)^3."""
-    sigma = sigma_set(f)
-    one = Polynomial.constant(1)
-    out: List[LabelVector] = []
-    for a in sigma:
-        for b in sigma:
-            for c in sigma:
-                if a == one or b == one or c == one:
-                    out.append(LabelVector((a, b, c)))
-    return tuple(out)
+    return _triples_with_one(sigma_set(f))
 
 
 def build_A(f: Polynomial) -> SymbolicMatrix:
@@ -96,11 +78,11 @@ def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatr
     The zero test checks f | (u.v) by default; ``square_multiple_test``
     switches to f | (u.v)^2, which can mark more zeros when f is reducible.
     """
-    H = index_set_H(f)
+    sigma = sigma_set(f)
+    H = _triples_with_one(sigma)
     labels = tuple(h.render() for h in H)
     # Every coordinate of an H label lies in sigma(f), so each dot product
     # is a sum of three entries of the |sigma| x |sigma| product table.
-    sigma = sigma_set(f).elements
     pos = {p: t for t, p in enumerate(sigma)}
     product = [[p * q for q in sigma] for p in sigma]
     index = [tuple(pos[c] for c in h.coords) for h in H]
@@ -139,9 +121,8 @@ def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatr
     return IncompleteMatrix(labels, labels, data, label_vectors=H)
 
 
-def build_C(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatrix:
+def build_C(B: IncompleteMatrix) -> IncompleteMatrix:
     """Zero / nonzero-unknown / unknown pattern of B."""
-    B = build_B(f, square_multiple_test)
     data: Dict[Tuple[str, str], object] = {}
     for key, v in B.data.items():
         if v is UNKNOWN:
@@ -166,9 +147,19 @@ def compute_K(f: Polynomial) -> int:
     return 9 * length_of(f) ** 4
 
 
-def block_labels(index: int) -> Tuple[str, str]:
-    """Labels of the two fresh rows/columns attached to unknown #index."""
-    return (f"e1[{index}]", f"e2[{index}]")
+def instance_labels(S: IncompleteMatrix) -> Tuple[Tuple[Tuple[str, str], ...], Tuple[str, ...]]:
+    """Unknown positions E of S and the label order of M(S, K).
+
+    E is in row-major order; unknown #t owns the fresh labels ``e1[t]`` and
+    ``e2[t]``.  M lists every E1 label, then every E2 label, then S's own
+    labels, so with k = |E| the E1 label of unknown t is ``labels[t]`` and
+    its E2 label ``labels[k + t]``.
+    """
+    E = S.unknown_positions()
+    k = len(E)
+    labels = (tuple(f"e1[{t}]" for t in range(k)) + tuple(f"e2[{t}]" for t in range(k))
+              + S.row_labels)
+    return E, labels
 
 
 def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
@@ -177,7 +168,7 @@ def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
     k is the number of unknown entries of S (row-major order).  Known
     entries of S land on the plain part; each unknown e = (i, j) plants the
     block K*P(1) on rows {i, e1, e2} x columns {j, e1, e2}; all remaining
-    entries are zero.  Label order is E1, E2, then S's own labels.
+    entries are zero.  Labels follow ``instance_labels``.
     """
     K = Fraction(K)
     if K <= 0:
@@ -189,17 +180,14 @@ def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
             raise ValueError("M(S, K) accepts known/unknown entries only")
         if isinstance(v, Fraction) and (v < 0 or v > K):
             raise ValueError(f"known entry {v} at ({r!r},{c!r}) is outside [0, K={K}]")
-    E = S.unknown_positions()
+    E, labels = instance_labels(S)
     k = len(E)
-    e1_labels = tuple(block_labels(t)[0] for t in range(k))
-    e2_labels = tuple(block_labels(t)[1] for t in range(k))
-    labels = e1_labels + e2_labels + S.row_labels
     data: Dict[Tuple[str, str], Fraction] = {}
     for (r, c), v in S.data.items():
         if isinstance(v, Fraction) and v:
             data[(r, c)] = v
     for t, (i, j) in enumerate(E):
-        e1, e2 = block_labels(t)
+        e1, e2 = labels[t], labels[k + t]
         # K * P(1) on rows (i, e1, e2) x cols (j, e1, e2); its zeros at
         # (e1, e2) and (e2, e1) stay absent.
         data[(i, j)] = K
@@ -257,9 +245,9 @@ def reduce(f: Polynomial, square_multiple_test: bool = False) -> ReductionOutput
     if f.is_zero:
         raise ValueError("cannot reduce the zero polynomial")
     B = build_B(f, square_multiple_test)
-    k = len(B.unknown_positions())
     K = compute_K(f)
     M = build_M(B, K)
+    k = (M.nrows - B.nrows) // 2
     r = 2 * k + 3
     trace = (
         f"terms={length_of(f)}",

@@ -19,11 +19,18 @@ lines ``<row-label> <col-label> <value>`` where a value is ``p/q``, ``?``
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .polynomials import Polynomial, format_polynomial, parse_fraction
+from .polynomials import (
+    ParseError,
+    Polynomial,
+    format_polynomial,
+    parse_fraction,
+    parse_polynomial,
+)
 
 
 class _Mark:
@@ -311,49 +318,68 @@ class ParsedMatrix:
         return self.matrix
 
 
-def parse_matrix(text: str) -> ParsedMatrix:
+def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -> Tuple[
+        Optional[int], Tuple[str, ...], Tuple[str, ...], Dict[Tuple[str, str], object]]:
+    """Shared reader of both matrix formats: returns the ``r`` target (only
+    ``MATRIX_HEADER`` files may carry one), the row and column labels and the
+    coordinate entries converted by ``entry``.  Every rejected line, including
+    a repeated label index or coordinate, raises ParseError naming it."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(MATRIX_HEADER):
-        raise ValueError(f"missing '{MATRIX_HEADER}' header")
+    if not lines or not lines[0].startswith(header):
+        raise ParseError(f"missing '{header}' header")
     head = lines[0].split()
-    if len(head) != 4:
-        raise ValueError("malformed matrix header")
-    nrows, ncols = int(head[2]), int(head[3])
+    try:
+        if len(head) != 4:
+            raise ValueError("expected 4 tokens")
+        nrows, ncols = int(head[2]), int(head[3])
+    except ValueError as e:
+        raise ParseError(f"malformed matrix header: {lines[0]!r} ({e})") from None
     target_rank: Optional[int] = None
-    rows: Dict[int, str] = {}
-    cols: Dict[int, str] = {}
-    incomplete = False
-    data: Dict[Tuple[str, str], Entry] = {}
+    labels: Dict[str, Dict[int, str]] = {"row": {}, "col": {}}
+    data: Dict[Tuple[str, str], object] = {}
+    # Few distinct values fill most of a file: convert each token once.
+    entry = functools.cache(entry)
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "r" and len(parts) == 2:
-            target_rank = int(parts[1])
-        elif parts[0] == "row" and len(parts) == 3:
-            rows[int(parts[1])] = parts[2]
-        elif parts[0] == "col" and len(parts) == 3:
-            cols[int(parts[1])] = parts[2]
-        elif len(parts) == 3:
-            r, c, tok = parts
-            if tok == "?":
-                data[(r, c)] = UNKNOWN
-                incomplete = True
-            elif tok == "*":
-                data[(r, c)] = NONZERO_UNKNOWN
-                incomplete = True
+        try:
+            if len(parts) == 3 and parts[0] in labels:
+                table = labels[parts[0]]
+                index = int(parts[1])
+                if index in table:
+                    raise ParseError(f"repeated {parts[0]} index in line {ln!r}")
+                table[index] = parts[2]
+            elif len(parts) == 3:
+                rc = (parts[0], parts[1])
+                if rc in data:
+                    raise ParseError(f"repeated coordinate in line {ln!r}")
+                data[rc] = entry(parts[2])
+            elif len(parts) == 2 and parts[0] == "r" and header == MATRIX_HEADER:
+                target_rank = int(parts[1])
             else:
-                try:
-                    data[(r, c)] = parse_fraction(tok)
-                except ValueError as e:
-                    raise ValueError(f"malformed matrix line: {ln!r} ({e})") from None
-        else:
-            raise ValueError(f"malformed matrix line: {ln!r}")
+                raise ParseError(f"malformed matrix line: {ln!r}")
+        except ParseError:
+            raise
+        except ValueError as e:
+            raise ParseError(f"malformed matrix line: {ln!r} ({e})") from None
+    rows, cols = labels["row"], labels["col"]
     if sorted(rows) != list(range(nrows)) or sorted(cols) != list(range(ncols)):
-        raise ValueError("row/col label lines do not cover the declared dimensions")
-    row_labels = tuple(rows[i] for i in range(nrows))
-    col_labels = tuple(cols[j] for j in range(ncols))
-    if incomplete:
-        return ParsedMatrix(IncompleteMatrix(row_labels, col_labels, data), target_rank)
-    return ParsedMatrix(InstanceMatrix(row_labels, col_labels, data), target_rank)
+        raise ParseError("row/col label lines do not cover the declared dimensions")
+    return (target_rank, tuple(rows[i] for i in range(nrows)),
+            tuple(cols[j] for j in range(ncols)), data)
+
+
+_MARKS = {"?": UNKNOWN, "*": NONZERO_UNKNOWN}
+
+
+def parse_matrix(text: str) -> ParsedMatrix:
+    target_rank, row_labels, col_labels, data = _parse_matrix_text(
+        text, MATRIX_HEADER, lambda tok: _MARKS.get(tok) or parse_fraction(tok))
+    kind = (IncompleteMatrix if any(type(v) is _Mark for v in data.values())
+            else InstanceMatrix)
+    try:
+        return ParsedMatrix(kind(row_labels, col_labels, data), target_rank)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
 
 
 def write_polynomial_matrix(m: SymbolicMatrix) -> str:
@@ -381,27 +407,6 @@ class ParsedPolynomialMatrix:
 
 def parse_polynomial_matrix(text: str) -> ParsedPolynomialMatrix:
     """Read back a polynomial matrix file; absent entries are zero."""
-    from .polynomials import parse_polynomial
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(POLYMATRIX_HEADER):
-        raise ValueError(f"missing '{POLYMATRIX_HEADER}' header")
-    head = lines[0].split()
-    nrows, ncols = int(head[2]), int(head[3])
-    rows: Dict[int, str] = {}
-    cols: Dict[int, str] = {}
-    entries: Dict[Tuple[str, str], Polynomial] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "row" and len(parts) == 3:
-            rows[int(parts[1])] = parts[2]
-        elif parts[0] == "col" and len(parts) == 3:
-            cols[int(parts[1])] = parts[2]
-        elif len(parts) == 3:
-            entries[(parts[0], parts[1])] = parse_polynomial(parts[2])
-        else:
-            raise ValueError(f"malformed polynomial matrix line: {ln!r}")
-    if sorted(rows) != list(range(nrows)) or sorted(cols) != list(range(ncols)):
-        raise ValueError("row/col label lines do not cover the declared dimensions")
-    return ParsedPolynomialMatrix(tuple(rows[i] for i in range(nrows)),
-                                  tuple(cols[j] for j in range(ncols)), entries)
+    _, row_labels, col_labels, entries = _parse_matrix_text(
+        text, POLYMATRIX_HEADER, parse_polynomial)
+    return ParsedPolynomialMatrix(row_labels, col_labels, entries)

@@ -268,26 +268,6 @@ class Assignment:
 # Operations
 # ---------------------------------------------------------------------------
 
-def canonicalize(p: Polynomial) -> Polynomial:
-    """Return the canonical form of ``p``.
-
-    Construction already canonicalizes, so this is the identity on any
-    reachable Polynomial; it exists so callers can assert the normal form.
-    """
-    return Polynomial(p.terms)
-
-
-def arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:
-    """Combine two polynomials with ``op`` in {"add", "sub", "mul"}."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown arithmetic op {op!r}")
-
-
 def evaluate(p: Polynomial, a: Assignment) -> Number:
     """Evaluate ``p`` at the point ``a``; every variable must be bound.
 
@@ -363,6 +343,10 @@ def _monomial_quotient(m: VarsKey, d: VarsKey) -> VarsKey | None:
 # Text syntax
 # ---------------------------------------------------------------------------
 
+class ParseError(ValueError):
+    """Input text rejected by one of the package's syntaxes or file formats."""
+
+
 def format_polynomial(p: Polynomial, compact: bool = False) -> str:
     """Render the canonical standard form; ``compact`` drops all spaces.
 
@@ -407,7 +391,7 @@ def parse_polynomial(text: str) -> Polynomial:
         elif op:
             tokens.append(("op", op, at))
         elif bad and bad.strip():
-            raise ValueError(f"unexpected character {bad!r} at position {at}")
+            raise ParseError(f"unexpected character {bad!r} at position {at}")
         pos = m.end()
     coeffs: Dict[VarsKey, int] = {}
     i = 0
@@ -419,7 +403,7 @@ def parse_polynomial(text: str) -> Polynomial:
                 sign = -sign
             i += 1
         if i >= len(tokens):
-            raise ValueError("dangling sign at end of polynomial")
+            raise ParseError("dangling sign at end of polynomial")
         coeff = 1
         vars_: list[VarId] = []
         while True:
@@ -430,21 +414,21 @@ def parse_polynomial(text: str) -> Polynomial:
                 try:
                     vars_.append(var(val))
                 except ValueError:
-                    raise ValueError(f"unknown variable token {val!r} at position {at}") from None
+                    raise ParseError(f"unknown variable token {val!r} at position {at}") from None
             else:
-                raise ValueError(f"expected a factor at position {at}")
+                raise ParseError(f"expected a factor at position {at}")
             i += 1
             if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
                 i += 1
                 if i >= len(tokens):
-                    raise ValueError("dangling '*' at end of polynomial")
+                    raise ParseError("dangling '*' at end of polynomial")
                 continue
             break
         key = tuple(sorted(vars_))
         coeffs[key] = coeffs.get(key, 0) + sign * coeff
         first = False
     if first:
-        raise ValueError("empty polynomial text")
+        raise ParseError("empty polynomial text")
     return Polynomial._from_coeffs(coeffs)
 
 

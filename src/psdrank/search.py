@@ -113,14 +113,13 @@ def _jacobian(U, V, A):
     R = (T - A).reshape(-1)
     JU = 2.0 * np.einsum("ijab,jcb->ijca", G, V)
     JV = 2.0 * np.einsum("ijab,ica->ijcb", G, U)
-    npar = (m + n) * k * k
-    J = np.zeros((m * n, npar))
-    for i in range(m):
-        for j in range(n):
-            row = i * n + j
-            J[row, i * k * k:(i + 1) * k * k] = JU[i, j].reshape(-1)
-            J[row, m * k * k + j * k * k: m * k * k + (j + 1) * k * k] = JV[i, j].reshape(-1)
-    return R, J
+    # Residual (i, j) depends only on block U_i (parameter block i) and
+    # block V_j (parameter block m + j).
+    J = np.zeros((m, n, m + n, k * k))
+    ii, jj = np.arange(m)[:, None], np.arange(n)[None, :]
+    J[ii, jj, ii] = JU.reshape(m, n, k * k)
+    J[ii, jj, m + jj] = JV.reshape(m, n, k * k)
+    return R, J.reshape(m * n, (m + n) * k * k)
 
 
 def _polish(U, V, A, iterations: int):

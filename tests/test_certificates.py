@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from psdrank.factorizations import (
     PSDFactorization,
     hadamard_square_factorization,
     verify_factorization,
+    write_factorization,
 )
 from psdrank.gadgets import build_B, build_M, compute_K
 from psdrank.matrices import UNKNOWN, IncompleteMatrix, LabelVector
@@ -108,6 +110,12 @@ class TestAssembleInstanceWitness:
         xi = exact_point(x1=1)
         F = assemble_instance_witness(f, xi)  # sanity: the real budget passes
         assert F.mode == "exact"
+
+    def test_witness_bytes_pinned(self):
+        F = assemble_instance_witness(P("x1 - 1"), exact_point(x1=1))
+        data = write_factorization(F).encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == (
+            "6370d52ac390e61f0d96202b540b07edfa71d1f22bc27cc1338cb3b5504ee436")
 
     def test_sampled_report_reproducible_on_large_witness(self):
         f = P("x1")

@@ -112,7 +112,7 @@ class TestMalformedFiles:
         (workdir / "bad.fac").write_text(head + "\nrow\n")
         assert run("verify", "p.mtx", "bad.fac") == 2
         err = capsys.readouterr().err
-        assert "error code=" in err and "'row'" in err
+        assert "error code=parse" in err and "'row'" in err
 
     def test_zero_denominator_mtx_entry(self, workdir, capsys):
         text = write_matrix(build_P(4))
@@ -121,7 +121,39 @@ class TestMalformedFiles:
         (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(4)))
         assert run("verify", "bad.mtx", "p.fac") == 2
         err = capsys.readouterr().err
-        assert "error code=" in err and "1 1 1/0" in err
+        assert "error code=parse" in err and "1 1 1/0" in err
+
+    def test_non_integer_row_index(self, workdir, capsys):
+        text = write_matrix(build_P(4))
+        assert "row 0 1\n" in text
+        (workdir / "bad.mtx").write_text(text.replace("row 0 1\n", "row x a\n"))
+        (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(4)))
+        assert run("verify", "bad.mtx", "p.fac") == 2
+        err = capsys.readouterr().err
+        assert "error code=parse" in err and "'row x a'" in err
+
+    def test_malformed_poly(self, workdir, capsys):
+        (workdir / "f.poly").write_text("x1 *\n")
+        assert run("reduce", "f.poly") == 2
+        assert "error code=parse" in capsys.readouterr().err
+
+    def test_repeated_mtx_coordinate(self, workdir, capsys):
+        text = write_matrix(build_P(4))
+        assert "1 1 4/1\n" in text
+        (workdir / "bad.mtx").write_text(text.replace("1 1 4/1\n", "1 1 4/1\n1 1 3/1\n"))
+        (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(4)))
+        assert run("verify", "bad.mtx", "p.fac") == 2
+        err = capsys.readouterr().err
+        assert "error code=parse" in err and "'1 1 3/1'" in err
+
+    def test_repeated_fac_label(self, workdir, capsys):
+        (workdir / "p.mtx").write_text(write_matrix(build_P(4)))
+        lines = write_factorization(p_alpha_factorization(4)).splitlines()
+        row1 = next(ln for ln in lines if ln.startswith("row 1 "))
+        (workdir / "bad.fac").write_text("\n".join(lines + [row1]) + "\n")
+        assert run("verify", "p.mtx", "bad.fac") == 2
+        err = capsys.readouterr().err
+        assert "error code=parse" in err and repr(row1) in err
 
 
 class TestSearch:

@@ -129,7 +129,7 @@ class TestMatrixABC:
     def test_C_pattern_matches_B(self):
         f = P("x1*x1 - 1")
         B = build_B(f)
-        C = build_C(f)
+        C = build_C(B)
         for r in B.row_labels[:40]:
             for c in B.col_labels[:40]:
                 b = B.entry(r, c)

@@ -1,11 +1,18 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from psdrank.factorizations import verify_factorization
 from psdrank.gadgets import build_G, build_P
 from psdrank.matrices import InstanceMatrix
-from psdrank.search import SearchConfig, pad_witness_arrays, psd_rank_search
+from psdrank.search import (
+    SearchConfig,
+    _jacobian,
+    _trace_table,
+    pad_witness_arrays,
+    psd_rank_search,
+)
 
 I2 = InstanceMatrix.from_dense([[1, 0], [0, 1]])
 I3 = InstanceMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -79,6 +86,38 @@ class TestNumericSearch:
         assert report.found
         check = verify_factorization(build_P(1), report.witness, tol=1e-7)
         assert check.passed
+
+
+def test_jacobian_layout():
+    # Row i*n + j holds d(residual ij)/d(theta) with theta = (U blocks, V
+    # blocks), each block flattened row-major; check it against central
+    # differences of the residuals and against the per-entry loop layout.
+    rng = np.random.default_rng(3)
+    m, n, k = 3, 3, 2
+    U, V = rng.normal(size=(m, k, k)), rng.normal(size=(n, k, k))
+    A = rng.random((m, n))
+    R, J = _jacobian(U, V, A)
+    theta = np.concatenate([U.reshape(-1), V.reshape(-1)])
+
+    def residual(th):
+        return (_trace_table(th[:m * k * k].reshape(m, k, k),
+                             th[m * k * k:].reshape(n, k, k)) - A).reshape(-1)
+
+    assert np.array_equal(R, residual(theta))
+    h = 1e-6
+    fd = np.column_stack([(residual(theta + h * e) - residual(theta - h * e)) / (2 * h)
+                          for e in np.eye(theta.size)])
+    np.testing.assert_allclose(J, fd, rtol=0, atol=1e-7)
+
+    G = np.einsum("ica,jcb->ijab", U, V)
+    JU = 2.0 * np.einsum("ijab,jcb->ijca", G, V)
+    JV = 2.0 * np.einsum("ijab,ica->ijcb", G, U)
+    loop = np.zeros_like(J)
+    for i in range(m):
+        for j in range(n):
+            loop[i * n + j, i * k * k:(i + 1) * k * k] = JU[i, j].reshape(-1)
+            loop[i * n + j, (m + j) * k * k:(m + j + 1) * k * k] = JV[i, j].reshape(-1)
+    assert np.array_equal(J, loop)
 
 
 class TestValidation:
