@@ -13,14 +13,20 @@ rational PSD matrix generally has no rational Gram decomposition with only
 k summands, but it always has one with a few extra rank-one terms (weights
 are expanded through four-square decompositions), and extra summands do not
 change the certified size, which is the vector dimension k.
+
+The four-square expansion is the greedy one `four_squares` documents.  The
+bytes of every written witness depend on that choice, so any faster method
+must return the same tuples; the oracle tests compare against trial division.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .matrices import InstanceMatrix
@@ -60,6 +66,7 @@ class PSDFactorization:
             raise ValueError(f"factorization size must be positive, got {self.k}")
         if self.mode not in ("exact", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        k, exact = self.k, self.mode == "exact"  # read once, not per coordinate
         for labels, table, side in ((self.row_labels, self.row_vectors, "row"),
                                     (self.col_labels, self.col_vectors, "col")):
             label_set = set(labels)
@@ -70,10 +77,10 @@ class PSDFactorization:
                     raise ValueError(f"{side} vectors for unknown label {l!r}")
                 for vec in vecs:
                     for coord, val in vec.items():
-                        if not 0 <= coord < self.k:
+                        if not 0 <= coord < k:
                             raise ValueError(
-                                f"vector coordinate {coord} outside dimension {self.k}")
-                        if self.mode == "exact" and isinstance(val, float):
+                                f"vector coordinate {coord} outside dimension {k}")
+                        if exact and isinstance(val, float):
                             raise ValueError("exact factorization holds a float value")
         self._row_index: Dict[str, Dict[int, Tuple[int, ...]]] = {}
         self._col_index: Dict[str, Dict[int, Tuple[int, ...]]] = {}
@@ -235,42 +242,219 @@ def verify_factorization(
 # Rational sums of squares
 # ---------------------------------------------------------------------------
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
+def _primes_below(n: int) -> Tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i in range(n) if sieve[i])
 
 
-def _two_squares_possible(n: int) -> bool:
-    """n is a sum of two integer squares iff every prime 3 mod 4 divides it
-    to an even power (trial division; desk-scale inputs)."""
-    if n == 0:
+_SMALL_PRIMES = _primes_below(1000)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the 13 bases above is proven deterministic below this
+# bound (Sorenson and Webster, 2015); beyond it a strong Lucas test is added.
+_MR_DETERMINISTIC_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: n odd > 2 passes to base a."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
         return True
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, n odd > 2."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4  # P = 1
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V = U * V % n, (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) * half % n, (D * U + V) * half % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of n: exact below 3.3e24, Baillie-PSW above."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if not all(_strong_probable_prime(n, a) for a in _MR_BASES):
+        return False
+    return n < _MR_DETERMINISTIC_BELOW or _strong_lucas_probable_prime(n)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the odd composite n (Brent's variant of rho,
+    seeded by n, so every run takes the same path)."""
+    rng = random.Random(n)
+    while True:
+        y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
+        g = r = q = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _two_square_factors(n: int) -> Optional[Dict[int, int]]:
+    """The prime factorization of n > 0 if n is a sum of two squares (every
+    prime 3 mod 4 divides it to an even power), else None.
+
+    Trial division by the primes below 1000 comes first.  A cofactor that is
+    then 3 mod 4 has a prime 3 mod 4 to an odd power, so the answer is no
+    without factoring it; otherwise it is split by Pollard-Brent rho, which
+    only ever sees composites because `_is_prime` never rejects a prime.
+    """
+    factors: Dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
             e = 0
-            while n % d == 0:
-                n //= d
+            while n % p == 0:
+                n //= p
                 e += 1
-            if d % 4 == 3 and e % 2:
-                return False
-        d += 1
-    return n % 4 != 3
+            if p % 4 == 3 and e % 2:
+                return None
+            factors[p] = e
+    if n % 4 == 3:
+        return None
+    stack = [n] if n > 1 else []
+    while stack:
+        c = stack.pop()
+        if _is_prime(c):
+            factors[c] = factors.get(c, 0) + 1
+        else:
+            d = _pollard_brent(c)
+            stack += [d, c // d]
+    if any(p % 4 == 3 and e % 2 for p, e in factors.items()):
+        return None
+    return factors
+
+
+def _prime_two_squares(p: int) -> Tuple[int, int]:
+    """(x, y) with x^2 + y^2 = p for a prime p = 1 mod 4 (Cornacchia:
+    Euclid on p and a square root of -1, stopped below sqrt(p))."""
+    for c in count(2):
+        h = pow(c, (p - 1) // 2, p)
+        if h == p - 1:
+            break  # c is a non-residue, so c^((p-1)/4) squares to -1
+        if h != 1:
+            raise ArithmeticError(f"{p} fails Euler's criterion: not prime")
+    a, b = p, pow(c, (p - 1) // 4, p)
+    root = math.isqrt(p)
+    while b > root:
+        a, b = b, a % b
+    y = math.isqrt(p - b * b)
+    if b * b + y * y != p:
+        raise ArithmeticError(f"Cornacchia failed on {p}")
+    return b, y
+
+
+def _gauss_mul(z: Tuple[int, int], w: Tuple[int, int]) -> Tuple[int, int]:
+    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
 
 
 def _two_squares(n: int) -> Optional[Tuple[int, int]]:
-    if not _two_squares_possible(n):
+    """(a, b) with a^2 + b^2 = n and a >= b >= 0 as large as possible, the
+    pair a descending scan from isqrt(n) finds first; None if there is none.
+
+    Up to a unit, each Gaussian integer of norm n is a product of one
+    factor per prime power p^e of n: (1+i)^e for p = 2, p^(e/2) for
+    p = 3 mod 4, and pi^t conj(pi)^(e-t) with 0 <= t <= e for
+    p = pi conj(pi) = 1 mod 4.  Units only swap and negate the two parts,
+    so enumerating every t finds every pair.
+    """
+    if n == 0:
+        return (0, 0)
+    factors = _two_square_factors(n)
+    if factors is None:
         return None
-    a = math.isqrt(n)
-    while a * a * 2 >= n:
-        rest = n - a * a
-        r = math.isqrt(rest)
-        if r * r == rest:
-            return (a, r)
-        a -= 1
-    return None  # unreachable for valid n
+    reps = [(1, 0)]
+    for p, e in factors.items():
+        if p == 2:  # (1+i)^2 = 2i
+            h = 2 ** (e // 2)
+            choices = [(h, h if e % 2 else 0)]
+        elif p % 4 == 3:
+            choices = [(p ** (e // 2), 0)]
+        else:
+            pi = _prime_two_squares(p)
+            powers = [(1, 0)]
+            for _ in range(e):
+                powers.append(_gauss_mul(powers[-1], pi))
+            choices = [_gauss_mul(powers[t], (powers[e - t][0], -powers[e - t][1]))
+                       for t in range(e + 1)]
+        reps = [_gauss_mul(z, w) for z in reps for w in choices]
+    a = max(max(abs(x), abs(y)) for x, y in reps)
+    return (a, math.isqrt(n - a * a))
 
 
 def _three_squares_possible(n: int) -> bool:
@@ -290,8 +474,18 @@ def _three_squares(n: int) -> Optional[Tuple[int, int, int]]:
 
 
 def four_squares(n: int) -> Tuple[int, ...]:
-    """A representation of n >= 0 as a sum of at most four integer squares;
-    zero components are dropped."""
+    """The greedy representation of n >= 0 as a sum of at most four integer
+    squares, in descending order with zero components dropped.
+
+    If n is a sum of three squares (not of the form 4^a(8b+7)), the result
+    is (a, b, c): a is the largest value with n - a^2 a sum of two squares,
+    and b >= c with b as large as possible.  Otherwise it is (a,) followed
+    by the greedy three-square tuple of n - a^2, for the largest a that
+    leaves a sum of three squares.  Each candidate remainder is factored
+    (trial division below 1000, Miller-Rabin/Baillie-PSW, Pollard-Brent rho)
+    and its largest two-square pair is read off the factorization; the
+    result is checked to sum to n exactly.
+    """
     if n < 0:
         raise ValueError("four_squares needs a nonnegative integer")
     if n == 0:
@@ -304,7 +498,10 @@ def four_squares(n: int) -> Tuple[int, ...]:
                 three = (a,) + three
                 break
         assert three is not None
-    return tuple(x for x in three if x)
+    parts = tuple(x for x in three if x)
+    if sum(x * x for x in parts) != n:
+        raise ArithmeticError(f"four_squares({n}) produced {parts}")
+    return parts
 
 
 def rational_square_sum(c: Fraction) -> Tuple[Fraction, ...]:
@@ -340,12 +537,13 @@ def p_alpha_gram_vectors(alpha: Fraction, scale: Fraction = Fraction(1)) -> Tupl
         ({0: Fraction(1)},),
         ({1: Fraction(1)},),
     )
-    col1 = [ {0: s, 1: s * b} for s in rational_square_sum(scale) ]
+    scaled = rational_square_sum(scale)
+    col1 = [{0: s, 1: s * b} for s in scaled]
     col1 += [{1: s} for s in rational_square_sum(scale * (1 - b * b))]
     cols = (
         tuple(col1),
-        tuple({0: s} for s in rational_square_sum(scale)),
-        tuple({1: s} for s in rational_square_sum(scale)),
+        tuple({0: s} for s in scaled),
+        tuple({1: s} for s in scaled),
     )
     return rows, cols
 
@@ -463,6 +661,17 @@ def write_factorization(F: PSDFactorization, sparse: Optional[bool] = None) -> s
         sparse = F.k > 64
     head = f"{FACTORIZATION_HEADER} {F.k} {len(F.row_labels)} {len(F.col_labels)} {F.mode}"
     lines = [head + (" sparse" if sparse else "")]
+    # A witness repeats few value objects many times: render each object
+    # once.  Keys are ids, which stay unique while F keeps every value alive;
+    # hashing a Fraction would cost as much as rendering it.
+    tokens: Dict[int, str] = {}
+
+    def token(x: Number) -> str:
+        tok = tokens.get(id(x))
+        if tok is None:
+            tok = tokens[id(x)] = _num_token(x, F.mode)
+        return tok
+
     for side, labels, table in (("row", F.row_labels, F.row_vectors),
                                 ("col", F.col_labels, F.col_vectors)):
         for l in labels:
@@ -474,12 +683,12 @@ def write_factorization(F: PSDFactorization, sparse: Optional[bool] = None) -> s
                     parts.append(str(len(items)))
                     for coord, val in items:
                         parts.append(str(coord))
-                        parts.append(_num_token(val, F.mode))
+                        parts.append(token(val))
             else:
                 parts = [side, l]
                 for vec in vecs:
                     for coord in range(F.k):
-                        parts.append(_num_token(vec.get(coord, 0), F.mode))
+                        parts.append(token(vec.get(coord, 0)))
             lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

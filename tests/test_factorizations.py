@@ -1,11 +1,19 @@
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from psdrank.factorizations import (
+    _MR_BASES,
     PSDFactorization,
+    _is_prime,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
+    _two_squares,
     direct_sum,
     four_squares,
     hadamard_square_factorization,
@@ -46,6 +54,34 @@ class TestPAlpha:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             p_alpha_factorization(Fraction(9, 2))
+
+
+class _FloatSubclass(float):
+    pass
+
+
+ONE = Fraction(1)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("side,table,message", [
+        ("row", {"a": ({0: ONE}, {3: ONE})}, "vector coordinate 3 outside dimension 3"),
+        ("col", {"b": ({-1: ONE},)}, "vector coordinate -1 outside dimension 3"),
+        ("row", {"a": ({0: 0.5},)}, "exact factorization holds a float value"),
+        ("col", {"a": ({1: _FloatSubclass(2)},)}, "exact factorization holds a float value"),
+        ("row", {"z": ()}, "row vectors for unknown label 'z'"),
+        ("col", {"a": ({0: ONE},), "z": ({9: ONE},)}, "col vectors for unknown label 'z'"),
+        ("row", {"a": ({0: ONE, float("nan"): ONE},)}, "coordinate nan outside"),
+    ])
+    def test_offender_named(self, side, table, message):
+        tables = {"row": {}, "col": {}}
+        tables[side] = table
+        with pytest.raises(ValueError, match=message):
+            PSDFactorization(3, ("a", "b"), ("a", "b"), tables["row"], tables["col"])
+
+    def test_float_mode_accepts_floats(self):
+        F = PSDFactorization(3, ("a",), ("a",), {"a": ({0: 0.5, 2: 1.5},)}, {}, "float")
+        assert F.col_vectors == {"a": ()}
 
 
 class TestVerify:
@@ -192,6 +228,125 @@ class TestSquareSums:
             four_squares(-1)
         with pytest.raises(ValueError):
             rational_square_sum(Fraction(-1, 2))
+
+
+# The trial-division greedy that four_squares replaced, kept as the oracle:
+# four_squares must return exactly the tuple it returns.
+
+def _reference_two_squares(n):
+    m, d = n, 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if d % 4 == 3 and e % 2:
+            return None
+        d += 1
+    if m % 4 == 3:
+        return None
+    a = math.isqrt(n)
+    while a * a * 2 >= n:
+        r = math.isqrt(n - a * a)
+        if a * a + r * r == n:
+            return (a, r)
+        a -= 1
+    return None
+
+
+def _reference_three_squares(n):
+    m = n
+    while m and m % 4 == 0:
+        m //= 4
+    if m % 8 == 7:
+        return None
+    for a in range(math.isqrt(n), -1, -1):
+        two = _reference_two_squares(n - a * a)
+        if two is not None:
+            return (a,) + two
+    return None
+
+
+def reference_four_squares(n):
+    if n == 0:
+        return ()
+    parts = _reference_three_squares(n)
+    a = math.isqrt(n)
+    while parts is None:
+        rest = _reference_three_squares(n - a * a)
+        if rest is not None:
+            parts = (a,) + rest
+        a -= 1
+    return tuple(x for x in parts if x)
+
+
+def _trial_division_prime(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+# Primes near 10^6 and 10^9 in both classes mod 4.
+PRIMES_1_MOD_4 = (1_000_033, 1_000_117, 998_244_353, 1_000_000_009)
+PRIMES_3_MOD_4 = (1_000_003, 1_000_039, 1_000_000_007, 1_000_000_087)
+
+WORST_CASE = Path(__file__).parent / "data" / "square_sum_worst_case.txt"
+
+
+class TestFourSquaresOracle:
+    def test_seeded_corpus(self):
+        rng = random.Random(11)
+        corpus = list(range(2000)) + [rng.randrange(10 ** 12) for _ in range(300)]
+        corpus += [rng.randrange(10 ** 9) * 4 ** rng.randrange(1, 6) for _ in range(50)]
+        for n in corpus:
+            assert four_squares(n) == reference_four_squares(n), n
+
+    def test_prime_multiples(self):
+        assert all(_trial_division_prime(p) and p % 4 == 1 for p in PRIMES_1_MOD_4)
+        assert all(_trial_division_prime(p) and p % 4 == 3 for p in PRIMES_3_MOD_4)
+        for p in PRIMES_1_MOD_4 + PRIMES_3_MOD_4:
+            for s in range(1, 25):
+                n = s * p
+                assert four_squares(n) == reference_four_squares(n), n
+
+    def test_hard_residues(self):
+        for n in (7, 15, 23, 28, 60, 112, 240, 7 * 4 ** 5):
+            assert four_squares(n) == reference_four_squares(n)
+
+    def test_largest_two_square_pair(self):
+        for n in range(5000):
+            assert _two_squares(n) == _reference_two_squares(n), n
+
+    def test_worst_case_corpus(self):
+        corpus = [int(ln) for ln in WORST_CASE.read_text().splitlines()
+                  if not ln.startswith("#")]
+        assert len(corpus) == 389 and max(len(str(n)) for n in corpus) == 33
+        t0 = time.monotonic()
+        for n in corpus:
+            assert sum(x * x for x in four_squares(n)) == n
+        elapsed = time.monotonic() - t0
+        assert elapsed < 60, f"worst-case corpus took {elapsed:.1f}s"
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        assert [n for n in range(20000) if _is_prime(n)] == [
+            n for n in range(20000) if _trial_division_prime(n)]
+
+    def test_strong_lucas_pseudoprimes(self):
+        # OEIS A217255: the odd composites below 30000 that pass.
+        passing = [n for n in range(5, 30000, 2)
+                   if not _trial_division_prime(n) and _strong_lucas_probable_prime(n)]
+        assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+
+    def test_beyond_the_deterministic_bound(self):
+        # The least strong pseudoprime to all 13 bases 2..41: only the Lucas
+        # half of Baillie-PSW rejects it.
+        psi = 3_317_044_064_679_887_385_961_981
+        assert all(_strong_probable_prime(psi, a) for a in _MR_BASES)
+        assert pow(43, psi - 1, psi) != 1  # composite
+        assert not _is_prime(psi)
+        for e in (89, 107, 127):
+            assert _is_prime(2 ** e - 1)
+        assert not _is_prime((2 ** 89 - 1) * (2 ** 61 - 1))
 
 
 class TestFileFormat:
