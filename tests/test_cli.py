@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from psdrank.cli import main
@@ -212,3 +214,14 @@ class TestOtherCommands:
         assert got.matrix.nrows == 19
         assert (workdir / "abc" / "A.pmtx").exists()
         assert (workdir / "abc" / "C.mtx").exists()
+
+    def test_matrices_bytes_pinned(self, workdir):
+        (workdir / "f.poly").write_text("x1*x1 - 1\n")
+        assert run("matrices", "f.poly", "--outdir", "abc") == 0
+        digests = {name: hashlib.sha256((workdir / "abc" / name).read_bytes()).hexdigest()
+                   for name in ("A.pmtx", "B.mtx", "C.mtx")}
+        assert digests == {
+            "A.pmtx": "ab7c11a918ba74e89485c328b0f8e15169bc799ab7581673222cdf6681d8688a",
+            "B.mtx": "c9ce3bbcfeeb4c57feda240bf0f50ff36b9d2c62cbc56ed281864874f76dbf21",
+            "C.mtx": "c1ead77520e9ac832af0af260a4b3874f831a4e8e8aafa79a25be00a9687f5fb",
+        }
