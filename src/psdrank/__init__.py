@@ -46,7 +46,7 @@ from .matrices import (
     IncompleteMatrix,
     InstanceMatrix,
     LabelVector,
-    SymbolicMatrix,
+    PolynomialMatrix,
     parse_matrix,
     write_matrix,
 )

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .matrices import InstanceMatrix
 from .polynomials import Number, ParseError, parse_fraction
@@ -118,34 +118,9 @@ class PSDFactorization:
             total += d * d
         return total
 
-    def max_vectors(self) -> int:
-        counts = [len(v) for v in self.row_vectors.values()]
-        counts += [len(v) for v in self.col_vectors.values()]
-        return max(counts, default=0)
-
 
 def dense_vector(values: Sequence[Number]) -> Vector:
     return {i: v for i, v in enumerate(values) if v}
-
-
-def from_dense_vectors(
-    k: int,
-    rows: Mapping[str, Sequence[Sequence[Number]]],
-    cols: Mapping[str, Sequence[Sequence[Number]]],
-    mode: str = "exact",
-    row_labels: Optional[Sequence[str]] = None,
-    col_labels: Optional[Sequence[str]] = None,
-) -> PSDFactorization:
-    rl = tuple(row_labels) if row_labels is not None else tuple(rows)
-    cl = tuple(col_labels) if col_labels is not None else tuple(cols)
-    conv = (lambda x: Fraction(x)) if mode == "exact" else float
-    return PSDFactorization(
-        k, rl, cl,
-        {l: tuple(dense_vector([conv(x) for x in vec]) for vec in vecs)
-         for l, vecs in rows.items()},
-        {l: tuple(dense_vector([conv(x) for x in vec]) for vec in vecs)
-         for l, vecs in cols.items()},
-        mode)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +182,8 @@ def verify_factorization(
         tol = Fraction(0) if F.mode == "exact" else 1e-9
     if mode not in ("full", "sampled"):
         raise ValueError(f"unknown verification mode {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sampled verification needs at least one sample, got {samples}")
 
     worst: Optional[Tuple[str, str]] = None
     max_res: Union[Fraction, float] = Fraction(0) if F.mode == "exact" else 0.0

@@ -66,16 +66,6 @@ class Or:
 Formula = Union[Atom, Not, And, Or]
 
 
-def format_formula(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f"{f.lhs} {f.rel} 0"
-    if isinstance(f, Not):
-        return f"!({format_formula(f.child)})"
-    if isinstance(f, And):
-        return f"({format_formula(f.left)}) & ({format_formula(f.right)})"
-    return f"({format_formula(f.left)}) | ({format_formula(f.right)})"
-
-
 def formula_size(f: Formula) -> int:
     """Structural size: connective nodes plus standard-form atom lengths."""
     if isinstance(f, Atom):
@@ -137,12 +127,6 @@ class _Parser:
         tok = self.peek()
         self.i += 1
         return tok
-
-    def expect_op(self, op: str):
-        kind, val, at = self.peek()
-        if kind != "op" or val != op:
-            raise FormulaParseError(f"expected {op!r}, found {val!r}", at)
-        self.i += 1
 
     def parse(self) -> Formula:
         f = self.parse_or()
@@ -385,10 +369,6 @@ class EquationSystem:
     value_var: VarId
     definitions: Tuple[Tuple[VarId, Expr], ...] = ()
     trace: Tuple[str, ...] = ()
-
-    @property
-    def polynomials(self) -> Tuple[Polynomial, ...]:
-        return tuple(eq.poly for eq in self.equations)
 
 
 @dataclass(frozen=True)

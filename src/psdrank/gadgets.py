@@ -2,7 +2,7 @@
 
 From a standard-form polynomial f the builders derive: the closure set
 sigma(f), the index set H of sigma-triples with a 1 coordinate, the
-symbolic matrix A(u|v) = (u.v)^2, its incomplete shadow B (constants where
+polynomial matrix A(u|v) = (u.v)^2, its incomplete shadow B (constants where
 A is constant, zero where the dot product is a multiple of f, unknown
 elsewhere), the zero/nonzero pattern C, the 3x3 matrix P(alpha), the
 completion gadget M(S, K) and the corner gadget G.  ``reduce`` chains them
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from .matrices import (
     NONZERO_UNKNOWN,
@@ -21,7 +21,7 @@ from .matrices import (
     IncompleteMatrix,
     InstanceMatrix,
     LabelVector,
-    SymbolicMatrix,
+    PolynomialMatrix,
 )
 from .polynomials import Polynomial, length_of, is_multiple_of
 
@@ -66,9 +66,43 @@ def index_set_H(f: Polynomial) -> Tuple[LabelVector, ...]:
     return _triples_with_one(sigma_set(f))
 
 
-def build_A(f: Polynomial) -> SymbolicMatrix:
-    """The symmetric symbolic matrix with entries (u.v)^2 over H(f)."""
-    return SymbolicMatrix(index_set_H(f))
+def _gram_table(f: Polynomial) -> Tuple[
+        Tuple[LabelVector, ...], Tuple[str, ...], Iterator[Tuple[str, str, Polynomial]]]:
+    """H(f), its rendered labels, and (label u, label v, u.v) for every pair
+    u <= v of H in label order."""
+    sigma = sigma_set(f)
+    H = _triples_with_one(sigma)
+    labels = tuple(h.render() for h in H)
+    # Every coordinate of an H label lies in sigma(f), so each dot product
+    # is a sum of three entries of the |sigma| x |sigma| product table.
+    pos = {p: t for t, p in enumerate(sigma)}
+    product = [[p * q for q in sigma] for p in sigma]
+    index = [tuple(pos[c] for c in h.coords) for h in H]
+
+    def dots() -> Iterator[Tuple[str, str, Polynomial]]:
+        for i, u in enumerate(labels):
+            p0, p1, p2 = (product[t] for t in index[i])
+            for j in range(i, len(H)):
+                a, b, c = index[j]
+                yield u, labels[j], p0[a] + p1[b] + p2[c]
+
+    return H, labels, dots()
+
+
+def build_A(f: Polynomial) -> PolynomialMatrix:
+    """The symmetric polynomial matrix with entries (u.v)^2 over H(f)."""
+    H, labels, dots = _gram_table(f)
+    data: Dict[Tuple[str, str], Polynomial] = {}
+    # The H x H table repeats a small set of dot products: square each once.
+    square: Dict[Polynomial, Polynomial] = {}
+    for u, v, d in dots:
+        if d.is_zero:
+            continue
+        sq = square.get(d)
+        if sq is None:
+            sq = square[d] = d * d
+        data[(u, v)] = data[(v, u)] = sq
+    return PolynomialMatrix(labels, labels, data, label_vectors=H)
 
 
 def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatrix:
@@ -78,14 +112,7 @@ def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatr
     The zero test checks f | (u.v) by default; ``square_multiple_test``
     switches to f | (u.v)^2, which can mark more zeros when f is reducible.
     """
-    sigma = sigma_set(f)
-    H = _triples_with_one(sigma)
-    labels = tuple(h.render() for h in H)
-    # Every coordinate of an H label lies in sigma(f), so each dot product
-    # is a sum of three entries of the |sigma| x |sigma| product table.
-    pos = {p: t for t, p in enumerate(sigma)}
-    product = [[p * q for q in sigma] for p in sigma]
-    index = [tuple(pos[c] for c in h.coords) for h in H]
+    H, labels, dots = _gram_table(f)
     data: Dict[Tuple[str, str], object] = {}
     # Entry decisions depend only on the dot product, so memoize per
     # canonical dot; the H x H table repeats a small set of values.
@@ -107,17 +134,11 @@ def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatr
         decision[d] = out
         return out
 
-    n = len(H)
-    for i in range(n):
-        p0, p1, p2 = (product[t] for t in index[i])
-        for j in range(i, n):
-            a, b, c = index[j]
-            e = decide(p0[a] + p1[b] + p2[c])
-            if e is not UNKNOWN and not e:
-                continue
-            data[(labels[i], labels[j])] = e
-            if i != j:
-                data[(labels[j], labels[i])] = e
+    for u, v, d in dots:
+        e = decide(d)
+        if e is not UNKNOWN and not e:
+            continue
+        data[(u, v)] = data[(v, u)] = e
     return IncompleteMatrix(labels, labels, data, label_vectors=H)
 
 

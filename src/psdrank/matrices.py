@@ -1,20 +1,26 @@
 """Matrix containers and their text file formats.
 
-Three flavours appear in the pipeline:
+Every matrix of the reduction is one sparse table over string labels:
+``data`` holds the nonzero entries keyed by (row, col) label pairs, and an
+absent entry is zero.  Three views of the labelled H x H matrix share it:
 
-* ``InstanceMatrix``    sparse nonnegative exact-rational matrix with string
-                        labels (absent entry = 0); the reduction's output.
+* ``PolynomialMatrix``  polynomial entries; ``build_A`` fills it with
+                        A(u|v) = (u.v)^2.
 * ``IncompleteMatrix``  entries are known rationals, ``UNKNOWN`` or
-                        ``NONZERO_UNKNOWN`` (absent entry = known 0).
-* ``SymbolicMatrix``    polynomial-valued, indexed by label triples; entries
-                        are computed lazily and memoized because instances
-                        are quadratic in the index set.
+                        ``NONZERO_UNKNOWN``; the shadow B and its pattern C.
+* ``InstanceMatrix``    an incomplete matrix with no marks and no negative
+                        entries; the reduction's output M(B, K).
 
-File formats are line oriented.  Header ``psdrank-matrix v1 <nrows> <ncols>``
-is followed by one ``row <i> <label>`` / ``col <j> <label>`` line per label
-(so all-zero rows and columns survive a round trip) and then coordinate
-lines ``<row-label> <col-label> <value>`` where a value is ``p/q``, ``?``
-(unknown) or ``*`` (nonzero unknown).  Labels contain no whitespace.
+The gadget builders attach the label triples behind the labels as
+``label_vectors``.
+
+Both file formats are line oriented and written by one writer.  Header
+``psdrank-matrix v1 <nrows> <ncols>`` (``psdrank-polymatrix v1`` for
+polynomial entries) is followed by one ``row <i> <label>`` / ``col <j>
+<label>`` line per label (so all-zero rows and columns survive a round
+trip) and then coordinate lines ``<row-label> <col-label> <value>`` where a
+value is ``p/q``, ``?`` (unknown), ``*`` (nonzero unknown) or a compact
+polynomial.  Labels contain no whitespace.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .polynomials import (
     ParseError,
@@ -65,29 +71,14 @@ def _check_labels(labels: Sequence[str]) -> Tuple[str, ...]:
 
 
 @dataclass
-class InstanceMatrix:
-    """Sparse nonnegative rational matrix; entries not stored are zero."""
+class _SparseMatrix:
+    """Labels plus the nonzero entries keyed by (row, col) label pairs."""
 
     row_labels: Tuple[str, ...]
     col_labels: Tuple[str, ...]
-    data: Dict[Tuple[str, str], Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.row_labels = _check_labels(self.row_labels)
-        self.col_labels = _check_labels(self.col_labels)
-        rset, cset = set(self.row_labels), set(self.col_labels)
-        clean: Dict[Tuple[str, str], Fraction] = {}
-        for (r, c), v in self.data.items():
-            if r not in rset or c not in cset:
-                raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            num = v.numerator
-            if num < 0:
-                raise ValueError(f"negative entry {v} at ({r!r}, {c!r})")
-            if num:
-                clean[(r, c)] = v
-        self.data = clean
+    data: Dict[Tuple[str, str], Any] = field(default_factory=dict)
+    # The triples behind the labels; derived from them, so not compared.
+    label_vectors: Optional[Tuple["LabelVector", ...]] = field(default=None, compare=False)
 
     @property
     def nrows(self) -> int:
@@ -97,19 +88,63 @@ class InstanceMatrix:
     def ncols(self) -> int:
         return len(self.col_labels)
 
-    def entry(self, r: str, c: str) -> Fraction:
+
+class PolynomialMatrix(_SparseMatrix):
+    """Polynomial-valued matrix; entries not stored are zero."""
+
+    def entry(self, r: str, c: str) -> Polynomial:
+        return self.data.get((r, c), Polynomial.zero())
+
+
+@dataclass
+class IncompleteMatrix(_SparseMatrix):
+    """Matrix over known rationals plus unknown / nonzero-unknown marks.
+
+    Entries not stored are known zeros.  Construction checks the labels and
+    every entry in one pass, stores values as Fractions and drops zeros.
+    """
+
+    _instance = False  # InstanceMatrix: no marks, no negative entries
+
+    def __post_init__(self) -> None:
+        self.row_labels = _check_labels(self.row_labels)
+        self.col_labels = _check_labels(self.col_labels)
+        rset, cset = set(self.row_labels), set(self.col_labels)
+        instance = self._instance
+        clean: Dict[Tuple[str, str], Entry] = {}
+        for (r, c), v in self.data.items():
+            if r not in rset or c not in cset:
+                raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
+            if type(v) is _Mark:
+                if instance:
+                    raise ValueError(f"mark {v.token!r} at ({r!r}, {c!r}) in an instance matrix")
+                clean[(r, c)] = v
+                continue
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            num = v.numerator
+            if num < 0 and instance:
+                raise ValueError(f"negative entry {v} at ({r!r}, {c!r})")
+            if num:
+                clean[(r, c)] = v
+        self.data = clean
+
+    def entry(self, r: str, c: str) -> Entry:
         return self.data.get((r, c), Fraction(0))
+
+    def is_known(self, r: str, c: str) -> bool:
+        return not isinstance(self.entry(r, c), _Mark)
 
     def max_entry(self) -> Fraction:
         return max(self.data.values(), default=Fraction(0))
 
-    def to_dense(self) -> List[List[Fraction]]:
+    def to_dense(self) -> List[List[Entry]]:
         return [[self.entry(r, c) for c in self.col_labels] for r in self.row_labels]
 
     @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[Union[int, Fraction]]],
+    def from_dense(cls, rows: Sequence[Sequence[Union[int, Fraction, _Mark]]],
                    row_labels: Optional[Sequence[str]] = None,
-                   col_labels: Optional[Sequence[str]] = None) -> "InstanceMatrix":
+                   col_labels: Optional[Sequence[str]] = None) -> "IncompleteMatrix":
         nr = len(rows)
         nc = len(rows[0]) if nr else 0
         rl = tuple(row_labels) if row_labels is not None else tuple(f"r{i}" for i in range(nr))
@@ -120,54 +155,8 @@ class InstanceMatrix:
                 raise ValueError("ragged dense matrix")
             for j, v in enumerate(row):
                 if v:
-                    data[(rl[i], cl[j])] = Fraction(v)
+                    data[(rl[i], cl[j])] = v
         return cls(rl, cl, data)
-
-
-@dataclass
-class IncompleteMatrix:
-    """Matrix over known rationals plus unknown / nonzero-unknown marks.
-
-    Entries not stored are known zeros.  ``label_vectors`` optionally carries
-    the polynomial triples behind the labels (attached by the gadget
-    builders, used by the guided sqrt-condition search).
-    """
-
-    row_labels: Tuple[str, ...]
-    col_labels: Tuple[str, ...]
-    data: Dict[Tuple[str, str], Entry] = field(default_factory=dict)
-    label_vectors: Optional[Tuple["LabelVector", ...]] = None
-
-    def __post_init__(self) -> None:
-        self.row_labels = _check_labels(self.row_labels)
-        self.col_labels = _check_labels(self.col_labels)
-        rset, cset = set(self.row_labels), set(self.col_labels)
-        clean: Dict[Tuple[str, str], Entry] = {}
-        for (r, c), v in self.data.items():
-            if r not in rset or c not in cset:
-                raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
-            if isinstance(v, _Mark):
-                clean[(r, c)] = v
-                continue
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            if v.numerator:
-                clean[(r, c)] = v
-        self.data = clean
-
-    @property
-    def nrows(self) -> int:
-        return len(self.row_labels)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.col_labels)
-
-    def entry(self, r: str, c: str) -> Entry:
-        return self.data.get((r, c), Fraction(0))
-
-    def is_known(self, r: str, c: str) -> bool:
-        return not isinstance(self.entry(r, c), _Mark)
 
     def unknown_positions(self) -> Tuple[Tuple[str, str], ...]:
         """Unknown coordinates in deterministic row-major label order."""
@@ -182,6 +171,13 @@ class IncompleteMatrix:
         return IncompleteMatrix(
             self.col_labels, self.row_labels,
             {(c, r): v for (r, c), v in self.data.items()})
+
+
+class InstanceMatrix(IncompleteMatrix):
+    """Sparse nonnegative rational matrix: an incomplete matrix without
+    marks or negative entries; the reduction's output."""
+
+    _instance = True
 
 
 @dataclass(frozen=True)
@@ -202,52 +198,6 @@ class LabelVector:
         return self.render()
 
 
-class SymbolicMatrix:
-    """Symmetric-by-construction polynomial matrix A(u|v) = (u.v)^2.
-
-    Entries are computed on demand and memoized by the canonical form of the
-    dot product, so the quadratic table stays cheap for repeated values.
-    """
-
-    def __init__(self, row_labels: Sequence[LabelVector],
-                 col_labels: Optional[Sequence[LabelVector]] = None):
-        self.row_labels: Tuple[LabelVector, ...] = tuple(row_labels)
-        self.col_labels: Tuple[LabelVector, ...] = tuple(col_labels) if col_labels is not None else self.row_labels
-        self._dot_cache: Dict[Tuple[int, int], Polynomial] = {}
-        self._square_cache: Dict[Polynomial, Polynomial] = {}
-
-    @property
-    def nrows(self) -> int:
-        return len(self.row_labels)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.col_labels)
-
-    def dot(self, i: int, j: int) -> Polynomial:
-        key = (i, j)
-        hit = self._dot_cache.get(key)
-        if hit is not None:
-            return hit
-        u = self.row_labels[i].coords
-        v = self.col_labels[j].coords
-        d = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-        self._dot_cache[key] = d
-        return d
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        d = self.dot(i, j)
-        sq = self._square_cache.get(d)
-        if sq is None:
-            sq = d * d
-            self._square_cache[d] = sq
-        return sq
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.row_labels == self.col_labels
-
-
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
@@ -257,22 +207,20 @@ POLYMATRIX_HEADER = "psdrank-polymatrix v1"
 
 
 def _entry_token(v: Entry) -> str:
-    if v is UNKNOWN:
-        return "?"
-    if v is NONZERO_UNKNOWN:
-        return "*"
+    if type(v) is _Mark:
+        return v.token
     f = Fraction(v)
     return f"{f.numerator}/{f.denominator}"
 
 
-def write_matrix(m: Union[InstanceMatrix, IncompleteMatrix],
-                 target_rank: Optional[int] = None) -> str:
-    """Serialize a matrix; a reduction target emits an extra ``r <k>`` line.
+def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str],
+                       target_rank: Optional[int]) -> str:
+    """Shared writer of both matrix formats; ``token`` renders a value.
 
     Data lines come out in row-major label order, so identical matrices
     serialize byte-identically.  Each distinct value is rendered once.
     """
-    lines = [f"{MATRIX_HEADER} {m.nrows} {m.ncols}"]
+    lines = [f"{header} {m.nrows} {m.ncols}"]
     if target_rank is not None:
         lines.append(f"r {target_rank}")
     for i, l in enumerate(m.row_labels):
@@ -285,8 +233,8 @@ def write_matrix(m: Union[InstanceMatrix, IncompleteMatrix],
     data = m.data
     # Runs of entries share one value object (M stores K once), so the
     # identity test skips most lookups; hashing a Fraction is not cheap.
-    tokens: Dict[Entry, str] = {}
-    last: Optional[Entry] = None
+    tokens: Dict[Any, str] = {}
+    last: Any = None
     tok = ""
     for rc in sorted(data, key=lambda rc: rpos[rc[0]] * ncols + cpos[rc[1]]):
         v = data[rc]
@@ -294,14 +242,25 @@ def write_matrix(m: Union[InstanceMatrix, IncompleteMatrix],
             last = v
             tok = tokens.get(v)
             if tok is None:
-                tok = tokens[v] = _entry_token(v)
+                tok = tokens[v] = token(v)
         lines.append(f"{rc[0]} {rc[1]} {tok}")
     return "\n".join(lines) + "\n"
 
 
+def write_matrix(m: IncompleteMatrix, target_rank: Optional[int] = None) -> str:
+    """Serialize a matrix; a reduction target emits an extra ``r <k>`` line."""
+    return _write_matrix_text(m, MATRIX_HEADER, _entry_token, target_rank)
+
+
+def write_polynomial_matrix(m: PolynomialMatrix) -> str:
+    """Serialize a polynomial matrix; entries render as compact polynomials."""
+    return _write_matrix_text(m, POLYMATRIX_HEADER,
+                              functools.partial(format_polynomial, compact=True), None)
+
+
 @dataclass
 class ParsedMatrix:
-    matrix: Union[InstanceMatrix, IncompleteMatrix]
+    matrix: IncompleteMatrix
     target_rank: Optional[int]
 
     @property
@@ -312,9 +271,6 @@ class ParsedMatrix:
 
     @property
     def incomplete(self) -> IncompleteMatrix:
-        if isinstance(self.matrix, InstanceMatrix):
-            m = self.matrix
-            return IncompleteMatrix(m.row_labels, m.col_labels, dict(m.data))
         return self.matrix
 
 
@@ -382,31 +338,8 @@ def parse_matrix(text: str) -> ParsedMatrix:
         raise ParseError(str(e)) from None
 
 
-def write_polynomial_matrix(m: SymbolicMatrix) -> str:
-    """Serialize a symbolic matrix; entries render as compact polynomials."""
-    lines = [f"{POLYMATRIX_HEADER} {m.nrows} {m.ncols}"]
-    for i, l in enumerate(m.row_labels):
-        lines.append(f"row {i} {l.render()}")
-    for j, l in enumerate(m.col_labels):
-        lines.append(f"col {j} {l.render()}")
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            p = m.entry(i, j)
-            if not p.is_zero:
-                lines.append(f"{m.row_labels[i].render()} {m.col_labels[j].render()} "
-                             f"{format_polynomial(p, compact=True)}")
-    return "\n".join(lines) + "\n"
-
-
-@dataclass
-class ParsedPolynomialMatrix:
-    row_labels: Tuple[str, ...]
-    col_labels: Tuple[str, ...]
-    entries: Dict[Tuple[str, str], Polynomial]
-
-
-def parse_polynomial_matrix(text: str) -> ParsedPolynomialMatrix:
+def parse_polynomial_matrix(text: str) -> PolynomialMatrix:
     """Read back a polynomial matrix file; absent entries are zero."""
-    _, row_labels, col_labels, entries = _parse_matrix_text(
+    _, row_labels, col_labels, data = _parse_matrix_text(
         text, POLYMATRIX_HEADER, parse_polynomial)
-    return ParsedPolynomialMatrix(row_labels, col_labels, entries)
+    return PolynomialMatrix(row_labels, col_labels, data)

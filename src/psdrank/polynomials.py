@@ -258,11 +258,6 @@ class Assignment:
         except KeyError:
             raise ValueError(f"assignment has no binding for variable {v}") from None
 
-    def extended(self, more: Mapping[VarId, Number], mode: str | None = None) -> "Assignment":
-        merged = dict(self.values)
-        merged.update(more)
-        return Assignment(merged, mode if mode is not None else self.mode)
-
 
 # ---------------------------------------------------------------------------
 # Operations
@@ -424,6 +419,8 @@ def parse_polynomial(text: str) -> Polynomial:
                     raise ParseError("dangling '*' at end of polynomial")
                 continue
             break
+        if i < len(tokens) and not (tokens[i][0] == "op" and tokens[i][1] in "+-"):
+            raise ParseError(f"expected '+', '-' or end of input at position {tokens[i][2]}")
         key = tuple(sorted(vars_))
         coeffs[key] = coeffs.get(key, 0) + sign * coeff
         first = False

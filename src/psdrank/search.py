@@ -30,6 +30,10 @@ class SearchConfig:
     success_tol: float = 1e-8      # max-abs entry residual declaring a witness
     init: Optional[Tuple[np.ndarray, np.ndarray]] = None  # restart-0 override
 
+    def __post_init__(self) -> None:
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be positive, got {self.restarts}")
+
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -50,15 +54,6 @@ class SearchReport:
         return (f"k={self.k} verdict={self.verdict} best_residual={self.best_residual:.3e} "
                 f"restart={self.best_restart} iterations={self.iterations} seed={self.seed}"
                 + (" exact" if self.exact else ""))
-
-
-def _dense(A: InstanceMatrix) -> np.ndarray:
-    out = np.zeros((A.nrows, A.ncols))
-    ridx = {l: i for i, l in enumerate(A.row_labels)}
-    cidx = {l: j for j, l in enumerate(A.col_labels)}
-    for (r, c), v in A.data.items():
-        out[ridx[r], cidx[c]] = float(v)
-    return out
 
 
 def _trace_table(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -239,7 +234,7 @@ def psd_rank_search(A: InstanceMatrix, k: int,
                                 exact=True, witness=W)
         return SearchReport(1, "failed", float("inf"), 0, 0, config.seed, exact=True)
 
-    dense = _dense(A)
+    dense = np.array(A.to_dense(), dtype=float)
     m, n = dense.shape
     scale = float(np.sqrt(dense.mean())) / k if dense.any() else 1.0 / k
     best: Optional[Tuple[float, int, np.ndarray, np.ndarray]] = None

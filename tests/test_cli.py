@@ -96,6 +96,16 @@ class TestVerify:
         (workdir / "q.fac").write_text(write_factorization(p_alpha_factorization(2)))
         assert run("verify", "p.mtx", "q.fac", "--mode", "full") == 1
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sampled_needs_a_sample(self, workdir, capsys, samples):
+        (workdir / "p.mtx").write_text(write_matrix(build_P(1)))
+        (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(1)))
+        assert run("verify", "p.mtx", "p.fac", "--mode", "sampled",
+                   "--samples", samples) == 2
+        captured = capsys.readouterr()
+        assert "error code=usage" in captured.err
+        assert "passed=" not in captured.out
+
     def test_sampled_deterministic_stdout(self, workdir, capsys):
         (workdir / "p.mtx").write_text(write_matrix(build_P(1)))
         (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(1)))
@@ -139,6 +149,12 @@ class TestMalformedFiles:
         assert run("reduce", "f.poly") == 2
         assert "error code=parse" in capsys.readouterr().err
 
+    def test_juxtaposed_poly_terms(self, workdir, capsys):
+        (workdir / "f.poly").write_text("x1 x2\n")
+        assert run("reduce", "f.poly") == 2
+        assert "error code=parse" in capsys.readouterr().err
+        assert not (workdir / "instance.mtx").exists()
+
     def test_repeated_mtx_coordinate(self, workdir, capsys):
         text = write_matrix(build_P(4))
         assert "1 1 4/1\n" in text
@@ -165,6 +181,12 @@ class TestSearch:
         assert run("search", "i3.mtx", "--k", "2") == 1
         assert run("search", "i3.mtx", "--k", "3", "--out-witness", "w.fac") == 0
         assert (workdir / "w.fac").exists()
+
+    def test_zero_restarts_rejected(self, workdir, capsys):
+        (workdir / "i3.mtx").write_text(
+            write_matrix(InstanceMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])))
+        assert run("search", "i3.mtx", "--k", "2", "--restarts", "0") == 2
+        assert "error code=usage" in capsys.readouterr().err
 
 
 class TestWitnessPipeline:

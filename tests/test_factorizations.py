@@ -49,7 +49,8 @@ class TestPAlpha:
     def test_boundary_vectors_are_rank_one(self):
         for alpha in (0, 4):
             F = p_alpha_factorization(alpha)
-            assert F.max_vectors() == 1
+            vectors = [*F.row_vectors.values(), *F.col_vectors.values()]
+            assert max(len(v) for v in vectors) == 1
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -108,6 +109,12 @@ class TestVerify:
         A = build_P(1)
         with pytest.raises(ValueError, match="label"):
             verify_factorization(A, identity_factorization(3))
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify_factorization(build_P(1), p_alpha_factorization(1),
+                                 mode="sampled", samples=samples)
 
     def test_bad_coordinate_rejected(self):
         with pytest.raises(ValueError, match="coordinate"):

@@ -69,6 +69,23 @@ def test_instance_rejects_negative_int():
         InstanceMatrix(("a",), ("b",), {("a", "b"): -2})
 
 
+@pytest.mark.parametrize("mark", [UNKNOWN, NONZERO_UNKNOWN])
+def test_instance_rejects_marks(mark):
+    with pytest.raises(ValueError, match="mark"):
+        InstanceMatrix(("a",), ("b",), {("a", "b"): mark})
+    with pytest.raises(ValueError, match="mark"):
+        InstanceMatrix.from_dense([[mark]])
+
+
+def test_instance_is_an_incomplete_matrix():
+    m = InstanceMatrix.from_dense([[1, 0], [0, 2]])
+    assert isinstance(m, IncompleteMatrix)
+    assert m.unknown_positions() == ()
+    parsed = parse_matrix(write_matrix(m))
+    assert parsed.incomplete is parsed.matrix
+    assert parsed.incomplete == m
+
+
 def test_incomplete_keeps_marks():
     m = IncompleteMatrix(("a",), ("b", "c", "d"),
                          {("a", "b"): UNKNOWN, ("a", "c"): NONZERO_UNKNOWN,
@@ -169,6 +186,17 @@ def test_polynomial_matrix_round_trip():
     assert "(1,0,0) (1,0,0) 1" in text
     parsed = parse_polynomial_matrix(text)
     assert len(parsed.row_labels) == 19
-    renders = {h.render(): i for i, h in enumerate(A.row_labels)}
-    for (r, c), p in parsed.entries.items():
-        assert p == A.entry(renders[r], renders[c])
+    for (r, c), p in parsed.data.items():
+        assert p == A.entry(r, c)
+    assert parsed == A
+
+
+def test_polynomial_matrix_squares_dots():
+    A = build_A(parse_polynomial("x1 - 1"))
+    assert A.row_labels == A.col_labels == tuple(h.render() for h in A.label_vectors)
+    vectors = dict(zip(A.row_labels, A.label_vectors))
+    for u, hu in vectors.items():
+        for v, hv in vectors.items():
+            d = sum((a * b for a, b in zip(hu.coords, hv.coords)), Polynomial.zero())
+            assert A.entry(u, v) == d * d
+            assert ((u, v) in A.data) == (not d.is_zero)

@@ -7,6 +7,7 @@ import pytest
 from psdrank.polynomials import (
     Assignment,
     Monomial,
+    ParseError,
     Polynomial,
     VarId,
     VarKind,
@@ -258,6 +259,12 @@ class TestTextSyntax:
     def test_syntax_error_position(self):
         with pytest.raises(ValueError):
             parse_polynomial("x1 + * x2")
+
+    @pytest.mark.parametrize("text, at", [("x1 x2", 3), ("2x1 - 1", 1), ("x1*x2 3", 6),
+                                          ("1 1", 2)])
+    def test_juxtaposed_terms_rejected(self, text, at):
+        with pytest.raises(ParseError, match=f"position {at}$"):
+            parse_polynomial(text)
 
 
 class TestVarId:

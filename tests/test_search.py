@@ -125,6 +125,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             psd_rank_search(I2, 0)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_must_be_positive(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            SearchConfig(restarts=restarts)
+
     def test_negative_entries_cannot_occur_but_guarded(self):
         # InstanceMatrix already rejects negatives; the guard is for raw dicts
         m = InstanceMatrix(("a",), ("a",), {})
