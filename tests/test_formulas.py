@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from psdrank.polynomials import (
     Assignment,
     Polynomial,
     evaluate,
+    format_polynomial,
     parse_polynomial,
     var,
     xvar,
@@ -175,16 +177,12 @@ class TestFlatten:
         system = to_equation_system(normalize_atoms(f))
         flat = flatten(system)
         assert all(e.is_flat for e in flat.equations)
-        # definitions evaluate consistently: plugging them in zeroes the
-        # defining equations by construction
-        a = {xvar(1): Fraction(4), xvar(2): Fraction(1),
-             var("u0"): Fraction(0), var("v0"): Fraction(0), var("w0"): Fraction(1)}
-        for v, expr in flat.definitions:
-            from psdrank.formulas import expr_value
-            try:
-                a[v] = expr_value(expr, a)
-            except KeyError:
-                pass  # definitions over gadget vars not bound above
+        # x2*x2 - 2 = -1 and x1 = 4 make every radical rational, so the
+        # lifted point is exact and zeroes each flat equation on its own
+        w = lift_witness(f, Assignment.exact({xvar(1): 4, xvar(2): 1}))
+        assert w.mode == "exact"
+        for e in flat.equations:
+            assert evaluate(e.poly, w) == 0
 
     def test_structure_sharing(self):
         # the same subexpression squared twice gets one definition
@@ -299,3 +297,25 @@ class TestFrontendSoundness:
             f, _ = random_formula_with_witness(rng)
             single = single_polynomial_of(f)
             assert len(single.terms) <= 200 * formula_size(f)
+
+
+def corpus_digest():
+    """sha256 over the single polynomial, the sorted lifted values and the
+    mode of a seeded random corpus plus three edge formulas."""
+    rng = random.Random(1729)
+    cases = [random_formula_with_witness(rng) for _ in range(80)]
+    cases += [
+        (parse_formula("!(x1 > x1)"), Assignment.exact({xvar(1): 1})),
+        (parse_formula("(x1 > x1) | (x2 >= 0)"), Assignment.exact({xvar(1): 1, xvar(2): 0})),
+        (parse_formula("u0*x1 > 0"), Assignment.exact({var("u0"): 1, xvar(1): 2})),
+    ]
+    h = hashlib.sha256()
+    for f, a in cases:
+        w = lift_witness(f, a)
+        values = ",".join(f"{v}={x}" for v, x in sorted(w.values.items()))
+        h.update(f"{format_polynomial(single_polynomial_of(f))}\n{values}\n{w.mode}\n".encode())
+    return h.hexdigest()
+
+
+def test_frontend_outputs_pinned():
+    assert corpus_digest() == "ff931c503337f00d00dbdc1e9cb27cb92d337d495437d318375603f9845e85b9"
