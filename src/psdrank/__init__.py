@@ -30,7 +30,6 @@ from .formulas import (
     Formula,
     Not,
     Or,
-    WitnessAssignment,
     flatten,
     formula_truth,
     lift_witness,

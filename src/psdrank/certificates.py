@@ -334,18 +334,6 @@ class SqrtWitness:
     transpose_columns: Mapping[str, Tuple[str, str, str, str]]
 
 
-def _pattern_at(S: IncompleteMatrix, i1: str, i2: str, k: str, j1: str, j2: str) -> bool:
-    want = ((i1, k, 0), (i1, j1, 1), (i1, j2, 0), (i2, k, 0), (i2, j1, 0), (i2, j2, 1))
-    for r, c, val in want:
-        e = S.entry(r, c)
-        if isinstance(e, Fraction):
-            if e != val:
-                return False
-        else:
-            return False
-    return True
-
-
 def _column_witness(S: IncompleteMatrix, k: str,
                     ones: Mapping[str, set], zeros: Mapping[str, set]) -> Optional[Tuple[str, str, str, str]]:
     rows0 = [i for i in S.row_labels
@@ -369,41 +357,6 @@ def _column_witness(S: IncompleteMatrix, k: str,
     return None
 
 
-def _guided_candidate(S: IncompleteMatrix, k_idx: int) -> Optional[Tuple[str, str, str, str]]:
-    """Closed-form witness rows/columns for label-triple matrices: with the
-    1 in coordinate c of the column label v, two rows orthogonal to v and
-    the matching unit-style columns realize the pattern."""
-    if S.label_vectors is None:
-        return None
-    H = S.label_vectors
-    index = {h.render(): t for t, h in enumerate(H)}
-    one = Polynomial.constant(1)
-    zero = Polynomial.zero()
-    v = H[k_idx].coords
-    if v[0] == one:
-        i1 = LabelVector((-v[1], one, zero))
-        i2 = LabelVector((-v[2], zero, one))
-        j1 = LabelVector((zero, one, zero))
-        j2 = LabelVector((zero, zero, one))
-    elif v[1] == one:
-        i1 = LabelVector((one, -v[0], zero))
-        i2 = LabelVector((zero, -v[2], one))
-        j1 = LabelVector((one, zero, zero))
-        j2 = LabelVector((zero, zero, one))
-    else:
-        i1 = LabelVector((one, zero, -v[0]))
-        i2 = LabelVector((zero, one, -v[1]))
-        j1 = LabelVector((one, zero, zero))
-        j2 = LabelVector((zero, one, zero))
-    names = tuple(x.render() for x in (i1, i2, j1, j2))
-    if any(n not in index for n in names):
-        return None
-    k_label = S.col_labels[k_idx]
-    if _pattern_at(S, names[0], names[1], k_label, names[2], names[3]):
-        return names
-    return None
-
-
 def _is_symmetric(S: IncompleteMatrix) -> bool:
     if S.row_labels != S.col_labels:
         return False
@@ -421,11 +374,12 @@ def sqrt_condition_check(S: IncompleteMatrix) -> Tuple[bool, Optional[SqrtWitnes
     """Decide the pattern condition for S and its transpose.
 
     Every column needs two rows whose known entries form [[0,1,0],[0,0,1]]
-    against the column and two witness columns.  Searches the closed-form
-    candidate first when label triples are attached, then exhaustively in
-    label order; the first witness per column is returned.
+    against the column and two witness columns.  The search is exhaustive
+    in label order and reads only the entries, so a matrix and its parsed
+    file give the same witness: the first one per column.
     """
-    def build_maps(T: IncompleteMatrix):
+    def one_side(T: IncompleteMatrix) -> Optional[Dict[str, Tuple[str, str, str, str]]]:
+        # row -> columns holding a known 1 / a known 0
         ones: Dict[str, set] = {i: set() for i in T.row_labels}
         for (r, c), v in T.data.items():
             if isinstance(v, Fraction) and v == 1:
@@ -433,17 +387,9 @@ def sqrt_condition_check(S: IncompleteMatrix) -> Tuple[bool, Optional[SqrtWitnes
         zeros = {i: {c for c in T.col_labels
                      if isinstance(T.entry(i, c), Fraction) and T.entry(i, c) == 0}
                  for i in T.row_labels}
-        return ones, zeros
-
-    def one_side(T: IncompleteMatrix) -> Optional[Dict[str, Tuple[str, str, str, str]]]:
-        maps = None  # row -> {columns with a known 1 / known 0}, built on demand
         out: Dict[str, Tuple[str, str, str, str]] = {}
-        for k_idx, k in enumerate(T.col_labels):
-            got = _guided_candidate(T, k_idx)
-            if got is None:
-                if maps is None:
-                    maps = build_maps(T)
-                got = _column_witness(T, k, maps[0], maps[1])
+        for k in T.col_labels:
+            got = _column_witness(T, k, ones, zeros)
             if got is None:
                 return None
             out[k] = got

@@ -184,6 +184,8 @@ def verify_factorization(
         raise ValueError(f"unknown verification mode {mode!r}")
     if mode == "sampled" and samples < 1:
         raise ValueError(f"sampled verification needs at least one sample, got {samples}")
+    if mode == "sampled" and not (A.nrows and A.ncols):
+        raise ValueError(f"cannot sample entries of a {A.nrows}x{A.ncols} matrix")
 
     worst: Optional[Tuple[str, str]] = None
     max_res: Union[Fraction, float] = Fraction(0) if F.mode == "exact" else 0.0
@@ -684,10 +686,12 @@ def parse_factorization(text: str) -> PSDFactorization:
         nrows, ncols = int(head[3]), int(head[4])
         if k < 1:
             raise ValueError(f"size {k} is not positive")
+        if head[6:] not in ([], ["sparse"]):
+            raise ValueError(f"unknown layout {head[6]!r}")
     except ValueError as e:
         raise ParseError(f"malformed factorization header: {lines[0]!r} ({e})") from None
     mode = head[5]
-    sparse = len(head) == 7 and head[6] == "sparse"
+    sparse = len(head) == 7
     # Few distinct values fill most of a witness: convert each token once.
     conv = functools.cache(parse_fraction if mode == "exact" else float)
     tables: Dict[str, Dict[str, Tuple[Vector, ...]]] = {"row": {}, "col": {}}

@@ -12,7 +12,6 @@ point into an explicit zero.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple, Union
@@ -22,13 +21,13 @@ from .polynomials import (
     Number,
     ParseError,
     Polynomial,
+    Tokens,
     VarId,
     VarKind,
     approx_sqrt,
     evaluate,
-    format_polynomial,
     rational_sqrt,
-    var,
+    read_terms,
 )
 
 RELATIONS = (">", ">=", "=", "!=", "<", "<=")
@@ -85,30 +84,7 @@ class FormulaParseError(ParseError):
         self.position = position
 
 
-_FORMULA_TOKEN = re.compile(
-    r"\s*(?:(\d+)|([a-zA-Z]\w*)|(>=|<=|!=|[><=])|([()&|!+*-])|(\S))")
-
-
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _FORMULA_TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            break
-        num, ident, rel, op, bad = m.groups()
-        if num:
-            tokens.append(("int", num, m.start(1)))
-        elif ident:
-            tokens.append(("var", ident, m.start(2)))
-        elif rel:
-            tokens.append(("rel", rel, m.start(3)))
-        elif op:
-            tokens.append(("op", op, m.start(4)))
-        elif bad:
-            raise FormulaParseError(f"unexpected character {bad!r}", m.start(5))
-        pos = m.end()
-    return tokens
+_FORMULA_SYMBOLS = frozenset(RELATIONS + ("+", "-", "*", "(", ")", "&", "|", "!"))
 
 
 class _Parser:
@@ -116,101 +92,48 @@ class _Parser:
     not := '!' not | '(' formula ')' | atom; atom := poly rel poly."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else ("eof", "", len(self.text))
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+        self.tokens = Tokens(text, _FORMULA_SYMBOLS, FormulaParseError)
 
     def parse(self) -> Formula:
         f = self.parse_or()
-        kind, val, at = self.peek()
+        kind, val, at = self.tokens.peek()
         if kind != "eof":
             raise FormulaParseError(f"unexpected trailing token {val!r}", at)
         return f
 
     def parse_or(self) -> Formula:
         f = self.parse_and()
-        while self.peek()[:2] == ("op", "|"):
-            self.i += 1
+        while self.tokens.next_is("|"):
+            self.tokens.take()
             f = Or(f, self.parse_and())
         return f
 
     def parse_and(self) -> Formula:
         f = self.parse_not()
-        while self.peek()[:2] == ("op", "&"):
-            self.i += 1
+        while self.tokens.next_is("&"):
+            self.tokens.take()
             f = And(f, self.parse_not())
         return f
 
     def parse_not(self) -> Formula:
-        kind, val, at = self.peek()
-        if (kind, val) == ("op", "!"):
-            self.i += 1
+        if self.tokens.next_is("!"):
+            self.tokens.take()
             return Not(self.parse_not())
-        if (kind, val) == ("op", "("):
-            self.i += 1
+        if self.tokens.next_is("("):
+            self.tokens.take()
             f = self.parse_or()
-            kind, val, at = self.peek()
-            if (kind, val) != ("op", ")"):
-                raise FormulaParseError("expected ')'", at)
-            self.i += 1
+            if not self.tokens.next_is(")"):
+                raise FormulaParseError("expected ')'", self.tokens.peek()[2])
+            self.tokens.take()
             return f
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
-        lhs = self.parse_poly()
-        kind, rel, at = self.peek()
-        if kind != "rel":
-            raise FormulaParseError("expected a relation symbol", at)
-        self.i += 1
-        rhs = self.parse_poly()
-        return Atom(lhs - rhs, rel)
-
-    def parse_poly(self) -> Polynomial:
-        coeffs: Dict[tuple, int] = {}
-        first = True
-        while True:
-            sign = 1
-            saw_sign = False
-            while self.peek()[:2] in (("op", "+"), ("op", "-")):
-                if self.take()[1] == "-":
-                    sign = -sign
-                saw_sign = True
-            kind, val, at = self.peek()
-            if kind not in ("int", "var"):
-                if first or saw_sign:
-                    raise FormulaParseError("expected a polynomial term", at)
-                break
-            coeff = 1
-            vars_: List[VarId] = []
-            while True:
-                kind, val, at = self.take()
-                if kind == "int":
-                    coeff *= int(val)
-                elif kind == "var":
-                    try:
-                        vars_.append(var(val))
-                    except ValueError:
-                        raise FormulaParseError(f"unknown variable token {val!r}", at) from None
-                else:
-                    raise FormulaParseError("expected a factor", at)
-                if self.peek()[:2] == ("op", "*"):
-                    self.i += 1
-                    continue
-                break
-            key = tuple(sorted(vars_))
-            coeffs[key] = coeffs.get(key, 0) + sign * coeff
-            first = False
-            if self.peek()[:2] not in (("op", "+"), ("op", "-")):
-                break
-        return Polynomial._from_coeffs(coeffs)
+        lhs = read_terms(self.tokens)
+        if not self.tokens.next_is(*RELATIONS):
+            raise FormulaParseError("expected a relation symbol", self.tokens.peek()[2])
+        rel = self.tokens.take()[1]
+        return Atom(lhs - read_terms(self.tokens), rel)
 
 
 def parse_formula(text: str) -> Formula:
@@ -346,29 +269,12 @@ def polynomial_to_expr(p: Polynomial) -> Expr:
 
 
 @dataclass(frozen=True)
-class Equation:
-    """An equation ``expr = 0`` with its expanded standard form."""
-
-    expr: Expr
-    poly: Polynomial
-
-    @classmethod
-    def of(cls, expr: Expr) -> "Equation":
-        return cls(expr, expr_to_polynomial(expr))
-
-    @property
-    def is_flat(self) -> bool:
-        return expr_ops(self.expr) <= 2
-
-
-@dataclass(frozen=True)
 class EquationSystem:
-    """A conjunction of polynomial equations with provenance records."""
+    """A conjunction of equations ``expr = 0``, plus the ``t = expr``
+    definitions that flattening introduced."""
 
-    equations: Tuple[Equation, ...]
-    value_var: VarId
+    equations: Tuple[Expr, ...]
     definitions: Tuple[Tuple[VarId, Expr], ...] = ()
-    trace: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -431,8 +337,9 @@ def _atom_gadget_expr(g: Polynomial, u: VarId, v: VarId, w: VarId) -> Expr:
     return OpE("*", left, right)
 
 
-def _build_records(f: Formula, alloc: _TripleAllocator) -> Tuple[List[_NodeRecord], VarId]:
+def _build_records(f: Formula) -> Tuple[List[_NodeRecord], VarId]:
     """Preorder triple allocation, postorder record emission."""
+    alloc = _TripleAllocator(_gadget_start(f))
     records: List[_NodeRecord] = []
 
     def walk(node: Formula) -> VarId:
@@ -459,6 +366,26 @@ def _build_records(f: Formula, alloc: _TripleAllocator) -> Tuple[List[_NodeRecor
     return records, root_value
 
 
+def _records_to_system(records: List[_NodeRecord], root_value: VarId) -> EquationSystem:
+    equations: List[Expr] = []
+    for rec in records:
+        u, v, w = rec.triple
+        if rec.kind == "atom":
+            equations.append(_atom_gadget_expr(rec.node.lhs, u, v, w))
+        elif rec.kind == "not":
+            (cw,) = rec.child_values
+            equations.append(OpE("-", VarE(w), OpE("-", ConstE(1), VarE(cw))))
+        elif rec.kind == "and":
+            lw, rw = rec.child_values
+            equations.append(OpE("-", VarE(w), OpE("*", VarE(lw), VarE(rw))))
+        else:
+            lw, rw = rec.child_values
+            prod = OpE("*", VarE(lw), VarE(rw))
+            equations.append(OpE("-", VarE(w), OpE("-", OpE("+", VarE(lw), VarE(rw)), prod)))
+    equations.append(OpE("-", VarE(root_value), ConstE(1)))
+    return EquationSystem(tuple(equations))
+
+
 def to_equation_system(f: Formula) -> EquationSystem:
     """Emit the gadget equations for an atom-normalized formula.
 
@@ -466,32 +393,7 @@ def to_equation_system(f: Formula) -> EquationSystem:
     fresh u, v, w triple; per connective a fresh value variable defined by
     its encoder (1-w, w_a*w_b, w_a+w_b-w_a*w_b); finally value - 1 = 0.
     """
-    alloc = _TripleAllocator(_gadget_start(f))
-    records, root_value = _build_records(f, alloc)
-    equations: List[Equation] = []
-    trace: List[str] = []
-    for rec in records:
-        u, v, w = rec.triple
-        if rec.kind == "atom":
-            expr = _atom_gadget_expr(rec.node.lhs, u, v, w)
-            trace.append(f"atom {format_polynomial(rec.node.lhs, compact=True)}>0 vars={u},{v},{w}")
-        elif rec.kind == "not":
-            (cw,) = rec.child_values
-            expr = OpE("-", VarE(w), OpE("-", ConstE(1), VarE(cw)))
-            trace.append(f"not value={w} child={cw}")
-        elif rec.kind == "and":
-            lw, rw = rec.child_values
-            expr = OpE("-", VarE(w), OpE("*", VarE(lw), VarE(rw)))
-            trace.append(f"and value={w} children={lw},{rw}")
-        else:
-            lw, rw = rec.child_values
-            prod = OpE("*", VarE(lw), VarE(rw))
-            expr = OpE("-", VarE(w), OpE("-", OpE("+", VarE(lw), VarE(rw)), prod))
-            trace.append(f"or value={w} children={lw},{rw}")
-        equations.append(Equation.of(expr))
-    equations.append(Equation.of(OpE("-", VarE(root_value), ConstE(1))))
-    trace.append(f"assert value {root_value}=1")
-    return EquationSystem(tuple(equations), root_value, (), tuple(trace))
+    return _records_to_system(*_build_records(f))
 
 
 def flatten(system: EquationSystem) -> EquationSystem:
@@ -505,9 +407,8 @@ def flatten(system: EquationSystem) -> EquationSystem:
     """
     alloc = _TripleAllocator(_max_gadget_slot(system) + 1)
     memo: Dict[Expr, VarId] = {}
-    out: List[Equation] = []
+    out: List[Expr] = []
     defs: List[Tuple[VarId, Expr]] = list(system.definitions)
-    trace = list(system.trace)
 
     def name(e: Expr) -> Expr:
         if not isinstance(e, OpE):
@@ -518,48 +419,42 @@ def flatten(system: EquationSystem) -> EquationSystem:
         t = alloc.fresh_slot()
         memo[reduced] = t
         defs.append((t, reduced))
-        out.append(Equation.of(OpE("-", reduced, VarE(t))))
-        trace.append(f"define {t}={format_expr(reduced)}")
+        out.append(OpE("-", reduced, VarE(t)))
         return VarE(t)
 
-    for eq in system.equations:
-        e = eq.expr
-        if not isinstance(e, OpE):
-            out.append(eq)
-            continue
-        out.append(Equation.of(OpE(e.op, name(e.left), name(e.right))))
-    return EquationSystem(tuple(out), system.value_var, tuple(defs), tuple(trace))
+    for e in system.equations:
+        out.append(OpE(e.op, name(e.left), name(e.right)) if isinstance(e, OpE) else e)
+    return EquationSystem(tuple(out), tuple(defs))
 
 
 def _max_gadget_slot(system: EquationSystem) -> int:
+    """Largest gadget index at the leaves of the equations, or -1."""
     worst = -1
-    for eq in system.equations:
-        for v in eq.poly.variables():
-            if v.kind == VarKind.GADGET:
-                worst = max(worst, v.index)
+    stack = list(system.equations)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, OpE):
+            stack += (e.left, e.right)
+        elif isinstance(e, VarE) and e.v.kind == VarKind.GADGET:
+            worst = max(worst, e.v.index)
     return worst
 
 
 def to_single_polynomial(system: EquationSystem) -> Polynomial:
     """Sum of squares of the flat equations; zero set equals the solution set."""
-    total = Polynomial.zero()
-    for eq in system.equations:
-        if not eq.is_flat:
+    total: Dict[Tuple[VarId, ...], int] = {}
+    for e in system.equations:
+        if expr_ops(e) > 2:
             raise ValueError("equation system must be flattened first")
-        total = total + eq.poly * eq.poly
-    return total
+        p = expr_to_polynomial(e)
+        for k, c in (p * p).coefficients().items():
+            total[k] = total.get(k, 0) + c
+    return Polynomial._from_coeffs(total)
 
 
 # ---------------------------------------------------------------------------
 # Witness lifting
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WitnessAssignment(Assignment):
-    """An assignment extended over all reduction variables, with a lift trace."""
-
-    trace: Tuple[str, ...] = ()
-
 
 def _sqrt_binding(x: Number) -> Tuple[Number, bool]:
     """Square root binding: exact when rational, else a high-precision
@@ -573,7 +468,7 @@ def _sqrt_binding(x: Number) -> Tuple[Number, bool]:
     return approx_sqrt(Fraction(x)), False
 
 
-def lift_witness(f: Formula, a: Assignment) -> WitnessAssignment:
+def lift_witness(f: Formula, a: Assignment) -> Assignment:
     """Extend a satisfying point of ``f`` to a zero of the single polynomial.
 
     Per true atom g>0: u = 1/sqrt(g), v = 0, w = 1; per false atom: u = 0,
@@ -585,11 +480,9 @@ def lift_witness(f: Formula, a: Assignment) -> WitnessAssignment:
     normalized = normalize_atoms(f)
     if not formula_truth(normalized, a):
         raise ValueError("assignment does not satisfy the formula")
-    alloc = _TripleAllocator(_gadget_start(normalized))
-    records, root_value = _build_records(normalized, alloc)
+    records, root_value = _build_records(normalized)
 
     values: Dict[VarId, Number] = dict(a.values)
-    trace: List[str] = []
     all_exact = a.mode == "exact"
 
     for rec in records:
@@ -601,15 +494,12 @@ def lift_witness(f: Formula, a: Assignment) -> WitnessAssignment:
                 values[u] = 1 / root
                 values[v] = Fraction(0)
                 values[w] = Fraction(1)
-                trace.append(f"atom true g={g} u={'exact' if exact else 'float'}")
-                all_exact = all_exact and exact
             else:
                 root, exact = _sqrt_binding(-g)
                 values[u] = Fraction(0)
                 values[v] = root
                 values[w] = Fraction(0)
-                trace.append(f"atom false g={g} v={'exact' if exact else 'float'}")
-                all_exact = all_exact and exact
+            all_exact = all_exact and exact
         else:
             cs = [int(values[cv]) for cv in rec.child_values]
             values[u] = Fraction(0)
@@ -621,12 +511,7 @@ def lift_witness(f: Formula, a: Assignment) -> WitnessAssignment:
             else:
                 truth = cs[0] + cs[1] - cs[0] * cs[1]
             values[w] = Fraction(truth)
-            trace.append(f"{rec.kind} value={truth}")
 
-    system = flatten(to_equation_system(normalized))
-    for t, expr in system.definitions:
+    for t, expr in flatten(_records_to_system(records, root_value)).definitions:
         values[t] = expr_value(expr, values)
-
-    mode = "exact" if all_exact else "float"
-    trace.append(f"mode={mode}")
-    return WitnessAssignment(values, mode, tuple(trace))
+    return Assignment(values, "exact" if all_exact else "float")

@@ -80,6 +80,16 @@ class _SparseMatrix:
     # The triples behind the labels; derived from them, so not compared.
     label_vectors: Optional[Tuple["LabelVector", ...]] = field(default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        self.row_labels = _check_labels(self.row_labels)
+        self.col_labels = _check_labels(self.col_labels)
+        self._check_data(set(self.row_labels), set(self.col_labels))
+
+    def _check_data(self, rset: set, cset: set) -> None:
+        for r, c in self.data:
+            if r not in rset or c not in cset:
+                raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
+
     @property
     def nrows(self) -> int:
         return len(self.row_labels)
@@ -96,7 +106,6 @@ class PolynomialMatrix(_SparseMatrix):
         return self.data.get((r, c), Polynomial.zero())
 
 
-@dataclass
 class IncompleteMatrix(_SparseMatrix):
     """Matrix over known rationals plus unknown / nonzero-unknown marks.
 
@@ -106,10 +115,8 @@ class IncompleteMatrix(_SparseMatrix):
 
     _instance = False  # InstanceMatrix: no marks, no negative entries
 
-    def __post_init__(self) -> None:
-        self.row_labels = _check_labels(self.row_labels)
-        self.col_labels = _check_labels(self.col_labels)
-        rset, cset = set(self.row_labels), set(self.col_labels)
+    def _check_data(self, rset: set, cset: set) -> None:
+        # One pass over the entries: membership, marks and values.
         instance = self._instance
         clean: Dict[Tuple[str, str], Entry] = {}
         for (r, c), v in self.data.items():
@@ -310,6 +317,8 @@ def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -
                     raise ParseError(f"repeated coordinate in line {ln!r}")
                 data[rc] = entry(parts[2])
             elif len(parts) == 2 and parts[0] == "r" and header == MATRIX_HEADER:
+                if target_rank is not None:
+                    raise ParseError(f"repeated r line {ln!r}")
                 target_rank = int(parts[1])
             else:
                 raise ParseError(f"malformed matrix line: {ln!r}")
@@ -342,4 +351,7 @@ def parse_polynomial_matrix(text: str) -> PolynomialMatrix:
     """Read back a polynomial matrix file; absent entries are zero."""
     _, row_labels, col_labels, data = _parse_matrix_text(
         text, POLYMATRIX_HEADER, parse_polynomial)
-    return PolynomialMatrix(row_labels, col_labels, data)
+    try:
+        return PolynomialMatrix(row_labels, col_labels, data)
+    except ValueError as e:
+        raise ParseError(str(e)) from None

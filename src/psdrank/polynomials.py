@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Callable, Collection, Dict, Iterable, Mapping, Tuple, Union
 
 Number = Union[int, Fraction, float]
 
@@ -361,72 +361,94 @@ def format_polynomial(p: Polynomial, compact: bool = False) -> str:
     return "".join(parts)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z]\w*)|([+*-])|(.))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z]\w*)|(>=|<=|!=|[-+*<>=()&|!])|(\S))")
+_TOKEN_KINDS = (None, "int", "var", "op", "bad")
+
+
+def _position_error(message: str, at: int) -> ParseError:
+    return ParseError(f"{message} at position {at}")
+
+
+class Tokens:
+    """Token cursor shared by the polynomial and formula syntaxes.
+
+    Tokens are ``(kind, text, position)`` with kind ``int``, ``var`` or
+    ``op``, then one ``("eof", "", len(text))`` that the cursor stays on.  An
+    operator outside ``symbols`` or any other stray character raises
+    ``error(message, position)``.
+    """
+
+    def __init__(self, text: str, symbols: Collection[str] = frozenset("+-*"),
+                 error: Callable[[str, int], ParseError] = _position_error):
+        self.error = error
+        self.tokens: list[tuple[str, str, int]] = []
+        self.i = 0
+        for m in _TOKEN_RE.finditer(text):
+            kind = _TOKEN_KINDS[m.lastindex]
+            tok, at = m.group(m.lastindex), m.start(m.lastindex)
+            if kind == "bad" or (kind == "op" and tok not in symbols):
+                raise error(f"unexpected symbol {tok!r}", at)
+            self.tokens.append((kind, tok, at))
+        self.tokens.append(("eof", "", len(text)))
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def take(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        if tok[0] != "eof":
+            self.i += 1
+        return tok
+
+    def next_is(self, *ops: str) -> bool:
+        kind, tok, _ = self.tokens[self.i]
+        return kind == "op" and tok in ops
+
+
+def read_terms(tokens: Tokens) -> Polynomial:
+    """Read ``+``/``-``-joined products of integers and variables, stopping
+    before the first token that continues neither a term nor the sum."""
+    coeffs: Dict[VarsKey, int] = {}
+    while True:
+        sign = 1
+        while tokens.next_is("+", "-"):
+            if tokens.take()[1] == "-":
+                sign = -sign
+        coeff = 1
+        vars_: list[VarId] = []
+        while True:
+            kind, tok, at = tokens.take()
+            if kind == "int":
+                coeff *= int(tok)
+            elif kind == "var":
+                try:
+                    vars_.append(var(tok))
+                except ValueError:
+                    raise tokens.error(f"unknown variable token {tok!r}", at) from None
+            else:
+                raise tokens.error("expected a factor", at)
+            if not tokens.next_is("*"):
+                break
+            tokens.take()
+        key = tuple(sorted(vars_))
+        coeffs[key] = coeffs.get(key, 0) + sign * coeff
+        if not tokens.next_is("+", "-"):
+            return Polynomial._from_coeffs(coeffs)
 
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse the ``+``/``-``-joined product syntax, e.g. ``x1*x1 - 1``.
 
     Integer constants expand into repeated ±1 monomials, so parsing lands in
-    standard form and round-trips with :func:`format_polynomial`.
+    standard form and round-trips with :func:`format_polynomial`.  Every
+    error names its position.
     """
-    pos = 0
-    n = len(text)
-    tokens: list[tuple[str, str, int]] = []
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            break
-        num, ident, op, bad = m.groups()
-        at = m.start(1) if num else m.start(2) if ident else m.start(3) if op else m.start(4)
-        if num:
-            tokens.append(("int", num, at))
-        elif ident:
-            tokens.append(("var", ident, at))
-        elif op:
-            tokens.append(("op", op, at))
-        elif bad and bad.strip():
-            raise ParseError(f"unexpected character {bad!r} at position {at}")
-        pos = m.end()
-    coeffs: Dict[VarsKey, int] = {}
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise ParseError("dangling sign at end of polynomial")
-        coeff = 1
-        vars_: list[VarId] = []
-        while True:
-            kind, val, at = tokens[i]
-            if kind == "int":
-                coeff *= int(val)
-            elif kind == "var":
-                try:
-                    vars_.append(var(val))
-                except ValueError:
-                    raise ParseError(f"unknown variable token {val!r} at position {at}") from None
-            else:
-                raise ParseError(f"expected a factor at position {at}")
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
-                i += 1
-                if i >= len(tokens):
-                    raise ParseError("dangling '*' at end of polynomial")
-                continue
-            break
-        if i < len(tokens) and not (tokens[i][0] == "op" and tokens[i][1] in "+-"):
-            raise ParseError(f"expected '+', '-' or end of input at position {tokens[i][2]}")
-        key = tuple(sorted(vars_))
-        coeffs[key] = coeffs.get(key, 0) + sign * coeff
-        first = False
-    if first:
-        raise ParseError("empty polynomial text")
-    return Polynomial._from_coeffs(coeffs)
+    tokens = Tokens(text)
+    p = read_terms(tokens)
+    kind, _, at = tokens.peek()
+    if kind != "eof":
+        raise tokens.error("expected '+', '-' or end of input", at)
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,13 @@ from psdrank.factorizations import (
     write_factorization,
 )
 from psdrank.gadgets import build_B, build_M, compute_K
-from psdrank.matrices import UNKNOWN, IncompleteMatrix, LabelVector
+from psdrank.matrices import (
+    UNKNOWN,
+    IncompleteMatrix,
+    LabelVector,
+    parse_matrix,
+    write_matrix,
+)
 from psdrank.polynomials import Assignment, Polynomial, parse_polynomial, xvar
 
 ONE = Polynomial.constant(1)
@@ -189,6 +195,12 @@ class TestSqrtCondition:
     def test_B_satisfies(self):
         ok, witness = sqrt_condition_check(build_B(P("x1*x1 - 1")))
         assert ok and witness is not None
+
+    def test_parsed_file_gives_the_same_witness(self):
+        B = build_B(P("x1*x1 - 1"))
+        parsed = parse_matrix(write_matrix(B)).incomplete
+        assert parsed.label_vectors is None
+        assert sqrt_condition_check(parsed) == sqrt_condition_check(B)
 
     def test_witness_pattern_is_real(self):
         B = build_B(P("x1*x1 - 1"))

@@ -174,6 +174,30 @@ class TestMalformedFiles:
         assert "error code=parse" in err and repr(row1) in err
 
 
+    def test_unknown_fac_layout(self, workdir, capsys):
+        (workdir / "p.mtx").write_text(write_matrix(build_P(4)))
+        text = write_factorization(p_alpha_factorization(4), sparse=False)
+        head = text.splitlines()[0]
+        (workdir / "bad.fac").write_text(text.replace(head, head + " bogus", 1))
+        assert run("verify", "p.mtx", "bad.fac") == 2
+        err = capsys.readouterr().err
+        assert "error code=parse" in err and "unknown layout 'bogus'" in err
+
+    def test_repeated_r_line(self, workdir, capsys):
+        (workdir / "bad.mtx").write_text(write_matrix(build_P(4), target_rank=2) + "r 3\n")
+        (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(4)))
+        assert run("verify", "bad.mtx", "p.fac") == 2
+        err = capsys.readouterr().err
+        assert "error code=parse" in err and "repeated r line 'r 3'" in err
+
+    def test_sampled_verify_of_empty_matrix(self, workdir, capsys):
+        (workdir / "e.mtx").write_text(write_matrix(InstanceMatrix((), ("a",))))
+        (workdir / "e.fac").write_text("psdrank-factorization v1 1 0 1 exact\ncol a\n")
+        assert run("verify", "e.mtx", "e.fac", "--mode", "sampled") == 2
+        err = capsys.readouterr().err
+        assert "error code=usage" in err and "0x1" in err
+
+
 class TestSearch:
     def test_identity_three(self, workdir, capsys):
         (workdir / "i3.mtx").write_text(

@@ -28,6 +28,7 @@ from psdrank.factorizations import (
 )
 from psdrank.gadgets import build_P
 from psdrank.matrices import InstanceMatrix
+from psdrank.polynomials import ParseError
 
 
 class TestPAlpha:
@@ -115,6 +116,14 @@ class TestVerify:
         with pytest.raises(ValueError, match="at least one sample"):
             verify_factorization(build_P(1), p_alpha_factorization(1),
                                  mode="sampled", samples=samples)
+
+    @pytest.mark.parametrize("rows, cols", [((), ()), ((), ("a",)), (("a",), ())])
+    def test_sampled_needs_entries(self, rows, cols):
+        A = InstanceMatrix(rows, cols)
+        F = PSDFactorization(1, rows, cols, {l: () for l in rows}, {l: () for l in cols})
+        with pytest.raises(ValueError, match="cannot sample"):
+            verify_factorization(A, F, mode="sampled")
+        assert verify_factorization(A, F).entries_checked == 0
 
     def test_bad_coordinate_rejected(self):
         with pytest.raises(ValueError, match="coordinate"):
@@ -386,6 +395,12 @@ class TestFileFormat:
         head = write_factorization(p_alpha_factorization(1)).splitlines()[0]
         with pytest.raises(ValueError, match="'row'"):
             parse_factorization(head + "\nrow\n")
+
+    def test_unknown_layout_rejected(self):
+        text = write_factorization(p_alpha_factorization(1), sparse=False)
+        head = text.splitlines()[0]
+        with pytest.raises(ParseError, match="unknown layout 'bogus'"):
+            parse_factorization(text.replace(head, head + " bogus", 1))
 
     def test_truncated_sparse_line_rejected(self):
         head = write_factorization(p_alpha_factorization(1), sparse=True).splitlines()[0]

@@ -8,13 +8,14 @@ from psdrank.formulas import (
     And,
     Atom,
     ConstE,
-    Equation,
     EquationSystem,
     FormulaParseError,
     Not,
     OpE,
     Or,
     VarE,
+    expr_ops,
+    expr_to_polynomial,
     flatten,
     format_expr,
     formula_size,
@@ -127,26 +128,26 @@ class TestEquationSystem:
         system = to_equation_system(Atom(P("x1"), ">"))
         assert len(system.equations) == 2
         gadget, value = system.equations
-        assert value.poly == P("w0 - 1")
+        assert expr_to_polynomial(value) == P("w0 - 1")
         # gadget vanishes at the canonical true witness u=1, v=0, w=1, x1=1
         a = Assignment.exact({xvar(1): 1, var("u0"): 1, var("v0"): 0, var("w0"): 1})
-        assert evaluate(gadget.poly, a) == 0
+        assert evaluate(expr_to_polynomial(gadget), a) == 0
         # and at the canonical false witness u=0, v=1, w=0, x1=-1
         b = Assignment.exact({xvar(1): -1, var("u0"): 0, var("v0"): 1, var("w0"): 0})
-        assert evaluate(gadget.poly, b) == 0
+        assert evaluate(expr_to_polynomial(gadget), b) == 0
 
     def test_and_adds_encoder_and_value(self):
         f = And(Atom(P("x1"), ">"), Atom(P("x2"), ">"))
         system = to_equation_system(f)
         # two gadgets, one encoder, one value equation
         assert len(system.equations) == 4
-        assert system.equations[2].poly == P("w0 - w1*w2")
-        assert system.equations[3].poly == P("w0 - 1")
+        assert expr_to_polynomial(system.equations[2]) == P("w0 - w1*w2")
+        assert expr_to_polynomial(system.equations[3]) == P("w0 - 1")
 
     def test_not_encoder(self):
         system = to_equation_system(Not(Atom(P("x1"), ">")))
-        assert system.equations[1].poly == P("w0 - 1 + w1")
-        assert system.equations[2].poly == P("w0 - 1")
+        assert expr_to_polynomial(system.equations[1]) == P("w0 - 1 + w1")
+        assert expr_to_polynomial(system.equations[2]) == P("w0 - 1")
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalize_atoms"):
@@ -155,20 +156,20 @@ class TestEquationSystem:
 
 class TestFlatten:
     def test_product_chain(self):
-        eq = Equation.of(OpE("*", OpE("*", VarE(xvar(1)), VarE(xvar(2))), VarE(xvar(3))))
-        out = flatten(EquationSystem((eq,), xvar(1)))
-        assert [format_expr(e.expr) for e in out.equations] == ["((x1*x2)-u0)", "(u0*x3)"]
+        eq = OpE("*", OpE("*", VarE(xvar(1)), VarE(xvar(2))), VarE(xvar(3)))
+        out = flatten(EquationSystem((eq,)))
+        assert [format_expr(e) for e in out.equations] == ["((x1*x2)-u0)", "(u0*x3)"]
 
     def test_already_flat(self):
-        eq = Equation.of(OpE("+", VarE(xvar(1)), VarE(xvar(2))))
-        out = flatten(EquationSystem((eq,), xvar(1)))
-        assert [e.expr for e in out.equations] == [eq.expr]
+        eq = OpE("+", VarE(xvar(1)), VarE(xvar(2)))
+        out = flatten(EquationSystem((eq,)))
+        assert list(out.equations) == [eq]
         assert not out.definitions
 
     def test_two_rewrites(self):
         tree = OpE("+", OpE("*", OpE("+", VarE(xvar(1)), VarE(xvar(2))), VarE(xvar(3))),
                    VarE(xvar(4)))
-        out = flatten(EquationSystem((Equation.of(tree),), xvar(1)))
+        out = flatten(EquationSystem((tree,)))
         assert len(out.equations) == 3
         assert len(out.definitions) == 2
 
@@ -176,42 +177,41 @@ class TestFlatten:
         f = parse_formula("(x1 > 0) & !(x2*x2 - 2 > 0)")
         system = to_equation_system(normalize_atoms(f))
         flat = flatten(system)
-        assert all(e.is_flat for e in flat.equations)
+        assert all(expr_ops(e) <= 2 for e in flat.equations)
         # x2*x2 - 2 = -1 and x1 = 4 make every radical rational, so the
         # lifted point is exact and zeroes each flat equation on its own
         w = lift_witness(f, Assignment.exact({xvar(1): 4, xvar(2): 1}))
         assert w.mode == "exact"
         for e in flat.equations:
-            assert evaluate(e.poly, w) == 0
+            assert evaluate(expr_to_polynomial(e), w) == 0
 
     def test_structure_sharing(self):
         # the same subexpression squared twice gets one definition
         x = VarE(xvar(1))
         sq = OpE("*", OpE("+", x, ConstE(1)), OpE("+", x, ConstE(1)))
         big = OpE("+", sq, OpE("*", sq, x))
-        out = flatten(EquationSystem((Equation.of(big),), xvar(1)))
+        out = flatten(EquationSystem((big,)))
         defined = [format_expr(e) for _, e in out.definitions]
         assert defined.count("(x1+1)") == 1
 
 
 class TestSinglePolynomial:
     def test_single_square(self):
-        system = flatten(EquationSystem((Equation.of(
-            OpE("-", VarE(xvar(1)), ConstE(1))),), xvar(1)))
+        system = flatten(EquationSystem((OpE("-", VarE(xvar(1)), ConstE(1)),)))
         assert to_single_polynomial(system) == P("x1*x1 - x1 - x1 + 1")
 
     def test_empty_system(self):
-        assert to_single_polynomial(EquationSystem((), xvar(1))) == Polynomial.zero()
+        assert to_single_polynomial(EquationSystem(())) == Polynomial.zero()
 
     def test_two_squares(self):
-        eqs = (Equation.of(VarE(xvar(1))), Equation.of(VarE(xvar(2))))
-        assert to_single_polynomial(EquationSystem(eqs, xvar(1))) == P("x1*x1 + x2*x2")
+        eqs = (VarE(xvar(1)), VarE(xvar(2)))
+        assert to_single_polynomial(EquationSystem(eqs)) == P("x1*x1 + x2*x2")
 
     def test_requires_flat(self):
-        deep = Equation.of(OpE("*", OpE("*", OpE("*", VarE(xvar(1)), VarE(xvar(1))),
-                                        VarE(xvar(1))), VarE(xvar(1))))
+        deep = OpE("*", OpE("*", OpE("*", VarE(xvar(1)), VarE(xvar(1))),
+                              VarE(xvar(1))), VarE(xvar(1)))
         with pytest.raises(ValueError, match="flatten"):
-            to_single_polynomial(EquationSystem((deep,), xvar(1)))
+            to_single_polynomial(EquationSystem((deep,)))
 
 
 def single_polynomial_of(f):

@@ -9,12 +9,14 @@ from psdrank.matrices import (
     IncompleteMatrix,
     InstanceMatrix,
     LabelVector,
+    PolynomialMatrix,
     parse_matrix,
+    parse_polynomial_matrix,
     write_matrix,
     write_polynomial_matrix,
 )
 from psdrank.gadgets import build_A, build_P, reduce
-from psdrank.polynomials import Polynomial, parse_polynomial
+from psdrank.polynomials import ParseError, Polynomial, parse_polynomial
 
 
 class TestInstanceMatrix:
@@ -161,6 +163,11 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             parse_matrix("psdrank-matrix v1 1 1\nrow 0 a\ncol 0 b\na b 1/2 extra\n")
 
+    def test_repeated_target_rank_rejected(self):
+        text = write_matrix(InstanceMatrix(("a",), ("a",), {}), target_rank=5)
+        with pytest.raises(ParseError, match="repeated r line 'r 6'"):
+            parse_matrix(text + "r 6\n")
+
     def test_incomplete_accessor_guards(self):
         m = IncompleteMatrix(("a",), ("a",), {("a", "a"): UNKNOWN})
         parsed = parse_matrix(write_matrix(m))
@@ -200,3 +207,28 @@ def test_polynomial_matrix_squares_dots():
             d = sum((a * b for a, b in zip(hu.coords, hv.coords)), Polynomial.zero())
             assert A.entry(u, v) == d * d
             assert ((u, v) in A.data) == (not d.is_zero)
+
+
+class TestPolynomialMatrixValidation:
+    def test_undeclared_label_rejected(self):
+        text = "psdrank-polymatrix v1 1 1\nrow 0 a\ncol 0 b\nzz b x1\n"
+        with pytest.raises(ParseError, match="outside the label sets"):
+            parse_polynomial_matrix(text)
+
+    def test_duplicate_labels_rejected(self):
+        text = "psdrank-polymatrix v1 2 1\nrow 0 a\nrow 1 a\ncol 0 b\na b x1\n"
+        with pytest.raises(ParseError, match="unique"):
+            parse_polynomial_matrix(text)
+
+    @pytest.mark.parametrize("keyword", ["row", "col", "r"])
+    def test_keyword_labels_rejected(self, keyword):
+        text = f"psdrank-polymatrix v1 1 1\nrow 0 {keyword}\ncol 0 b\n"
+        with pytest.raises(ParseError, match="keyword"):
+            parse_polynomial_matrix(text)
+
+    def test_constructor_checks_labels_and_entries(self):
+        one = Polynomial.constant(1)
+        with pytest.raises(ValueError, match="outside"):
+            PolynomialMatrix(("a",), ("b",), {("b", "a"): one})
+        with pytest.raises(ValueError, match="unique"):
+            PolynomialMatrix(("a", "a"), ("b",), {})
