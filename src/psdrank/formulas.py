@@ -428,7 +428,12 @@ def flatten(system: EquationSystem) -> EquationSystem:
 
 
 def _max_gadget_slot(system: EquationSystem) -> int:
-    """Largest gadget index at the leaves of the equations, or -1."""
+    """Largest gadget index at the leaves of the equations, or -1.
+
+    Leaves can show variables that expansion cancels (u and v of an atom
+    whose g is 0); for ``to_equation_system`` output the maximum is the
+    same either way, because the last triple's w survives expansion.
+    """
     worst = -1
     stack = list(system.equations)
     while stack:
