@@ -123,6 +123,14 @@ class TestAssembleInstanceWitness:
         assert hashlib.sha256(data).hexdigest() == (
             "6370d52ac390e61f0d96202b540b07edfa71d1f22bc27cc1338cb3b5504ee436")
 
+    def test_fractional_root_witness_bytes_pinned(self):
+        # x1 - x2 at 19/23: 39,048 unknowns whose blocks take four-square
+        # expansions; the digest is the benchmark's instance.fac entry.
+        F = assemble_instance_witness(P("x1 - x2"), exact_point(x1="19/23", x2="19/23"))
+        data = write_factorization(F).encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == (
+            "c544941d01bc6704946344d18687a6d13db42b89a732a8bee73df271c4677343")
+
     def test_sampled_report_reproducible_on_large_witness(self):
         f = P("x1")
         F = assemble_instance_witness(f, exact_point(x1=0))
