@@ -63,6 +63,7 @@ from .gadgets import (
     sigma_set,
 )
 from .factorizations import (
+    GramVectors,
     PSDFactorization,
     VerificationReport,
     direct_sum,

@@ -10,12 +10,15 @@ converse argument work.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .factorizations import (
+    GramVectors,
     PSDFactorization,
+    Piece,
     Vector,
     dense_vector,
     p_alpha_gram_vectors,
@@ -71,6 +74,22 @@ def _root_values(f: Polynomial, xi: Assignment, tol: float) -> Dict[Polynomial, 
     return {p: evaluate(p, xi) for p in sigma_set(f)}
 
 
+def _interned_points(value: Mapping[Polynomial, Number], H: Sequence[LabelVector]):
+    """The distinct evaluated label points, each label's index into them, and
+    (p.q)^2 per pair of indices, memoized (None where p.q = 0)."""
+    ids: Dict[Tuple[Number, ...], int] = {}
+    pid = [ids.setdefault(tuple(value[c] for c in h.coords), len(ids)) for h in H]
+    points = list(ids)
+
+    @functools.cache
+    def square(p: int, q: int) -> Optional[Number]:
+        a, b = points[p], points[q]
+        d = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+        return d * d if d else None
+
+    return points, pid, square
+
+
 def completion_from_root(f: Polynomial, xi: Assignment, tol: float = 1e-12) -> Completion:
     """Entrywise square of the evaluated label matrix, plus its witness.
 
@@ -82,24 +101,21 @@ def completion_from_root(f: Polynomial, xi: Assignment, tol: float = 1e-12) -> C
     H = index_set_H(f)
     exact = xi.mode == "exact"
     labels = tuple(h.render() for h in H)
-    points = [tuple(value[c] for c in h.coords) for h in H]
+    points, pid, square = _interned_points(value, H)
     data: Dict[Tuple[str, str], Fraction] = {}
     n = len(H)
     for i in range(n):
-        a = points[i]
         for j in range(i, n):
-            b = points[j]
-            d = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-            if d:
-                sq = d * d
+            sq = square(pid[i], pid[j])
+            if sq is not None:
                 data[(labels[i], labels[j])] = sq
                 if i != j:
                     data[(labels[j], labels[i])] = sq
     if not exact:
         data = {k: Fraction(v) for k, v in data.items()}
     matrix = InstanceMatrix(labels, labels, data)
-    rows = {labels[i]: (dense_vector(points[i]),) for i in range(n)}
-    cols = {labels[i]: (dense_vector(points[i]),) for i in range(n)}
+    rows = {labels[i]: (dense_vector(points[pid[i]]),) for i in range(n)}
+    cols = {labels[i]: (dense_vector(points[pid[i]]),) for i in range(n)}
     fact = PSDFactorization(3, labels, labels, rows, cols,
                             "exact" if exact else "float")
     return Completion(matrix, fact)
@@ -125,48 +141,33 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment,
     E, labels = instance_labels(B)
     k = len(E)
 
-    # The completion's rank-one vectors: the evaluated label points.
-    point = {l: tuple(value[c] for c in h.coords)
-             for l, h in zip(B.row_labels, B.label_vectors)}
-    rows: Dict[str, List[Vector]] = {l: [dense_vector(p)] for l, p in point.items()}
-    cols: Dict[str, List[Vector]] = {l: [dense_vector(p)] for l, p in point.items()}
+    # A block depends only on its completion value: one template per value,
+    # memoized per pair of point ids, placed in each label by a shift.
+    points, pids, square = _interned_points(value, B.label_vectors)
+    pid = dict(zip(B.row_labels, pids))
+    core = [(dense_vector(p),) for p in points]  # the completion's vectors
+    rows: Dict[str, Sequence[Piece]] = {l: [(core[p], 0)] for l, p in pid.items()}
+    cols: Dict[str, Sequence[Piece]] = {l: [(core[p], 0)] for l, p in pid.items()}
 
-    # Gram vectors per distinct completion value; alpha_e only depends on it.
-    block_cache: Dict[Fraction, Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]] = {}
+    @functools.cache
+    def value_block(bval: Fraction):
+        if bval > K:
+            raise ValueError(f"completion entry {bval} exceeds the budget K = {K}")
+        return p_alpha_gram_vectors((K - bval) / K, scale=K)
 
-    def block_vectors(bval: Fraction):
-        hit = block_cache.get(bval)
-        if hit is None:
-            if bval > K:
-                raise ValueError(
-                    f"completion entry {bval} exceeds the budget K = {K}")
-            alpha = (K - bval) / K
-            hit = p_alpha_gram_vectors(alpha, scale=K)
-            block_cache[bval] = hit
-        return hit
+    pair_block = functools.cache(lambda p, q: value_block(Fraction(square(p, q) or 0)))
 
     for t, (i, j) in enumerate(E):
         base = 3 + 2 * t
+        prows, pcols = pair_block(pid[i], pid[j])
+        rows[i].append((prows[0], base))
+        cols[j].append((pcols[0], base))
         e1, e2 = labels[t], labels[k + t]
-        a, b = point[i], point[j]
-        d = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-        prows, pcols = block_vectors(Fraction(d * d))
-
-        def shift(vec: Vector) -> Vector:
-            return {base + c: v for c, v in vec.items()}
-
-        rows[i].extend(shift(v) for v in prows[0])
-        rows[e1] = [shift(v) for v in prows[1]]
-        rows[e2] = [shift(v) for v in prows[2]]
-        cols[j].extend(shift(v) for v in pcols[0])
-        cols[e1] = [shift(v) for v in pcols[1]]
-        cols[e2] = [shift(v) for v in pcols[2]]
-
-    return PSDFactorization(
-        2 * k + 3, labels, labels,
-        {l: tuple(v) for l, v in rows.items()},
-        {l: tuple(v) for l, v in cols.items()},
-        xi.mode)
+        rows[e1], rows[e2] = ((prows[1], base),), ((prows[2], base),)
+        cols[e1], cols[e2] = ((pcols[1], base),), ((pcols[2], base),)
+    return PSDFactorization(2 * k + 3, labels, labels,
+                            {l: GramVectors(p) for l, p in rows.items()},
+                            {l: GramVectors(p) for l, p in cols.items()}, xi.mode)
 
 
 # ---------------------------------------------------------------------------

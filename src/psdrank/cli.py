@@ -34,15 +34,19 @@ def _digest(data: str) -> str:
 
 
 class _Trace:
+    """Stage records: ms since the previous one, cum_ms and wall_ms since start."""
+
     def __init__(self) -> None:
-        self.t0 = time.monotonic()
+        self.t0 = self.last = time.monotonic()
 
     def stage(self, name: str, input_digest: str = "-", output_digest: str = "-",
               **params) -> None:
-        wall = int(1000 * (time.monotonic() - self.t0))
+        now = time.monotonic()
         extra = "".join(f" {k}={v}" for k, v in params.items())
-        print(f"trace stage={name} input={input_digest} output={output_digest}"
-              f"{extra} wall_ms={wall}", file=sys.stderr)
+        print(f"trace stage={name} input={input_digest} output={output_digest}{extra}"
+              f" ms={1000 * (now - self.last):.3f} cum_ms={1000 * (now - self.t0):.3f}"
+              f" wall_ms={int(1000 * (now - self.t0))}", file=sys.stderr)
+        self.last = now
 
 
 def _fail(code: str, message: str, exit_code: int) -> int:

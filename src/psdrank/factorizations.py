@@ -33,6 +33,7 @@ from .matrices import InstanceMatrix
 from .polynomials import Number, ParseError, parse_fraction
 
 Vector = Dict[int, Number]  # sparse coordinate -> value
+Piece = Tuple[Sequence[Vector], int]  # (template vectors, coordinate shift)
 
 
 def sparse_dot(u: Vector, v: Vector) -> Number:
@@ -50,15 +51,51 @@ def vector_norm_sq(u: Vector) -> Number:
     return sum(x * x for x in u.values())
 
 
+class GramVectors:
+    """One label's Gram vectors as pieces (template vectors, shift): a
+    template vector at shift s stands for its copy with each coordinate
+    raised by s.  ``len`` reads only the pieces; the shifted dicts are
+    built on first iteration or indexing.  Equal to the tuple of them."""
+
+    __slots__ = ("pieces", "_built")
+
+    def __init__(self, pieces: Sequence[Piece]) -> None:
+        self.pieces, self._built = tuple(pieces), None
+
+    def vectors(self) -> Tuple[Vector, ...]:
+        if self._built is None:
+            self._built = tuple(vec if not s else {c + s: v for c, v in vec.items()}
+                                for tmpl, s in self.pieces for vec in tmpl)
+        return self._built
+
+    def __len__(self) -> int:
+        return sum(len(tmpl) for tmpl, _ in self.pieces)
+
+    def __getitem__(self, i):
+        return self.vectors()[i]
+
+    def __iter__(self):
+        return iter(self.vectors())
+
+    def __eq__(self, other) -> bool:
+        other = other.vectors() if isinstance(other, GramVectors) else other
+        return self.vectors() == other if isinstance(other, tuple) else NotImplemented
+
+
+def _pieces(vecs: Sequence[Vector]) -> Sequence[Piece]:
+    """A label's pieces; a plain vector sequence is one piece at shift 0."""
+    return vecs.pieces if isinstance(vecs, GramVectors) else ((vecs, 0),)
+
+
 @dataclass
 class PSDFactorization:
-    """Gram-vector lists per row and column label, all of dimension k."""
+    """Gram vectors per row and column label (plain sequences or `GramVectors`)."""
 
     k: int
     row_labels: Tuple[str, ...]
     col_labels: Tuple[str, ...]
-    row_vectors: Dict[str, Tuple[Vector, ...]]
-    col_vectors: Dict[str, Tuple[Vector, ...]]
+    row_vectors: Dict[str, Sequence[Vector]]
+    col_vectors: Dict[str, Sequence[Vector]]
     mode: str = "exact"  # "exact" | "float"
 
     def __post_init__(self) -> None:
@@ -67,6 +104,22 @@ class PSDFactorization:
         if self.mode not in ("exact", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
         k, exact = self.k, self.mode == "exact"  # read once, not per coordinate
+
+        def top(tmpl: Sequence[Vector]) -> float:
+            """Check a template's values; its largest coordinate, or -inf."""
+            hi = -math.inf
+            for vec in tmpl:
+                for coord, val in vec.items():
+                    if not 0 <= coord:
+                        raise ValueError(f"vector coordinate {coord} outside dimension {k}")
+                    if exact and isinstance(val, float):
+                        raise ValueError("exact factorization holds a float value")
+                    if coord > hi:
+                        hi = coord
+            return hi
+
+        tops: Dict[int, float] = {}  # id(template) -> top(template), checked once
+
         for labels, table, side in ((self.row_labels, self.row_vectors, "row"),
                                     (self.col_labels, self.col_vectors, "col")):
             label_set = set(labels)
@@ -75,13 +128,16 @@ class PSDFactorization:
             for l, vecs in table.items():
                 if l not in label_set:
                     raise ValueError(f"{side} vectors for unknown label {l!r}")
-                for vec in vecs:
-                    for coord, val in vec.items():
-                        if not 0 <= coord < k:
-                            raise ValueError(
-                                f"vector coordinate {coord} outside dimension {k}")
-                        if exact and isinstance(val, float):
-                            raise ValueError("exact factorization holds a float value")
+                if not isinstance(vecs, GramVectors):  # one piece at shift 0
+                    if top(vecs) >= k:
+                        raise ValueError(f"vector coordinate {top(vecs)} outside dimension {k}")
+                    continue
+                for t, shift in vecs.pieces:
+                    hi = tops[id(t)] if id(t) in tops else tops.setdefault(id(t), top(t))
+                    lo = min((c for v in t for c in v), default=math.inf) if shift < 0 else 0
+                    if shift + lo < 0 or shift + hi >= k:
+                        bad = shift + lo if shift + lo < 0 else shift + hi
+                        raise ValueError(f"vector coordinate {bad} outside dimension {k}")
         self._row_index: Dict[str, Dict[int, Tuple[int, ...]]] = {}
         self._col_index: Dict[str, Dict[int, Tuple[int, ...]]] = {}
 
@@ -100,8 +156,8 @@ class PSDFactorization:
 
     def entry(self, r: str, c: str) -> Number:
         """Certified value sum (u.v)^2 over vector pairs with shared support."""
-        rvecs = self.row_vectors.get(r, ())
-        cvecs = self.col_vectors.get(c, ())
+        rvecs = tuple(self.row_vectors.get(r, ()))  # no copy of a plain tuple
+        cvecs = tuple(self.col_vectors.get(c, ()))
         if not rvecs or not cvecs:
             return Fraction(0) if self.mode == "exact" else 0.0
         rmap = self._support_index("row", r)
@@ -538,11 +594,17 @@ def p_alpha_factorization(alpha: Union[int, Fraction]) -> PSDFactorization:
         "exact")
 
 
-def _matrix_rows(P: Sequence[Sequence[Number]]) -> List[List[Number]]:
-    rows = [list(r) for r in P]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
+def _hadamard_operands(P, Q, row_labels, col_labels):
+    """P and Q as row lists, inner size r, Q's column count n, and labels."""
+    Pr, Qr = [list(x) for x in P], [list(x) for x in Q]
+    if any(len(x) != len(M[0]) for M in (Pr, Qr) for x in M):
         raise ValueError("ragged matrix")
-    return rows
+    r, n = len(Pr[0]) if Pr else 0, len(Qr[0]) if Qr else 0
+    if len(Qr) != r:
+        raise ValueError(f"inner dimensions differ: P is mx{r}, Q has {len(Qr)} rows")
+    rl = tuple(row_labels) if row_labels is not None else tuple(f"r{i}" for i in range(len(Pr)))
+    cl = tuple(col_labels) if col_labels is not None else tuple(f"c{j}" for j in range(n))
+    return Pr, Qr, r, n, rl, cl
 
 
 def hadamard_square_factorization(
@@ -556,14 +618,7 @@ def hadamard_square_factorization(
     Row i's single Gram vector is the i-th row of P; column j's is the j-th
     column of Q, so every certified entry is ((PQ)_{ij})^2.
     """
-    Pr = _matrix_rows(P)
-    Qr = _matrix_rows(Q)
-    r = len(Pr[0]) if Pr else 0
-    if len(Qr) != r:
-        raise ValueError(f"inner dimensions differ: P is mx{r}, Q has {len(Qr)} rows")
-    n = len(Qr[0]) if Qr else 0
-    rl = tuple(row_labels) if row_labels is not None else tuple(f"r{i}" for i in range(len(Pr)))
-    cl = tuple(col_labels) if col_labels is not None else tuple(f"c{j}" for j in range(n))
+    Pr, Qr, r, n, rl, cl = _hadamard_operands(P, Q, row_labels, col_labels)
     exact = all(not isinstance(x, float) for row in Pr + Qr for x in row)
     conv = (lambda x: Fraction(x)) if exact else float
     rows = {rl[i]: (dense_vector([conv(x) for x in Pr[i]]),) for i in range(len(Pr))}
@@ -578,14 +633,9 @@ def hadamard_square_target(
     col_labels: Optional[Sequence[str]] = None,
 ) -> InstanceMatrix:
     """The matrix (PQ) o (PQ) the factorization above certifies."""
-    Pr = _matrix_rows(P)
-    Qr = _matrix_rows(Q)
-    m, r = len(Pr), len(Pr[0]) if Pr else 0
-    n = len(Qr[0]) if Qr else 0
-    rl = tuple(row_labels) if row_labels is not None else tuple(f"r{i}" for i in range(m))
-    cl = tuple(col_labels) if col_labels is not None else tuple(f"c{j}" for j in range(n))
+    Pr, Qr, r, n, rl, cl = _hadamard_operands(P, Q, row_labels, col_labels)
     dense = [[sum(Fraction(Pr[i][t]) * Fraction(Qr[t][j]) for t in range(r)) ** 2
-              for j in range(n)] for i in range(m)]
+              for j in range(n)] for i in range(len(Pr))]
     return InstanceMatrix.from_dense(dense, rl, cl)
 
 
@@ -595,17 +645,14 @@ def direct_sum(F1: PSDFactorization, F2: PSDFactorization) -> PSDFactorization:
     if (set(F1.row_labels) != set(F2.row_labels)
             or set(F1.col_labels) != set(F2.col_labels)):
         raise ValueError("direct sum needs identical label sets")
-    k = F1.k + F2.k
 
-    def shift(vec: Vector) -> Vector:
-        return {c + F1.k: v for c, v in vec.items()}
+    def join(a: Sequence[Vector], b: Sequence[Vector]) -> GramVectors:
+        return GramVectors((*_pieces(a), *((t, s + F1.k) for t, s in _pieces(b))))
 
-    rows = {l: tuple(F1.row_vectors.get(l, ())) + tuple(shift(v) for v in F2.row_vectors.get(l, ()))
-            for l in F1.row_labels}
-    cols = {l: tuple(F1.col_vectors.get(l, ())) + tuple(shift(v) for v in F2.col_vectors.get(l, ()))
-            for l in F1.col_labels}
+    rows = {l: join(F1.row_vectors[l], F2.row_vectors[l]) for l in F1.row_labels}
+    cols = {l: join(F1.col_vectors[l], F2.col_vectors[l]) for l in F1.col_labels}
     mode = "exact" if F1.mode == F2.mode == "exact" else "float"
-    return PSDFactorization(k, F1.row_labels, F1.col_labels, rows, cols, mode)
+    return PSDFactorization(F1.k + F2.k, F1.row_labels, F1.col_labels, rows, cols, mode)
 
 
 def identity_factorization(n: int) -> PSDFactorization:
@@ -651,25 +698,38 @@ def write_factorization(F: PSDFactorization, sparse: Optional[bool] = None) -> s
             tok = tokens[id(x)] = _num_token(x, F.mode)
         return tok
 
+    # Sparse lines render each template once, as text with a "{n}" field for
+    # its n-th distinct coordinate; each piece fills in those plus its shift.
+    texts: Dict[int, Tuple[str, List[int]]] = {}
+
+    def render(tmpl: Sequence[Vector]) -> Tuple[str, List[int]]:
+        field: Dict[int, str] = {}
+        parts = []
+        for vec in tmpl:
+            items = sorted(vec.items())
+            parts.append(str(len(items)))
+            for coord, val in items:
+                parts += (field.setdefault(coord, f"{{{len(field)}}}"), token(val))
+        texts[id(tmpl)] = hit = (" ".join(parts), list(field))
+        return hit
+
     for side, labels, table in (("row", F.row_labels, F.row_vectors),
                                 ("col", F.col_labels, F.col_vectors)):
         for l in labels:
             vecs = table.get(l, ())
             if sparse:
-                parts = [side, l, str(len(vecs))]
-                for vec in vecs:
-                    items = sorted(vec.items())
-                    parts.append(str(len(items)))
-                    for coord, val in items:
-                        parts.append(str(coord))
-                        parts.append(token(val))
+                parts, nvec = [side, l, ""], 0
+                for tmpl, shift in _pieces(vecs):
+                    if tmpl:
+                        text, coords = texts.get(id(tmpl)) or render(tmpl)
+                        parts.append(text.format(*[c + shift for c in coords]))
+                        nvec += len(tmpl)
+                parts[2] = str(nvec)
             else:
-                parts = [side, l]
-                for vec in vecs:
-                    for coord in range(F.k):
-                        parts.append(token(vec.get(coord, 0)))
+                parts = [side, l, *(token(vec.get(c, 0)) for vec in vecs for c in range(F.k))]
             lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_factorization(text: str) -> PSDFactorization:

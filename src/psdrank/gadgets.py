@@ -11,6 +11,7 @@ into the final instance (M, 2k+3).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
@@ -94,14 +95,10 @@ def build_A(f: Polynomial) -> PolynomialMatrix:
     H, labels, dots = _gram_table(f)
     data: Dict[Tuple[str, str], Polynomial] = {}
     # The H x H table repeats a small set of dot products: square each once.
-    square: Dict[Polynomial, Polynomial] = {}
+    square = functools.cache(lambda d: d * d)
     for u, v, d in dots:
-        if d.is_zero:
-            continue
-        sq = square.get(d)
-        if sq is None:
-            sq = square[d] = d * d
-        data[(u, v)] = data[(v, u)] = sq
+        if not d.is_zero:
+            data[(u, v)] = data[(v, u)] = square(d)
     return PolynomialMatrix(labels, labels, data, label_vectors=H)
 
 
@@ -114,25 +111,18 @@ def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatr
     """
     H, labels, dots = _gram_table(f)
     data: Dict[Tuple[str, str], object] = {}
+
     # Entry decisions depend only on the dot product, so memoize per
     # canonical dot; the H x H table repeats a small set of values.
-    decision: Dict[Polynomial, object] = {}
-
-    def decide(d: Polynomial):
-        hit = decision.get(d)
-        if hit is not None:
-            return hit
+    @functools.cache
+    def decide(d: Polynomial) -> object:
         if d.is_zero:
-            out: object = Fraction(0)
-        elif not d.variables():
-            c = sum(c for c in d.coefficients().values())
-            out = Fraction(c) ** 2
-        elif square_multiple_test:
-            out = Fraction(0) if is_multiple_of(d * d, f) else UNKNOWN
-        else:
-            out = Fraction(0) if is_multiple_of(d, f) else UNKNOWN
-        decision[d] = out
-        return out
+            return Fraction(0)
+        if not d.variables():
+            return Fraction(sum(d.coefficients().values())) ** 2
+        if square_multiple_test:
+            return Fraction(0) if is_multiple_of(d * d, f) else UNKNOWN
+        return Fraction(0) if is_multiple_of(d, f) else UNKNOWN
 
     for u, v, d in dots:
         e = decide(d)

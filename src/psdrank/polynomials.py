@@ -52,6 +52,10 @@ class VarId:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"variable index must be nonnegative, got {self.index}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))  # hashed often
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def name(self) -> str:

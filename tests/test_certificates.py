@@ -13,11 +13,13 @@ from psdrank.certificates import (
 )
 from psdrank.factorizations import (
     PSDFactorization,
+    dense_vector,
     hadamard_square_factorization,
+    p_alpha_gram_vectors,
     verify_factorization,
     write_factorization,
 )
-from psdrank.gadgets import build_B, build_M, compute_K
+from psdrank.gadgets import build_B, build_M, compute_K, instance_labels, sigma_set
 from psdrank.matrices import (
     UNKNOWN,
     IncompleteMatrix,
@@ -25,7 +27,7 @@ from psdrank.matrices import (
     parse_matrix,
     write_matrix,
 )
-from psdrank.polynomials import Assignment, Polynomial, parse_polynomial, xvar
+from psdrank.polynomials import Assignment, Polynomial, evaluate, parse_polynomial, xvar
 
 ONE = Polynomial.constant(1)
 ZERO = Polynomial.zero()
@@ -79,12 +81,62 @@ class TestCompletionFromRoot:
         with pytest.raises(ValueError, match="not a root"):
             completion_from_root(P("x1*x1 - 1"), exact_point(x1=0))
 
+    def test_fractional_root_bytes_pinned(self):
+        # the benchmark's bprime.mtx and completion.fac entries for x1 - x2
+        comp = completion_from_root(P("x1 - x2"), exact_point(x1="19/23", x2="19/23"))
+        digests = [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in
+                   (write_matrix(comp.matrix), write_factorization(comp.factorization))]
+        assert digests == [
+            "1c99251eb1efc213bc3d2bc1b61f4d3fc131552ca6dd4b4ee7c67f37e05e8b8f",
+            "d554b01c25cc7819aa6e5a18d1d3f26f76748bd14ad1b7b86bda06c1b21de14f"]
+
     def test_rejects_points_outside_cube(self):
         with pytest.raises(ValueError, match="unit cube"):
             completion_from_root(P("x1*x1 - 4"), exact_point(x1=2))
 
 
+def copied_block_witness(f, xi):
+    """Oracle: the 2k+3 witness with every block vector copied to its
+    coordinates through a shift, one unknown entry at a time."""
+    value = {p: evaluate(p, xi) for p in sigma_set(f)}
+    B = build_B(f)
+    K = Fraction(compute_K(f))
+    E, labels = instance_labels(B)
+    k = len(E)
+    point = {l: tuple(value[c] for c in h.coords)
+             for l, h in zip(B.row_labels, B.label_vectors)}
+    rows = {l: [dense_vector(p)] for l, p in point.items()}
+    cols = {l: [dense_vector(p)] for l, p in point.items()}
+    for t, (i, j) in enumerate(E):
+        base = 3 + 2 * t
+        a, b = point[i], point[j]
+        d = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+        prows, pcols = p_alpha_gram_vectors((K - d * d) / K, scale=K)
+
+        def shift(vec):
+            return {base + c: v for c, v in vec.items()}
+
+        e1, e2 = labels[t], labels[k + t]
+        rows[i].extend(shift(v) for v in prows[0])
+        rows[e1] = [shift(v) for v in prows[1]]
+        rows[e2] = [shift(v) for v in prows[2]]
+        cols[j].extend(shift(v) for v in pcols[0])
+        cols[e1] = [shift(v) for v in pcols[1]]
+        cols[e2] = [shift(v) for v in pcols[2]]
+    return 2 * k + 3, labels, rows, cols
+
+
 class TestAssembleInstanceWitness:
+    def test_vectors_match_copied_blocks(self):
+        f, xi = P("x1 - 1"), exact_point(x1=1)
+        F = assemble_instance_witness(f, xi)
+        k, labels, rows, cols = copied_block_witness(f, xi)
+        assert (F.k, F.row_labels, F.col_labels) == (k, labels, labels)
+        assert F.row_vectors.keys() == rows.keys() and F.col_vectors.keys() == cols.keys()
+        for l in labels:
+            assert F.row_vectors[l] == tuple(rows[l])
+            assert F.col_vectors[l] == tuple(cols[l])
+
     def test_small_instance_verifies_everywhere_it_matters(self):
         # f = x1 with root 0: |H| = 61.  Check every nonzero entry of M
         # exactly, then a large seeded sample for the zero structure.

@@ -227,6 +227,24 @@ class TestWitnessPipeline:
         assert run("verify", "w/bprime.mtx", "w/completion.fac", "--mode", "sampled",
                    "--seed", "2", "--samples", "2000") == 0
 
+    def test_trace_records_stage_and_cumulative_times(self, workdir, capsys):
+        (workdir / "f.poly").write_text("x1 - 1\n")
+        assert run("witness", "f.poly", "--root", "x1=1", "--outdir", "w") == 0
+        records = [dict(kv.split("=", 1) for kv in line.split()[1:])
+                   for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("trace ")]
+        assert [r["stage"] for r in records] == [
+            "completion-matrix", "completion-witness", "instance-witness"]
+        total = 0.0
+        for r in records:
+            ms, cum_ms, wall_ms = float(r["ms"]), float(r["cum_ms"]), int(r["wall_ms"])
+            assert ms >= 0
+            total += ms
+            # each field is rounded to 3 decimals on its own
+            assert abs(cum_ms - total) <= 0.0005 * len(records) + 0.0005
+            assert wall_ms <= cum_ms + 0.0005 < wall_ms + 1.001
+        assert float(records[-1]["ms"]) > 0
+
     def test_bad_root_rejected(self, workdir, capsys):
         (workdir / "f.poly").write_text("x1*x1 - 1\n")
         assert run("witness", "f.poly", "--root", "x1=0", "--outdir", "w") == 2

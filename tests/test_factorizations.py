@@ -9,6 +9,7 @@ import pytest
 
 from psdrank.factorizations import (
     _MR_BASES,
+    GramVectors,
     PSDFactorization,
     _is_prime,
     _strong_lucas_probable_prime,
@@ -81,9 +82,76 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             PSDFactorization(3, ("a", "b"), ("a", "b"), tables["row"], tables["col"])
 
+    @pytest.mark.parametrize("pieces,message", [
+        (((({0: ONE}, {1: ONE}), 2),), "vector coordinate 3 outside dimension 3"),
+        (((({1: ONE},), 0), (({0: ONE},), -1)), "vector coordinate -1 outside dimension 3"),
+        (((({0: ONE},), 0), (({0: ONE, 1: 0.5},), 1)), "exact factorization holds a float value"),
+    ])
+    def test_template_offender_named(self, pieces, message):
+        with pytest.raises(ValueError, match=message):
+            PSDFactorization(3, ("a",), ("a",), {"a": GramVectors(pieces)}, {})
+
+    def test_shifted_template_in_range(self):
+        tmpl = ({0: ONE, 1: ONE},)
+        F = PSDFactorization(3, ("a",), ("a",), {"a": GramVectors(((tmpl, 1),))}, {})
+        assert F.row_vectors == {"a": ({1: ONE, 2: ONE},)}
+
     def test_float_mode_accepts_floats(self):
         F = PSDFactorization(3, ("a",), ("a",), {"a": ({0: 0.5, 2: 1.5},)}, {}, "float")
         assert F.col_vectors == {"a": ()}
+
+
+class _CountingVector(dict):
+    """A template vector that counts how often it is copied."""
+
+    copies = 0
+
+    def items(self):
+        _CountingVector.copies += 1
+        return super().items()
+
+
+class TestGramVectors:
+    def test_len_builds_no_vector(self):
+        tmpl = (_CountingVector({0: ONE}), _CountingVector({1: ONE}))
+        F = PSDFactorization(9, ("a",), ("a",),
+                             {"a": GramVectors(((tmpl, 2), (tmpl, 5)))}, {})
+        before = _CountingVector.copies
+        assert len(F.row_vectors["a"]) == 4
+        assert _CountingVector.copies == before
+        assert F.row_vectors["a"][3] == {6: ONE}
+        assert _CountingVector.copies == before + 4
+
+    def test_sequence_behaviour(self):
+        base = ({0: ONE}, {1: Fraction(2)})
+        vecs = GramVectors(((base, 0), (base[:1], 3)))
+        expected = ({0: ONE}, {1: Fraction(2)}, {3: ONE})
+        assert vecs == expected and expected == vecs
+        assert list(vecs) == list(expected) and vecs[1:] == expected[1:]
+        assert vecs != expected[:2] and vecs != list(expected)
+        assert vecs[0] is base[0]  # a shift-0 piece is not copied
+
+    def test_direct_sum_shifts_pieces(self):
+        F = p_alpha_factorization(1)
+        S = direct_sum(F, F)
+        SS = direct_sum(S, F)
+        for l in F.row_labels:
+            # plain vector tuples are one piece at shift 0
+            assert S.row_vectors[l].pieces == ((F.row_vectors[l], 0), (F.row_vectors[l], 2))
+            assert SS.row_vectors[l].pieces == S.row_vectors[l].pieces + ((F.row_vectors[l], 4),)
+            assert S.col_vectors[l] == tuple(F.col_vectors[l]) + tuple(
+                {c + 2: v for c, v in vec.items()} for vec in F.col_vectors[l])
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_pieces_write_as_their_vectors(self, sparse):
+        F = p_alpha_factorization(Fraction(1, 3))
+        S = direct_sum(direct_sum(F, F), F)
+        plain = PSDFactorization(S.k, S.row_labels, S.col_labels,
+                                 {l: tuple(v) for l, v in S.row_vectors.items()},
+                                 {l: tuple(v) for l, v in S.col_vectors.items()})
+        text = write_factorization(S, sparse=sparse)
+        assert text == write_factorization(plain, sparse=sparse)
+        assert parse_factorization(text) == plain
 
 
 class TestVerify:
