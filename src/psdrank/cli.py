@@ -177,8 +177,9 @@ def cmd_verify(args, trace: _Trace) -> int:
     report = factorizations.verify_factorization(
         A, F, mode=args.mode, tol=tol, seed=args.seed, samples=args.samples)
     print(report.summary())
-    trace.stage("verify", _digest(mtext), _digest(ftext),
-                mode=args.mode, seed=args.seed)
+    counts = ("joined", "nonzero", "zero_by_support") if report.mode == "full" else ()
+    trace.stage("verify", _digest(mtext), _digest(ftext), mode=args.mode, seed=args.seed,
+                entries=report.entries_checked, **{k: getattr(report, k) for k in counts})
     return 0 if report.passed else 1
 
 

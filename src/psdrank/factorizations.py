@@ -138,41 +138,53 @@ class PSDFactorization:
                     if shift + lo < 0 or shift + hi >= k:
                         bad = shift + lo if shift + lo < 0 else shift + hi
                         raise ValueError(f"vector coordinate {bad} outside dimension {k}")
-        self._row_index: Dict[str, Dict[int, Tuple[int, ...]]] = {}
-        self._col_index: Dict[str, Dict[int, Tuple[int, ...]]] = {}
+        self._supports: Dict[str, Dict[str, Dict[int, Tuple[int, ...]]]] = {"row": {}, "col": {}}
+        self._template_supports: Dict[int, tuple] = {}  # id -> (template, support to shift)
 
-    def _support_index(self, side: str, label: str) -> Dict[int, Tuple[int, ...]]:
-        cache = self._row_index if side == "row" else self._col_index
-        hit = cache.get(label)
+    def support(self, side: str, label: str) -> Dict[int, Tuple[int, ...]]:
+        """Each coordinate -> the positions of the label's vectors using it; built once."""
+        hit = self._supports[side].get(label)
         if hit is None:
-            table = self.row_vectors if side == "row" else self.col_vectors
-            idx: Dict[int, List[int]] = {}
-            for t, vec in enumerate(table.get(label, ())):
-                for coord in vec:
-                    idx.setdefault(coord, []).append(t)
-            hit = {c: tuple(ts) for c, ts in idx.items()}
-            cache[label] = hit
+            vecs = (self.row_vectors if side == "row" else self.col_vectors).get(label, ())
+            if not isinstance(vecs, GramVectors):
+                hit = _positions(vecs)
+            else:
+                hit, pos, memo = {}, 0, self._template_supports
+                for t, shift in vecs.pieces:
+                    _, tsup = memo.get(id(t)) or memo.setdefault(id(t), (t, _positions(t)))
+                    for coord, ps in tsup.items():
+                        hit[coord + shift] = hit.get(coord + shift, ()) + tuple(p + pos for p in ps)
+                    pos += len(t)
+            self._supports[side][label] = hit
         return hit
 
     def entry(self, r: str, c: str) -> Number:
-        """Certified value sum (u.v)^2 over vector pairs with shared support."""
-        rvecs = tuple(self.row_vectors.get(r, ()))  # no copy of a plain tuple
-        cvecs = tuple(self.col_vectors.get(c, ()))
-        if not rvecs or not cvecs:
-            return Fraction(0) if self.mode == "exact" else 0.0
-        rmap = self._support_index("row", r)
-        cmap = self._support_index("col", c)
-        if len(rmap) > len(cmap):
-            pairs = {(t, tau) for coord, taus in cmap.items()
-                     for t in rmap.get(coord, ()) for tau in taus}
-        else:
-            pairs = {(t, tau) for coord, ts in rmap.items()
-                     for tau in cmap.get(coord, ()) for t in ts}
-        total: Number = Fraction(0) if self.mode == "exact" else 0.0
+        """Certified sum (u.v)^2 over vector pairs with shared support."""
+        rmap, cmap = self.support("row", r), self.support("col", c)
+        pairs = {(t, tau) for coord in rmap.keys() & cmap.keys()
+                 for t in rmap[coord] for tau in cmap[coord]}
+        num, den = 0, 1  # exact sums stay integers over a common denominator
         for t, tau in pairs:
-            d = sparse_dot(rvecs[t], cvecs[tau])
-            total += d * d
-        return total
+            u, v, dn, dd = self.row_vectors[r][t], self.col_vectors[c][tau], 0, 1
+            for coord, x in u.items():
+                y = v.get(coord)
+                if y is not None and self.mode == "float":
+                    dn += x * y
+                elif y is not None:
+                    q = x.denominator * y.denominator
+                    dn, dd = dn * q + x.numerator * y.numerator * dd, dd * q
+            num, den = num * dd * dd + dn * dn * den, den * dd * dd
+        return Fraction(num, den) if self.mode == "exact" else float(num)
+
+
+def _positions(vecs: Sequence[Vector]) -> Dict[int, Tuple[int, ...]]:
+    if len(vecs) == 1:  # most labels; one shared (0,)
+        return {coord: (0,) for coord in vecs[0]}
+    idx: Dict[int, Tuple[int, ...]] = {}
+    for t, vec in enumerate(vecs):
+        for coord in vec:
+            idx[coord] = idx.get(coord, ()) + (t,)
+    return idx
 
 
 def dense_vector(values: Sequence[Number]) -> Vector:
@@ -207,6 +219,9 @@ class VerificationReport:
     tolerance: Union[Fraction, float]
     passed: bool
     seed: Optional[int] = None
+    joined: int = 0                # entries whose row and column supports meet
+    nonzero: int = 0               # entries where A is nonzero
+    zero_by_support: int = 0       # the rest: disjoint supports where A is zero
 
     def summary(self) -> str:
         worst = f"{self.worst_entry[0]} {self.worst_entry[1]}" if self.worst_entry else "-"
@@ -215,6 +230,9 @@ class VerificationReport:
                f"tol={self.tolerance} passed={self.passed}")
         if self.seed is not None:
             out += f" seed={self.seed}"
+        if self.mode == "full":
+            out += (f" joined={self.joined} nonzero={self.nonzero}"
+                    f" zero_by_support={self.zero_by_support}")
         return out
 
 
@@ -226,12 +244,14 @@ def verify_factorization(
     seed: int = 1,
     samples: int = 100_000,
 ) -> VerificationReport:
-    """Check tr(B_i C_j) against A entrywise.
-
-    Full mode visits every entry; sampled mode draws ``samples`` coordinate
-    pairs from the splitmix64 stream of ``seed`` and is reproducible.  The
-    default tolerance is exact zero for exact witnesses and 1e-9 otherwise.
-    """
+    """Check tr(B_i C_j) against A entrywise.  An entry whose row and column
+    vectors share no coordinate is 0, so where A is 0 too the supports certify
+    it; `PSDFactorization.entry` checks the rest.  Full mode certifies every
+    entry by joining each row's support with the column supports indexed by
+    coordinate; sampled mode checks ``samples`` (row, column) index pairs of
+    the splitmix64 stream of ``seed``.  ``worst_entry`` is the first largest
+    residual in row-major label order; a NaN residual fails.  The default
+    tolerance is exact zero for exact witnesses and 1e-9 otherwise."""
     if set(A.row_labels) != set(F.row_labels) or set(A.col_labels) != set(F.col_labels):
         raise ValueError("matrix and factorization label sets differ")
     if tol is None:
@@ -245,32 +265,44 @@ def verify_factorization(
 
     worst: Optional[Tuple[str, str]] = None
     max_res: Union[Fraction, float] = Fraction(0) if F.mode == "exact" else 0.0
-    checked = 0
+    joined = nonzero = visited = 0
 
     def visit(r: str, c: str) -> None:
-        nonlocal worst, max_res, checked
-        res = F.entry(r, c) - A.entry(r, c)
-        if res < 0:
-            res = -res
-        checked += 1
-        if res > max_res:
-            max_res = res
-            worst = (r, c)
+        nonlocal worst, max_res, visited
+        visited += 1
+        value, a = F.entry(r, c), A.data.get((r, c), 0)
+        if value != a:
+            res = abs(value - a)
+            if res > max_res or (res != res and max_res == max_res):  # the first NaN stays
+                max_res, worst = res, (r, c)
 
     if mode == "full":
+        cols, index = A.col_labels, {}  # index: coordinate -> positions of the columns using it
+        for j, c in enumerate(cols):
+            for coord in F.support("col", c):
+                index.setdefault(coord, []).append(j)
+        cpos = {c: j for j, c in enumerate(cols)}
+        nonzero_cols: Dict[str, List[int]] = {}
+        for r, c in A.data:
+            nonzero_cols.setdefault(r, []).append(cpos[c])
         for r in A.row_labels:
-            for c in A.col_labels:
+            js = set().union(*(index.get(coord, ()) for coord in F.support("row", r)))
+            joined += len(js)
+            for j in sorted(js.union(nonzero_cols.get(r, ()))):
+                visit(r, cols[j])
+        nonzero, checked = len(A.data), A.nrows * A.ncols
+    else:
+        gen = splitmix64(seed)
+        for _ in range(samples):
+            r, c = A.row_labels[next(gen) % A.nrows], A.col_labels[next(gen) % A.ncols]
+            meet = not F.support("row", r).keys().isdisjoint(F.support("col", c))
+            hit = (r, c) in A.data
+            joined, nonzero = joined + meet, nonzero + hit
+            if meet or hit:
                 visit(r, c)
-        return VerificationReport("full", checked, max_res, worst, tol, max_res <= tol)
-
-    gen = splitmix64(seed)
-    nr, nc = A.nrows, A.ncols
-    for _ in range(samples):
-        i = next(gen) % nr
-        j = next(gen) % nc
-        visit(A.row_labels[i], A.col_labels[j])
-    return VerificationReport("sampled", checked, max_res, worst, tol,
-                              max_res <= tol, seed=seed)
+        checked = samples
+    return VerificationReport(mode, checked, max_res, worst, tol, max_res <= tol,
+                              None if mode == "full" else seed, joined, nonzero, checked - visited)
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +784,15 @@ def parse_factorization(text: str) -> PSDFactorization:
         raise ParseError(f"malformed factorization header: {lines[0]!r} ({e})") from None
     mode = head[5]
     sparse = len(head) == 7
+
+    def finite_float(token: str) -> float:
+        x = float(token)
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite value {token!r}")
+        return x
+
     # Few distinct values fill most of a witness: convert each token once.
-    conv = functools.cache(parse_fraction if mode == "exact" else float)
+    conv = functools.cache(parse_fraction if mode == "exact" else finite_float)
     tables: Dict[str, Dict[str, Tuple[Vector, ...]]] = {"row": {}, "col": {}}
     for ln in lines[1:]:
         parts = ln.split()

@@ -91,7 +91,8 @@ def test_criterion_05_completion_bound():
 
 
 def test_criterion_06_end_to_end_yes_instance():
-    with criterion(6, "size-(2k+3) witness for M(B, 144), sampled exact residual 0", 600.0):
+    with criterion(6, "size-(2k+3) witness for M(B, 144), exact residual 0 on every entry",
+                   600.0):
         f = P("x1*x1 - 1")
         B = build_B(f)
         K = compute_K(f)
@@ -103,6 +104,11 @@ def test_criterion_06_end_to_end_yes_instance():
         assert report.passed
         assert report.max_residual == 0
         assert report.entries_checked == 100_000
+        # full mode certifies every entry: the join, the nonzeros, the rest by support
+        full = verify_factorization(M, F, mode="full")
+        assert full.passed and full.max_residual == 0
+        assert full.nonzero == 254_881
+        assert full.joined + full.zero_by_support == full.entries_checked == 72_097 ** 2
 
 
 def test_criterion_07_root_extraction_round_trip():

@@ -106,6 +106,31 @@ class TestVerify:
         assert "error code=usage" in captured.err
         assert "passed=" not in captured.out
 
+    def test_default_mode_traces_coverage(self, workdir, capsys):
+        (workdir / "f.poly").write_text("x1 - 1\n")
+        assert run("reduce", "f.poly", "-o", "m.mtx") == 0
+        assert run("witness", "f.poly", "--root", "x1=1", "--outdir", "w") == 0
+        capsys.readouterr()
+        assert run("verify", "m.mtx", "w/instance.fac") == 0
+        captured = capsys.readouterr()
+        trace = [dict(kv.split("=", 1) for kv in line.split()[1:])
+                 for line in captured.err.splitlines() if line.startswith("trace ")]
+        assert [t["stage"] for t in trace] == ["verify"]
+        counts = {k: int(trace[0][k]) for k in ("entries", "joined", "nonzero", "zero_by_support")}
+        M = parse_matrix((workdir / "m.mtx").read_text()).instance
+        assert trace[0]["mode"] == "full" and counts["entries"] == M.nrows * M.ncols
+        assert counts["nonzero"] == len(M.data)
+        assert counts["joined"] + counts["zero_by_support"] == counts["entries"]
+        assert captured.out == (f"mode=full entries={counts['entries']} max_residual=0 worst=- "
+                                f"tol=0 passed=True joined={counts['joined']} "
+                                f"nonzero={counts['nonzero']} "
+                                f"zero_by_support={counts['zero_by_support']}\n")
+        assert run("verify", "m.mtx", "w/instance.fac", "--mode", "sampled",
+                   "--samples", "1000") == 0
+        sampled = capsys.readouterr().err.split()
+        assert "entries=1000" in sampled and not any(
+            kv.startswith(("joined=", "nonzero=", "zero_by_support=")) for kv in sampled)
+
     def test_sampled_deterministic_stdout(self, workdir, capsys):
         (workdir / "p.mtx").write_text(write_matrix(build_P(1)))
         (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(1)))
@@ -189,6 +214,18 @@ class TestMalformedFiles:
         assert run("verify", "bad.mtx", "p.fac") == 2
         err = capsys.readouterr().err
         assert "error code=parse" in err and "repeated r line 'r 3'" in err
+
+    @pytest.mark.parametrize("mode", ["full", "sampled"])
+    def test_nan_fac_value(self, workdir, capsys, mode):
+        (workdir / "i2.mtx").write_text(
+            write_matrix(InstanceMatrix.from_dense([[1, 0], [0, 1]])))
+        (workdir / "nan.fac").write_text("psdrank-factorization v1 2 2 2 float\n"
+                                         "row r0 nan 0\nrow r1 0 nan\n"
+                                         "col c0 nan 0\ncol c1 0 nan\n")
+        assert run("verify", "i2.mtx", "nan.fac", "--mode", mode) == 2
+        captured = capsys.readouterr()
+        assert "error code=parse" in captured.err and "non-finite" in captured.err
+        assert "passed=" not in captured.out
 
     def test_sampled_verify_of_empty_matrix(self, workdir, capsys):
         (workdir / "e.mtx").write_text(write_matrix(InstanceMatrix((), ("a",))))

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from psdrank.certificates import assemble_instance_witness, completion_from_root
 from psdrank.factorizations import (
     _MR_BASES,
     GramVectors,
     PSDFactorization,
+    VerificationReport,
     _is_prime,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
@@ -27,9 +29,9 @@ from psdrank.factorizations import (
     verify_factorization,
     write_factorization,
 )
-from psdrank.gadgets import build_P
-from psdrank.matrices import InstanceMatrix
-from psdrank.polynomials import ParseError
+from psdrank.gadgets import build_P, reduce
+from psdrank.matrices import InstanceMatrix, parse_matrix, write_matrix
+from psdrank.polynomials import Assignment, ParseError, parse_polynomial, xvar
 
 
 class TestPAlpha:
@@ -198,12 +200,261 @@ class TestVerify:
             PSDFactorization(2, ("a",), ("a",),
                              {"a": ({5: Fraction(1)},)}, {"a": ()}, "exact")
 
+    def test_summary_lines(self):
+        A, F = build_P(1), p_alpha_factorization(1)
+        sampled = verify_factorization(A, F, mode="sampled", seed=3, samples=5)
+        assert sampled.summary() == (
+            "mode=sampled entries=5 max_residual=0 worst=- tol=0 passed=True seed=3")
+        assert verify_factorization(A, F).summary() == (
+            "mode=full entries=9 max_residual=0 worst=- tol=0 passed=True"
+            " joined=7 nonzero=7 zero_by_support=2")
+
     def test_float_tolerance(self):
         I1 = InstanceMatrix.from_dense([[1]], ("a",), ("a",))
         F = PSDFactorization(1, ("a",), ("a",),
                              {"a": ({0: 1.0000000001},)}, {"a": ({0: 1.0},)}, "float")
         assert verify_factorization(I1, F, tol=1e-9).passed
         assert not verify_factorization(I1, F, tol=1e-12).passed
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the support join: every pair (or every sample) checked with
+# Fraction arithmetic over all vector pairs, the way verification worked
+# before it used the coordinate supports.
+# ---------------------------------------------------------------------------
+
+def oracle_entry(F, r, c):
+    """sum (u.v)^2 over every pair of the labels' vectors."""
+    total = Fraction(0) if F.mode == "exact" else 0.0
+    for u in F.row_vectors.get(r, ()):
+        for v in F.col_vectors.get(c, ()):
+            d = sum((x * v[k] for k, x in u.items() if k in v), 0)
+            total += d * d
+    return total
+
+
+def oracle_report(A, F, pairs, mode, seed=None):
+    """Visit ``pairs`` in order with `oracle_entry`; the coverage counts come
+    from the coordinate sets of the vectors themselves."""
+    tol = Fraction(0) if F.mode == "exact" else 1e-9
+    worst, max_res = None, (Fraction(0) if F.mode == "exact" else 0.0)
+    joined = nonzero = zero_by_support = 0
+    for r, c in pairs:
+        res = abs(oracle_entry(F, r, c) - A.entry(r, c))
+        if res > max_res:
+            max_res, worst = res, (r, c)
+        rows = set().union(*F.row_vectors.get(r, ()))
+        meet = not rows.isdisjoint(set().union(*F.col_vectors.get(c, ())))
+        hit = (r, c) in A.data
+        joined += meet
+        nonzero += hit
+        zero_by_support += not (meet or hit)
+    return VerificationReport(mode, len(pairs), max_res, worst, tol, max_res <= tol, seed,
+                              joined, nonzero, zero_by_support)
+
+
+def every_pair(A):
+    return [(r, c) for r in A.row_labels for c in A.col_labels]
+
+
+def sampled_pairs(A, seed, samples):
+    gen = splitmix64(seed)
+    return [(A.row_labels[next(gen) % A.nrows], A.col_labels[next(gen) % A.ncols])
+            for _ in range(samples)]
+
+
+def _sum_matrix(A1, A2):
+    data = dict(A1.data)
+    for rc, v in A2.data.items():
+        data[rc] = data.get(rc, 0) + v
+    return InstanceMatrix(A1.row_labels, A1.col_labels, data)
+
+
+def _wrong_hadamard():
+    """A Hadamard square with wrong entries: (r0, c1) is off by 5, and so
+    are (r0, c2), made nonzero where the supports are disjoint, and (r1, c0),
+    which comes first in column-major order; (r2, c2) is off by 2."""
+    Pm = [[1, 2, 0], [0, 1, 0], [0, 0, 3]]
+    Qm = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
+    A = hadamard_square_target(Pm, Qm)
+    assert A.to_dense() == [[9, 4, 0], [1, 1, 0], [0, 0, 9]]
+    A.data[("r0", "c1")] += 5
+    A.data[("r0", "c2")] = Fraction(5)
+    A.data[("r1", "c0")] += 5
+    A.data[("r2", "c2")] += 2
+    return A, hadamard_square_factorization(Pm, Qm)
+
+
+def _oracle_cases():
+    cases = {f"P({a})": (build_P(a), p_alpha_factorization(a))
+             for a in (0, Fraction(1, 2), 1, 2, 3, 4)}
+    I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    cases["identity"] = (InstanceMatrix.from_dense(I3), identity_factorization(3))
+    Pm, Qm = [[1, 1, 0], [1, -1, 0], [0, 2, 3]], [[1, -1, 0], [1, 1, 0], [0, 0, 5]]
+    cases["hadamard"] = (hadamard_square_target(Pm, Qm), hadamard_square_factorization(Pm, Qm))
+    Pf, Qf = [[0.1, 0.3], [0.0, 0.7]], [[0.2, 0.0], [1.1, 0.3]]
+    cases["hadamard-float"] = (hadamard_square_target(Pf, Qf),
+                               hadamard_square_factorization(Pf, Qf))
+    cases["direct-sum"] = (_sum_matrix(build_P(1), build_P(3)),
+                           direct_sum(p_alpha_factorization(1), p_alpha_factorization(3)))
+    f = parse_polynomial("x1 - 1")
+    comp = completion_from_root(f, Assignment.exact({xvar(1): Fraction(1)}))
+    cases["completion(x1-1)"] = (comp.matrix, comp.factorization)
+    cases["wrong-A"] = _wrong_hadamard()
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestSupportJoinOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_full_mode_matches_every_pair_loop(self, name):
+        A, F = ORACLE_CASES[name]
+        assert verify_factorization(A, F) == oracle_report(A, F, every_pair(A), "full")
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sampled_mode_matches_sample_loop(self, name, seed):
+        A, F = ORACLE_CASES[name]
+        report = verify_factorization(A, F, mode="sampled", seed=seed, samples=300)
+        assert report == oracle_report(A, F, sampled_pairs(A, seed, 300), "sampled", seed)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_entry_matches_all_vector_pairs(self, name):
+        A, F = ORACLE_CASES[name]
+        for r, c in every_pair(A):
+            value = F.entry(r, c)
+            assert value == oracle_entry(F, r, c)
+            assert type(value) is (Fraction if F.mode == "exact" else float)
+
+    def test_wrong_matrix_reports_first_worst_entry(self):
+        A, F = ORACLE_CASES["wrong-A"]
+        report = verify_factorization(A, F)
+        assert not report.passed
+        assert (report.max_residual, report.worst_entry) == (5, ("r0", "c1"))
+        assert report.nonzero == len(A.data) == 6
+        assert report.joined + report.zero_by_support + 1 == report.entries_checked == 9
+
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_sampled_instance_witness(self, seed):
+        f = parse_polynomial("x1")
+        A = reduce(f).M
+        F = assemble_instance_witness(f, Assignment.exact({xvar(1): Fraction(0)}))
+        report = verify_factorization(A, F, mode="sampled", seed=seed, samples=20_000)
+        assert report == oracle_report(A, F, sampled_pairs(A, seed, 20_000), "sampled", seed)
+        assert report.passed and report.joined > 0 and report.nonzero > 0
+
+
+@pytest.fixture(scope="module")
+def x1_minus_1_files():
+    """M(B, K) and the instance witness of x1 - 1 at the root 1, as written."""
+    f = parse_polynomial("x1 - 1")
+    out = reduce(f)
+    F = assemble_instance_witness(f, Assignment.exact({xvar(1): Fraction(1)}))
+    return write_matrix(out.M, target_rank=out.r), write_factorization(F)
+
+
+def _full(mtext, ftext):
+    return verify_factorization(parse_matrix(mtext).instance, parse_factorization(ftext))
+
+
+class TestFullModeCorruption:
+    """Full mode certifies every entry, so one wrong number anywhere fails it."""
+
+    def test_written_files_pass(self, x1_minus_1_files):
+        report = _full(*x1_minus_1_files)
+        n = parse_matrix(x1_minus_1_files[0]).instance.nrows
+        assert report.passed and report.entries_checked == n * n
+        assert report.joined + report.zero_by_support == n * n
+
+    def test_changed_fac_value(self, x1_minus_1_files):
+        mtext, ftext = x1_minus_1_files
+        lines = ftext.splitlines()
+        i = len(lines) // 2
+        side, label, *rest = lines[i].split()
+        lines[i] = " ".join([side, label, *rest[:-1], "5/3"])
+        report = _full(mtext, "\n".join(lines) + "\n")
+        assert not report.passed
+        assert report.worst_entry[0 if side == "row" else 1] == label
+
+    def test_changed_mtx_value(self, x1_minus_1_files):
+        mtext, ftext = x1_minus_1_files
+        lines = mtext.splitlines()
+        data = [i for i, ln in enumerate(lines) if ln.split()[0] not in ("row", "col", "r")
+                and not ln.startswith("psdrank-")]
+        i = data[len(data) // 2]
+        r, c, value = lines[i].split()
+        lines[i] = f"{r} {c} {Fraction(value) + 1}"
+        report = _full("\n".join(lines) + "\n", ftext)
+        assert not report.passed and report.worst_entry == (r, c)
+        assert report.max_residual == 1
+
+    def test_zero_entry_made_nonzero_outside_join(self, x1_minus_1_files):
+        mtext, ftext = x1_minus_1_files
+        A, F = parse_matrix(mtext).instance, parse_factorization(ftext)
+        r = A.row_labels[len(A.row_labels) // 2]
+        c = next(c for c in A.col_labels if (r, c) not in A.data
+                 and F.support("row", r).keys().isdisjoint(F.support("col", c)))
+        base = verify_factorization(A, F)
+        report = _full(mtext + f"{r} {c} 1/7\n", ftext)
+        assert not report.passed
+        assert (report.worst_entry, report.max_residual) == ((r, c), Fraction(1, 7))
+        assert (report.joined, report.nonzero) == (base.joined, base.nonzero + 1)
+        assert report.zero_by_support == base.zero_by_support - 1
+
+    def test_extra_coordinate_creates_overlap(self, x1_minus_1_files):
+        mtext, ftext = x1_minus_1_files
+        A, F = parse_matrix(mtext).instance, parse_factorization(ftext)
+        lines = ftext.splitlines()
+        # a row holding one vector with one coordinate: "row <label> 1 1 <coord> <value>"
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("row ")
+                 and ln.split()[2:4] == ["1", "1"])
+        _, r, _, _, coord, value = lines[i].split()
+        c = next(c for c in A.col_labels if F.support("col", c)
+                 and F.support("row", r).keys().isdisjoint(F.support("col", c)))
+        extra = min(F.support("col", c))
+        lines[i] = f"row {r} 1 2 {coord} {value} {extra} 1/1"
+        base = verify_factorization(A, F)
+        report = _full(mtext, "\n".join(lines) + "\n")
+        assert not report.passed and report.worst_entry[0] == r
+        assert report.joined > base.joined
+
+
+NAN_FAC = """psdrank-factorization v1 2 2 2 float
+row r0 nan 0
+row r1 0 nan
+col c0 nan 0
+col c1 0 nan
+"""
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "infinity", "1e400"])
+    def test_parse_rejects_non_finite_tokens(self, token):
+        with pytest.raises(ParseError, match="non-finite value"):
+            parse_factorization(NAN_FAC.replace("nan", token))
+
+    def test_exact_mode_rejects_nan_tokens(self):
+        with pytest.raises(ParseError):
+            parse_factorization(NAN_FAC.replace("float", "exact"))
+
+    @pytest.mark.parametrize("mode", ["full", "sampled"])
+    @pytest.mark.parametrize("rows, cols", [
+        # NaN values, as in NAN_FAC
+        ({"r0": ({0: math.nan},), "r1": ({1: math.nan},)},
+         {"c0": ({0: math.nan},), "c1": ({1: math.nan},)}),
+        # finite values whose products overflow: inf + (-inf) is NaN
+        ({"r0": ({0: 1e200, 1: 1e200},), "r1": ({0: 1e200, 1: 1e200},)},
+         {"c0": ({0: 1e200, 1: -1e200},), "c1": ({0: 1e200, 1: -1e200},)}),
+    ])
+    def test_nan_residual_fails(self, mode, rows, cols):
+        F = PSDFactorization(2, ("r0", "r1"), ("c0", "c1"), rows, cols, "float")
+        I2 = InstanceMatrix.from_dense([[1, 0], [0, 1]])
+        report = verify_factorization(I2, F, mode=mode, samples=50)
+        assert not report.passed and math.isnan(report.max_residual)
+        if mode == "full":
+            assert report.worst_entry == ("r0", "c0")  # the first NaN stays
 
 
 class TestSplitmix:
