@@ -335,11 +335,10 @@ class SqrtWitness:
     transpose_columns: Mapping[str, Tuple[str, str, str, str]]
 
 
-def _column_witness(S: IncompleteMatrix, k: str,
-                    ones: Mapping[str, set], zeros: Mapping[str, set]) -> Optional[Tuple[str, str, str, str]]:
-    rows0 = [i for i in S.row_labels
-             if isinstance(S.entry(i, k), Fraction) and S.entry(i, k) == 0]
-    col_pos = {c: t for t, c in enumerate(S.col_labels)}
+def _column_witness(rows0: Sequence[str], ones: Mapping[str, set], zeros: Mapping[str, set],
+                    col_pos: Mapping[str, int]) -> Optional[Tuple[str, str, str, str]]:
+    """First (i1, i2, j1, j2) in label order over the rows ``rows0`` that
+    hold a known 0 in the column."""
     for i1 in rows0:
         if not ones[i1]:
             continue
@@ -380,17 +379,22 @@ def sqrt_condition_check(S: IncompleteMatrix) -> Tuple[bool, Optional[SqrtWitnes
     file give the same witness: the first one per column.
     """
     def one_side(T: IncompleteMatrix) -> Optional[Dict[str, Tuple[str, str, str, str]]]:
-        # row -> columns holding a known 1 / a known 0
+        # row -> columns holding a known 1 / a known 0; a zero is never
+        # stored, so a row's known zeros are the columns it stores nothing in
         ones: Dict[str, set] = {i: set() for i in T.row_labels}
+        zeros: Dict[str, set] = {i: set(T.col_labels) for i in T.row_labels}
         for (r, c), v in T.data.items():
+            zeros[r].discard(c)
             if isinstance(v, Fraction) and v == 1:
                 ones[r].add(c)
-        zeros = {i: {c for c in T.col_labels
-                     if isinstance(T.entry(i, c), Fraction) and T.entry(i, c) == 0}
-                 for i in T.row_labels}
+        zero_rows: Dict[str, List[str]] = {k: [] for k in T.col_labels}
+        for i in T.row_labels:
+            for k in zeros[i]:
+                zero_rows[k].append(i)
+        col_pos = {c: t for t, c in enumerate(T.col_labels)}
         out: Dict[str, Tuple[str, str, str, str]] = {}
         for k in T.col_labels:
-            got = _column_witness(T, k, ones, zeros)
+            got = _column_witness(zero_rows[k], ones, zeros, col_pos)
             if got is None:
                 return None
             out[k] = got

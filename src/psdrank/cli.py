@@ -72,7 +72,10 @@ def _parse_root(text: str) -> Assignment:
         name, _, raw = part.partition("=")
         if not raw:
             raise ValueError(f"root binding {part!r} is not of the form var=value")
-        values[var(name.strip())] = parse_fraction(raw)
+        v = var(name.strip())
+        if v in values:
+            raise ValueError(f"root binds {v.name} more than once")
+        values[v] = parse_fraction(raw)
     if not values:
         raise ValueError("empty root assignment")
     return Assignment.exact(values)

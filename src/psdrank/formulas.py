@@ -11,10 +11,11 @@ point into an explicit zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .polynomials import (
     Assignment,
@@ -277,51 +278,16 @@ class EquationSystem:
     definitions: Tuple[Tuple[VarId, Expr], ...] = ()
 
 
-@dataclass(frozen=True)
-class _NodeRecord:
-    node: Formula
-    kind: str           # "atom" | "not" | "and" | "or"
-    triple: Tuple[VarId, VarId, VarId]
-    child_values: Tuple[VarId, ...]
-
-
-class _TripleAllocator:
-    """Dense gadget-variable allocation: triples for formula nodes, then
-    single slots for flattening, continuing the same index sequence."""
-
-    def __init__(self, start_slot: int = 0):
-        self.next_slot = start_slot
-
-    def fresh_triple(self) -> Tuple[VarId, VarId, VarId]:
-        if self.next_slot % 3:
-            self.next_slot += 3 - self.next_slot % 3
-        base = self.next_slot
-        self.next_slot += 3
-        return (VarId(VarKind.GADGET, base), VarId(VarKind.GADGET, base + 1),
-                VarId(VarKind.GADGET, base + 2))
-
-    def fresh_slot(self) -> VarId:
-        v = VarId(VarKind.GADGET, self.next_slot)
-        self.next_slot += 1
-        return v
-
-
 def _gadget_start(f: Formula) -> int:
     """First free gadget slot: past any gadget variables already in the atoms."""
-    worst = -1
-    def scan(node: Formula) -> None:
-        nonlocal worst
+    def worst(node: Formula) -> int:
         if isinstance(node, Atom):
-            for v in node.lhs.variables():
-                if v.kind == VarKind.GADGET:
-                    worst = max(worst, v.index)
-        elif isinstance(node, Not):
-            scan(node.child)
-        else:
-            scan(node.left)
-            scan(node.right)
-    scan(f)
-    return 3 * ((worst // 3) + 1) if worst >= 0 else 0
+            return max((v.index for v in node.lhs.variables() if v.kind == VarKind.GADGET),
+                       default=-1)
+        if isinstance(node, Not):
+            return worst(node.child)
+        return max(worst(node.left), worst(node.right))
+    return 3 * (worst(f) // 3 + 1)
 
 
 def _atom_gadget_expr(g: Polynomial, u: VarId, v: VarId, w: VarId) -> Expr:
@@ -337,53 +303,68 @@ def _atom_gadget_expr(g: Polynomial, u: VarId, v: VarId, w: VarId) -> Expr:
     return OpE("*", left, right)
 
 
-def _build_records(f: Formula) -> Tuple[List[_NodeRecord], VarId]:
-    """Preorder triple allocation, postorder record emission."""
-    alloc = _TripleAllocator(_gadget_start(f))
-    records: List[_NodeRecord] = []
+def _sqrt_binding(x: Number) -> Tuple[Number, bool]:
+    """Square root binding: exact when rational, else a high-precision
+    rational approximation (so the lifted point still nearly zeroes the
+    squared gadget terms); flags exactness."""
+    if isinstance(x, float):
+        return math.sqrt(x), False
+    r = rational_sqrt(Fraction(x))
+    if r is not None:
+        return r, True
+    return approx_sqrt(Fraction(x)), False
 
-    def walk(node: Formula) -> VarId:
-        triple = alloc.fresh_triple()
-        w = triple[2]
+
+def _walk(f: Formula, point: Optional[Assignment] = None
+          ) -> Tuple[EquationSystem, Dict[VarId, Number], bool]:
+    """Emit the equations of an atom-normalized formula and, given a
+    satisfying point, lift it onto every node's (u, v, w) triple.
+
+    Triples are allocated in preorder and equations appended in postorder.
+    Returns the system, the point's values extended by the triples, and
+    whether every binding is exact.
+    """
+    slot = _gadget_start(f)
+    equations: List[Expr] = []
+    values: Dict[VarId, Number] = dict(point.values) if point is not None else {}
+    exact = point is not None and point.mode == "exact"
+
+    def visit(node: Formula) -> VarId:
+        nonlocal slot, exact
+        u, v, w = (VarId(VarKind.GADGET, slot + i) for i in range(3))
+        slot += 3
         if isinstance(node, Atom):
             if node.rel != ">":
                 raise ValueError(
                     "equation system requires atom-normalized input; "
                     f"found relation {node.rel!r} (run normalize_atoms first)")
-            records.append(_NodeRecord(node, "atom", triple, ()))
+            equations.append(_atom_gadget_expr(node.lhs, u, v, w))
+            if point is not None:
+                g = evaluate(node.lhs, point)
+                root, root_exact = _sqrt_binding(g if g > 0 else -g)
+                values[u], values[v], values[w] = (
+                    (1 / root, Fraction(0), Fraction(1)) if g > 0
+                    else (Fraction(0), root, Fraction(0)))
+                exact = exact and root_exact
             return w
         if isinstance(node, Not):
-            cw = walk(node.child)
-            records.append(_NodeRecord(node, "not", triple, (cw,)))
-            return w
-        lw = walk(node.left)
-        rw = walk(node.right)
-        kind = "and" if isinstance(node, And) else "or"
-        records.append(_NodeRecord(node, kind, triple, (lw, rw)))
+            encoder: Expr = OpE("-", ConstE(1), VarE(visit(node.child)))
+        else:
+            lw, rw = VarE(visit(node.left)), VarE(visit(node.right))
+            encoder = OpE("*", lw, rw)
+            if isinstance(node, Or):
+                encoder = OpE("-", OpE("+", lw, rw), encoder)
+        equations.append(OpE("-", VarE(w), encoder))
+        if point is not None:
+            values[u], values[v], values[w] = (
+                Fraction(0), Fraction(0), expr_value(encoder, values))
         return w
 
-    root_value = walk(f)
-    return records, root_value
-
-
-def _records_to_system(records: List[_NodeRecord], root_value: VarId) -> EquationSystem:
-    equations: List[Expr] = []
-    for rec in records:
-        u, v, w = rec.triple
-        if rec.kind == "atom":
-            equations.append(_atom_gadget_expr(rec.node.lhs, u, v, w))
-        elif rec.kind == "not":
-            (cw,) = rec.child_values
-            equations.append(OpE("-", VarE(w), OpE("-", ConstE(1), VarE(cw))))
-        elif rec.kind == "and":
-            lw, rw = rec.child_values
-            equations.append(OpE("-", VarE(w), OpE("*", VarE(lw), VarE(rw))))
-        else:
-            lw, rw = rec.child_values
-            prod = OpE("*", VarE(lw), VarE(rw))
-            equations.append(OpE("-", VarE(w), OpE("-", OpE("+", VarE(lw), VarE(rw)), prod)))
+    root_value = visit(f)
+    if point is not None and values[root_value] != 1:
+        raise ValueError("assignment does not satisfy the formula")
     equations.append(OpE("-", VarE(root_value), ConstE(1)))
-    return EquationSystem(tuple(equations))
+    return EquationSystem(tuple(equations)), values, exact
 
 
 def to_equation_system(f: Formula) -> EquationSystem:
@@ -393,7 +374,7 @@ def to_equation_system(f: Formula) -> EquationSystem:
     fresh u, v, w triple; per connective a fresh value variable defined by
     its encoder (1-w, w_a*w_b, w_a+w_b-w_a*w_b); finally value - 1 = 0.
     """
-    return _records_to_system(*_build_records(f))
+    return _walk(f)[0]
 
 
 def flatten(system: EquationSystem) -> EquationSystem:
@@ -405,7 +386,7 @@ def flatten(system: EquationSystem) -> EquationSystem:
     Structurally equal subexpressions share one definition, which keeps the
     output linear in the input even across repeated squarings.
     """
-    alloc = _TripleAllocator(_max_gadget_slot(system) + 1)
+    slots = itertools.count(_max_gadget_slot(system) + 1)
     memo: Dict[Expr, VarId] = {}
     out: List[Expr] = []
     defs: List[Tuple[VarId, Expr]] = list(system.definitions)
@@ -416,7 +397,7 @@ def flatten(system: EquationSystem) -> EquationSystem:
         reduced = OpE(e.op, name(e.left), name(e.right))
         if reduced in memo:
             return VarE(memo[reduced])
-        t = alloc.fresh_slot()
+        t = VarId(VarKind.GADGET, next(slots))
         memo[reduced] = t
         defs.append((t, reduced))
         out.append(OpE("-", reduced, VarE(t)))
@@ -461,18 +442,6 @@ def to_single_polynomial(system: EquationSystem) -> Polynomial:
 # Witness lifting
 # ---------------------------------------------------------------------------
 
-def _sqrt_binding(x: Number) -> Tuple[Number, bool]:
-    """Square root binding: exact when rational, else a high-precision
-    rational approximation (so the lifted point still nearly zeroes the
-    squared gadget terms); flags exactness."""
-    if isinstance(x, float):
-        return math.sqrt(x), False
-    r = rational_sqrt(Fraction(x))
-    if r is not None:
-        return r, True
-    return approx_sqrt(Fraction(x)), False
-
-
 def lift_witness(f: Formula, a: Assignment) -> Assignment:
     """Extend a satisfying point of ``f`` to a zero of the single polynomial.
 
@@ -482,41 +451,7 @@ def lift_witness(f: Formula, a: Assignment) -> Assignment:
     when every radical is rational; otherwise float bindings appear and the
     mode degrades to "float".
     """
-    normalized = normalize_atoms(f)
-    if not formula_truth(normalized, a):
-        raise ValueError("assignment does not satisfy the formula")
-    records, root_value = _build_records(normalized)
-
-    values: Dict[VarId, Number] = dict(a.values)
-    all_exact = a.mode == "exact"
-
-    for rec in records:
-        u, v, w = rec.triple
-        if rec.kind == "atom":
-            g = evaluate(rec.node.lhs, a)
-            if g > 0:
-                root, exact = _sqrt_binding(g)
-                values[u] = 1 / root
-                values[v] = Fraction(0)
-                values[w] = Fraction(1)
-            else:
-                root, exact = _sqrt_binding(-g)
-                values[u] = Fraction(0)
-                values[v] = root
-                values[w] = Fraction(0)
-            all_exact = all_exact and exact
-        else:
-            cs = [int(values[cv]) for cv in rec.child_values]
-            values[u] = Fraction(0)
-            values[v] = Fraction(0)
-            if rec.kind == "not":
-                truth = 1 - cs[0]
-            elif rec.kind == "and":
-                truth = cs[0] * cs[1]
-            else:
-                truth = cs[0] + cs[1] - cs[0] * cs[1]
-            values[w] = Fraction(truth)
-
-    for t, expr in flatten(_records_to_system(records, root_value)).definitions:
+    system, values, exact = _walk(normalize_atoms(f), a)
+    for t, expr in flatten(system).definitions:
         values[t] = expr_value(expr, values)
-    return Assignment(values, "exact" if all_exact else "float")
+    return Assignment(values, "exact" if exact else "float")

@@ -295,6 +295,8 @@ def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -
         if len(head) != 4:
             raise ValueError("expected 4 tokens")
         nrows, ncols = int(head[2]), int(head[3])
+        if nrows < 0 or ncols < 0:
+            raise ValueError("negative dimension")
     except ValueError as e:
         raise ParseError(f"malformed matrix header: {lines[0]!r} ({e})") from None
     target_rank: Optional[int] = None

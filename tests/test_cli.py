@@ -227,6 +227,12 @@ class TestMalformedFiles:
         assert "error code=parse" in captured.err and "non-finite" in captured.err
         assert "passed=" not in captured.out
 
+    def test_negative_mtx_dimension(self, workdir, capsys):
+        (workdir / "bad.mtx").write_text("psdrank-matrix v1 -1 -2\n")
+        assert run("sqrt-check", "bad.mtx") == 2
+        err = capsys.readouterr().err
+        assert "error code=parse" in err and "malformed matrix header" in err
+
     def test_sampled_verify_of_empty_matrix(self, workdir, capsys):
         (workdir / "e.mtx").write_text(write_matrix(InstanceMatrix((), ("a",))))
         (workdir / "e.fac").write_text("psdrank-factorization v1 1 0 1 exact\ncol a\n")
@@ -286,6 +292,13 @@ class TestWitnessPipeline:
         (workdir / "f.poly").write_text("x1*x1 - 1\n")
         assert run("witness", "f.poly", "--root", "x1=0", "--outdir", "w") == 2
         assert "error code=usage" in capsys.readouterr().err
+
+    def test_repeated_root_variable_rejected(self, workdir, capsys):
+        (workdir / "f.poly").write_text("x1*x1 - 1\n")
+        assert run("witness", "f.poly", "--root", "x1=1,x1=3", "--outdir", "w") == 2
+        err = capsys.readouterr().err
+        assert "error code=usage" in err and "x1 more than once" in err
+        assert not (workdir / "w").exists()
 
 
 class TestOtherCommands:

@@ -149,6 +149,13 @@ class TestEquationSystem:
         assert expr_to_polynomial(system.equations[1]) == P("w0 - 1 + w1")
         assert expr_to_polynomial(system.equations[2]) == P("w0 - 1")
 
+    def test_or_encoder(self):
+        system = to_equation_system(Or(Atom(P("x1"), ">"), Atom(P("x2"), ">")))
+        assert len(system.equations) == 4
+        assert expr_to_polynomial(system.equations[2]) == P("w0 - w1 - w2 + w1*w2")
+        assert format_expr(system.equations[2]) == "(w0-((w1+w2)-(w1*w2)))"
+        assert expr_to_polynomial(system.equations[3]) == P("w0 - 1")
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalize_atoms"):
             to_equation_system(Atom(P("x1"), "="))
@@ -245,6 +252,12 @@ class TestLiftWitness:
     def test_rejects_non_witness(self):
         with pytest.raises(ValueError, match="does not satisfy"):
             lift_witness(parse_formula("x1 > 0"), Assignment.exact({xvar(1): -1}))
+
+    def test_float_point(self):
+        f = parse_formula("x1 > 0 & !(x2 >= 1) | x1*x2 = 3")
+        w = lift_witness(f, Assignment.floating({xvar(1): 2.5, xvar(2): 0.5}))
+        assert w.mode == "float"
+        assert abs(evaluate(single_polynomial_of(f), w)) <= 1e-12
 
     def test_float_mode_when_radical_irrational(self):
         f = parse_formula("x1 > 0")

@@ -163,6 +163,15 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             parse_matrix("psdrank-matrix v1 1 1\nrow 0 a\ncol 0 b\na b 1/2 extra\n")
 
+    @pytest.mark.parametrize("parse, header", [
+        (parse_matrix, "psdrank-matrix v1"),
+        (parse_polynomial_matrix, "psdrank-polymatrix v1"),
+    ])
+    @pytest.mark.parametrize("dims", ["-1 -2", "-1 0", "0 -1"])
+    def test_negative_dimension_rejected(self, parse, header, dims):
+        with pytest.raises(ParseError, match="malformed matrix header.*negative dimension"):
+            parse(f"{header} {dims}\n")
+
     def test_repeated_target_rank_rejected(self):
         text = write_matrix(InstanceMatrix(("a",), ("a",), {}), target_rank=5)
         with pytest.raises(ParseError, match="repeated r line 'r 6'"):
