@@ -63,10 +63,8 @@ from .gadgets import (
     sigma_set,
 )
 from .factorizations import (
-    GramVectors,
     PSDFactorization,
     VerificationReport,
-    direct_sum,
     four_squares,
     hadamard_square_factorization,
     hadamard_square_target,

@@ -16,9 +16,8 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .factorizations import (
-    GramVectors,
+    PieceTable,
     PSDFactorization,
-    Piece,
     Vector,
     dense_vector,
     p_alpha_gram_vectors,
@@ -114,10 +113,9 @@ def completion_from_root(f: Polynomial, xi: Assignment, tol: float = 1e-12) -> C
     if not exact:
         data = {k: Fraction(v) for k, v in data.items()}
     matrix = InstanceMatrix(labels, labels, data)
-    rows = {labels[i]: (dense_vector(points[pid[i]]),) for i in range(n)}
-    cols = {labels[i]: (dense_vector(points[pid[i]]),) for i in range(n)}
-    fact = PSDFactorization(3, labels, labels, rows, cols,
-                            "exact" if exact else "float")
+    vectors = [(dense_vector(p),) for p in points]  # one per distinct point
+    rows = {labels[i]: vectors[pid[i]] for i in range(n)}
+    fact = PSDFactorization(3, labels, labels, rows, rows, "exact" if exact else "float")
     return Completion(matrix, fact)
 
 
@@ -140,34 +138,51 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment,
     K = Fraction(compute_K(f))
     E, labels = instance_labels(B)
     k = len(E)
+    rows, cols = PieceTable(2 * k + 3), PieceTable(2 * k + 3)
 
-    # A block depends only on its completion value: one template per value,
-    # memoized per pair of point ids, placed in each label by a shift.
+    # A block depends only on its completion value: its vectors are interned
+    # once per value, as template ids and offsets in the block per table
+    # slot, memoized per pair of point ids, and placed in each label at 3+2t.
     points, pids, square = _interned_points(value, B.label_vectors)
     pid = dict(zip(B.row_labels, pids))
-    core = [(dense_vector(p),) for p in points]  # the completion's vectors
-    rows: Dict[str, Sequence[Piece]] = {l: [(core[p], 0)] for l, p in pid.items()}
-    cols: Dict[str, Sequence[Piece]] = {l: [(core[p], 0)] for l, p in pid.items()}
+
+    def placed(T: PieceTable, vectors: Sequence[Vector]) -> Tuple[Tuple[int, ...], ...]:
+        """The vectors' template ids in T and their lowest coordinates."""
+        ids = [T.template(v) for v in vectors]
+        return tuple(t for t, _ in ids), tuple(lo or 0 for _, lo in ids)
+
+    core = [(placed(rows, (v,)), placed(cols, (v,))) for v in map(dense_vector, points)]
 
     @functools.cache
     def value_block(bval: Fraction):
         if bval > K:
             raise ValueError(f"completion entry {bval} exceeds the budget K = {K}")
-        return p_alpha_gram_vectors((K - bval) / K, scale=K)
+        prows, pcols = p_alpha_gram_vectors((K - bval) / K, scale=K)
+        return (tuple(placed(rows, slot) for slot in prows),
+                tuple(placed(cols, slot) for slot in pcols))
 
     pair_block = functools.cache(lambda p, q: value_block(Fraction(square(p, q) or 0)))
-
+    blocks = [pair_block(pid[i], pid[j]) for i, j in E]
+    # per side, each label of B -> the blocks it holds a piece of
+    own: Tuple[Dict[str, List[int]], Dict[str, List[int]]] = (
+        {l: [] for l in B.row_labels}, {l: [] for l in B.row_labels})
     for t, (i, j) in enumerate(E):
-        base = 3 + 2 * t
-        prows, pcols = pair_block(pid[i], pid[j])
-        rows[i].append((prows[0], base))
-        cols[j].append((pcols[0], base))
-        e1, e2 = labels[t], labels[k + t]
-        rows[e1], rows[e2] = ((prows[1], base),), ((prows[2], base),)
-        cols[e1], cols[e2] = ((pcols[1], base),), ((pcols[2], base),)
-    return PSDFactorization(2 * k + 3, labels, labels,
-                            {l: GramVectors(p) for l, p in rows.items()},
-                            {l: GramVectors(p) for l, p in cols.items()}, xi.mode)
+        own[0][i].append(t)
+        own[1][j].append(t)
+
+    for side, T in enumerate((rows, cols)):
+        for slot in (1, 2):  # every E1 label, then every E2 label
+            for t in range(k):
+                tids, offs = blocks[t][side][slot]
+                T.add(labels[(slot - 1) * k + t], tids, [3 + 2 * t + o for o in offs])
+        for l in B.row_labels:
+            tids, shifts = map(list, core[pid[l]][side])
+            for t in own[side][l]:
+                btids, offs = blocks[t][side][0]
+                tids += btids
+                shifts += [3 + 2 * t + o for o in offs]
+            T.add(l, tids, shifts)
+    return PSDFactorization.from_tables(rows, cols, xi.mode)
 
 
 # ---------------------------------------------------------------------------

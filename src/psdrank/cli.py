@@ -112,12 +112,12 @@ def cmd_sigma(args, trace: _Trace) -> int:
     text = _read(args.poly)
     f = parse_polynomial(text)
     sig = gadgets.sigma_set(f)
-    H = gadgets.index_set_H(f)
+    h_size = gadgets.index_set_size(sig)
     for p in sig:
         print(format_polynomial(p, compact=True))
     print(f"sigma_size={len(sig)}")
-    print(f"H_size={len(H)}")
-    trace.stage("sigma", _digest(text), sigma=len(sig), H=len(H))
+    print(f"H_size={h_size}")
+    trace.stage("sigma", _digest(text), sigma=len(sig), H=h_size)
     return 0
 
 

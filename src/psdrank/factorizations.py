@@ -14,6 +14,9 @@ k summands, but it always has one with a few extra rank-one terms (weights
 are expanded through four-square decompositions), and extra summands do not
 change the certified size, which is the vector dimension k.
 
+Each side of a witness is one `PieceTable`: every Gram vector is a piece, a
+template placed at a shift, and the few distinct templates are stored once.
+
 The four-square expansion is the greedy one `four_squares` documents.  The
 bytes of every written witness depend on that choice, so any faster method
 must return the same tuples; the oracle tests compare against trial division.
@@ -21,19 +24,21 @@ must return the same tuples; the oracle tests compare against trial division.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import random
+from array import array
+from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .matrices import InstanceMatrix
 from .polynomials import Number, ParseError, parse_fraction
 
 Vector = Dict[int, Number]  # sparse coordinate -> value
-Piece = Tuple[Sequence[Vector], int]  # (template vectors, coordinate shift)
+Template = Tuple[Tuple[int, Number], ...]  # (coordinate, value) pairs, lowest coordinate 0
 
 
 def sparse_dot(u: Vector, v: Vector) -> Number:
@@ -51,140 +56,335 @@ def vector_norm_sq(u: Vector) -> Number:
     return sum(x * x for x in u.values())
 
 
-class GramVectors:
-    """One label's Gram vectors as pieces (template vectors, shift): a
-    template vector at shift s stands for its copy with each coordinate
-    raised by s.  ``len`` reads only the pieces; the shifted dicts are
-    built on first iteration or indexing.  Equal to the tuple of them."""
+def _check_vectors(vecs: Iterable[Vector], k: int, exact: bool) -> None:
+    """Raise ValueError naming a label's first offending value in item
+    order: a negative coordinate or a float in an exact witness, else its
+    largest coordinate if that reaches k."""
+    hi = -math.inf
+    for vec in vecs:
+        for coord, val in vec.items():
+            if not 0 <= coord:
+                raise ValueError(f"vector coordinate {coord} outside dimension {k}")
+            if exact and isinstance(val, float):
+                raise ValueError("exact factorization holds a float value")
+            if coord > hi:
+                hi = coord
+    if hi >= k:
+        raise ValueError(f"vector coordinate {hi} outside dimension {k}")
 
-    __slots__ = ("pieces", "_built")
 
-    def __init__(self, pieces: Sequence[Piece]) -> None:
-        self.pieces, self._built = tuple(pieces), None
+def _column(k: int):
+    """An empty integer column for coordinates below k: machine words unless
+    k itself does not fit one."""
+    return array("q") if k < 1 << 63 else []
 
-    def vectors(self) -> Tuple[Vector, ...]:
-        if self._built is None:
-            self._built = tuple(vec if not s else {c + s: v for c, v in vec.items()}
-                                for tmpl, s in self.pieces for vec in tmpl)
-        return self._built
 
-    def __len__(self) -> int:
-        return sum(len(tmpl) for tmpl, _ in self.pieces)
+class PieceTable:
+    """One side of a witness: each label's Gram vectors as pieces.
 
-    def __getitem__(self, i):
-        return self.vectors()[i]
+    A piece is a template placed at a shift and stands for the template with
+    every coordinate raised by the shift.  ``templates`` lists the distinct
+    templates, each a tuple of (coordinate, value) pairs whose lowest
+    coordinate is 0; ``tids`` and ``shifts`` are flat columns of template
+    ids and shifts, label by label, and label i owns the slice
+    ``starts[i]:starts[i + 1]`` of them.  ``los[i]`` and ``his[i]`` bound
+    the label's coordinates ((0, -1) when it has none), so two labels whose
+    spans miss each other share no coordinate.  A table is filled label by
+    label with `template` and `add` (or all at once by `build`) and then
+    only read; every shifted coordinate lies in [0, k).
+    """
 
-    def __iter__(self):
-        return iter(self.vectors())
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.labels: List[str] = []
+        self.index: Dict[str, int] = {}
+        self.templates: List[Template] = []
+        self.tops: List[int] = []  # each template's largest coordinate, -1 if empty
+        self._ids: Dict[Template, int] = {}
+        self.tids, self.shifts, self.los, self.his = (_column(k) for _ in range(4))
+        self.starts = _column(k)
+        self.starts.append(0)
+
+    @classmethod
+    def build(cls, k: int, labels: Sequence[str],
+              pieces: Mapping[str, Iterable[Tuple[Vector, int]]]) -> "PieceTable":
+        """The table of (vector, shift) pairs per label; a label missing from
+        ``pieces`` has none.  Raises ValueError for a coordinate outside
+        [0, k)."""
+        T, seen = cls(k), {}  # id(vector) -> (vector, template id, lowest coordinate)
+        for label in labels:
+            tids, shifts = [], []
+            for vec, shift in pieces.get(label, ()):
+                hit = seen.get(id(vec))
+                if hit is None:  # the vector stays referenced, so its id stays unique
+                    hit = seen[id(vec)] = (vec, *T.template(vec))
+                tids.append(hit[1])
+                shifts.append(shift if hit[2] is None else shift + hit[2])
+            T.add(label, tids, shifts)
+        return T
+
+    def template(self, vec: Mapping[int, Number]) -> Tuple[int, Optional[int]]:
+        """The id of ``vec``'s template, interned by content, and its lowest
+        coordinate (None if it has none)."""
+        lo = min(vec) if vec else None
+        tmpl = tuple((c - lo, x) for c, x in vec.items()) if vec else ()
+        tid = self._ids.get(tmpl)
+        if tid is None:
+            tid = self._ids[tmpl] = len(self.templates)
+            self.templates.append(tmpl)
+            self.tops.append(max((c for c, _ in tmpl), default=-1))
+        return tid, lo
+
+    def add(self, label: str, tids: Sequence[int], shifts: Sequence[int]) -> None:
+        """Append a label's pieces.  A label with a coordinate outside
+        [0, k) raises ValueError naming it and leaves the table unusable,
+        but it is still counted in ``labels``."""
+        self.index[label] = len(self.labels)
+        self.labels.append(label)
+        # an empty vector, at shift 0 with top -1, keeps these bounds
+        if len(shifts) == 1:
+            lo = shifts[0]
+            hi = lo + self.tops[tids[0]]
+        elif shifts:
+            lo = min(shifts)
+            hi = max(map(operator.add, shifts, map(self.tops.__getitem__, tids)))
+        else:
+            lo, hi = 0, -1
+        if lo < 0 or hi >= self.k:
+            _check_vectors(({c + s: x for c, x in self.templates[t]}
+                            for t, s in zip(tids, shifts)), self.k, False)
+        self.tids.extend(tids)
+        self.shifts.extend(shifts)
+        self.starts.append(len(self.tids))
+        self.los.append(lo)
+        self.his.append(hi)
+
+    def pieces(self, i: int) -> range:
+        return range(self.starts[i], self.starts[i + 1])
+
+    def vectors(self, i: int) -> Iterator[Vector]:
+        """Label i's Gram vectors, shifted into place."""
+        for p in self.pieces(i):
+            s = self.shifts[p]
+            yield {c + s: x for c, x in self.templates[self.tids[p]]}
 
     def __eq__(self, other) -> bool:
-        other = other.vectors() if isinstance(other, GramVectors) else other
-        return self.vectors() == other if isinstance(other, tuple) else NotImplemented
+        """Piece for piece, templates compared by content."""
+        if not isinstance(other, PieceTable):
+            return NotImplemented
+        if (self.k, self.labels) != (other.k, other.labels) or not (
+                list(self.starts) == list(other.starts)
+                and list(self.shifts) == list(other.shifts)):
+            return False
+        mine = [dict(t) for t in self.templates]
+        theirs = [dict(t) for t in other.templates]
+        return all(mine[a] == theirs[b] for a, b in zip(self.tids, other.tids))
+
+    __hash__ = None
 
 
-def _pieces(vecs: Sequence[Vector]) -> Sequence[Piece]:
-    """A label's pieces; a plain vector sequence is one piece at shift 0."""
-    return vecs.pieces if isinstance(vecs, GramVectors) else ((vecs, 0),)
+class LabelVectors(SequenceABC):
+    """One label's Gram vectors, read from its pieces: ``len`` counts them
+    without building any; indexing and iteration build the shifted dicts.
+    Equal to the tuple of them."""
+
+    __slots__ = ("_table", "_i")
+
+    def __init__(self, table: PieceTable, i: int) -> None:
+        self._table, self._i = table, i
+
+    def __len__(self) -> int:
+        return self._table.starts[self._i + 1] - self._table.starts[self._i]
+
+    def __iter__(self) -> Iterator[Vector]:
+        return self._table.vectors(self._i)
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+    def __eq__(self, other) -> bool:
+        other = tuple(other) if isinstance(other, LabelVectors) else other
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = None
 
 
-@dataclass
+class VectorTable(Mapping):
+    """Label -> `LabelVectors`, a read-only view of a `PieceTable`."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: PieceTable) -> None:
+        self._table = table
+
+    def __getitem__(self, label: str) -> LabelVectors:
+        return LabelVectors(self._table, self._table.index[label])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._table.labels)
+
+    def __len__(self) -> int:
+        return len(self._table.labels)
+
+    def values(self) -> List[LabelVectors]:
+        """Every label's vectors in label order, without label lookups."""
+        return [LabelVectors(self._table, i) for i in range(len(self._table.labels))]
+
+
+_MODES = ("exact", "float")
+
+
 class PSDFactorization:
-    """Gram vectors per row and column label (plain sequences or `GramVectors`)."""
+    """Gram vectors per row and column label, held as two `PieceTable`s.
 
-    k: int
-    row_labels: Tuple[str, ...]
-    col_labels: Tuple[str, ...]
-    row_vectors: Dict[str, Sequence[Vector]]
-    col_vectors: Dict[str, Sequence[Vector]]
-    mode: str = "exact"  # "exact" | "float"
+    The constructor takes label -> vector sequences; `parse_factorization`
+    and `assemble_instance_witness` fill the tables directly through
+    `from_tables`.  ``row_vectors`` and ``col_vectors`` are read-only
+    label -> vectors views."""
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"factorization size must be positive, got {self.k}")
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        k, exact = self.k, self.mode == "exact"  # read once, not per coordinate
+    def __init__(self, k: int, row_labels: Sequence[str], col_labels: Sequence[str],
+                 row_vectors: Mapping[str, Sequence[Vector]],
+                 col_vectors: Mapping[str, Sequence[Vector]], mode: str = "exact") -> None:
+        _check_size_and_mode(k, mode)
+        for labels, table, side in ((row_labels, row_vectors, "row"),
+                                    (col_labels, col_vectors, "col")):
+            known = set(labels)
+            for label, vecs in table.items():
+                if label not in known:
+                    raise ValueError(f"{side} vectors for unknown label {label!r}")
+                _check_vectors(vecs, k, mode == "exact")
+        rows, cols = (PieceTable.build(k, labels, {l: [(v, 0) for v in vecs]
+                                                   for l, vecs in table.items()})
+                      for labels, table in ((row_labels, row_vectors), (col_labels, col_vectors)))
+        self._init(rows, cols, mode)
 
-        def top(tmpl: Sequence[Vector]) -> float:
-            """Check a template's values; its largest coordinate, or -inf."""
-            hi = -math.inf
-            for vec in tmpl:
-                for coord, val in vec.items():
-                    if not 0 <= coord:
-                        raise ValueError(f"vector coordinate {coord} outside dimension {k}")
-                    if exact and isinstance(val, float):
-                        raise ValueError("exact factorization holds a float value")
-                    if coord > hi:
-                        hi = coord
-            return hi
+    @classmethod
+    def from_tables(cls, rows: PieceTable, cols: PieceTable, mode: str) -> "PSDFactorization":
+        """A witness of size ``rows.k`` over two tables built for it; an
+        exact witness holding a float value raises ValueError naming it."""
+        _check_size_and_mode(rows.k, mode)
+        for T in (rows, cols):
+            if mode == "exact" and any(isinstance(x, float) for t in T.templates for _, x in t):
+                for i in range(len(T.labels)):
+                    _check_vectors(T.vectors(i), T.k, True)
+        self = cls.__new__(cls)
+        self._init(rows, cols, mode)
+        return self
 
-        tops: Dict[int, float] = {}  # id(template) -> top(template), checked once
+    def _init(self, rows: PieceTable, cols: PieceTable, mode: str) -> None:
+        self.k, self.mode, self.rows, self.cols = rows.k, mode, rows, cols
+        self.row_labels, self.col_labels = tuple(rows.labels), tuple(cols.labels)
+        self.row_vectors, self.col_vectors = VectorTable(rows), VectorTable(cols)
+        self._col_maps: Dict[int, Dict[int, List[int]]] = {}
+        self._kernel: Dict[Tuple[int, int, int], Tuple[int, Number]] = {}
+        self._scaled: Optional[tuple] = None
 
-        for labels, table, side in ((self.row_labels, self.row_vectors, "row"),
-                                    (self.col_labels, self.col_vectors, "col")):
-            label_set = set(labels)
-            for l in labels:
-                table.setdefault(l, ())
-            for l, vecs in table.items():
-                if l not in label_set:
-                    raise ValueError(f"{side} vectors for unknown label {l!r}")
-                if not isinstance(vecs, GramVectors):  # one piece at shift 0
-                    if top(vecs) >= k:
-                        raise ValueError(f"vector coordinate {top(vecs)} outside dimension {k}")
-                    continue
-                for t, shift in vecs.pieces:
-                    hi = tops[id(t)] if id(t) in tops else tops.setdefault(id(t), top(t))
-                    lo = min((c for v in t for c in v), default=math.inf) if shift < 0 else 0
-                    if shift + lo < 0 or shift + hi >= k:
-                        bad = shift + lo if shift + lo < 0 else shift + hi
-                        raise ValueError(f"vector coordinate {bad} outside dimension {k}")
-        self._supports: Dict[str, Dict[str, Dict[int, Tuple[int, ...]]]] = {"row": {}, "col": {}}
-        self._template_supports: Dict[int, tuple] = {}  # id -> (template, support to shift)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PSDFactorization):
+            return NotImplemented
+        return ((self.k, self.mode, self.rows, self.cols)
+                == (other.k, other.mode, other.rows, other.cols))
 
-    def support(self, side: str, label: str) -> Dict[int, Tuple[int, ...]]:
-        """Each coordinate -> the positions of the label's vectors using it; built once."""
-        hit = self._supports[side].get(label)
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"PSDFactorization(k={self.k}, rows={len(self.rows.labels)}, "
+                f"cols={len(self.cols.labels)}, mode={self.mode!r})")
+
+    # -- verification kernel ------------------------------------------------
+
+    def _denominator(self) -> Number:
+        """(Dr * Dc)^2: exact templates are held as integers over a common
+        denominator per side, Dr for rows and Dc for columns; 1 for float."""
+        if self._scaled is None:
+            scaled, dens = [], []
+            for T in (self.rows, self.cols):
+                if self.mode == "exact":
+                    D = math.lcm(*(x.denominator for t in T.templates for _, x in t))
+                    T_int = [tuple((c, x.numerator * (D // x.denominator)) for c, x in t)
+                             for t in T.templates]
+                else:
+                    D, T_int = 1, T.templates
+                scaled.append(T_int)
+                dens.append(D)
+            self._scaled = (scaled[0], [dict(t) for t in scaled[1]], (dens[0] * dens[1]) ** 2)
+        return self._scaled[2]
+
+    def _pair(self, a: int, b: int, d: int) -> Tuple[int, Number]:
+        """Row template a against column template b placed d coordinates
+        lower, for two pieces that share a coordinate: the first coordinate
+        of a (in item order) that b uses and (a.b)^2 in scaled units.  It
+        depends only on (a, b, d), so it is memoized."""
+        key = (a, b, d)
+        hit = self._kernel.get(key)
         if hit is None:
-            vecs = (self.row_vectors if side == "row" else self.col_vectors).get(label, ())
-            if not isinstance(vecs, GramVectors):
-                hit = _positions(vecs)
-            else:
-                hit, pos, memo = {}, 0, self._template_supports
-                for t, shift in vecs.pieces:
-                    _, tsup = memo.get(id(t)) or memo.setdefault(id(t), (t, _positions(t)))
-                    for coord, ps in tsup.items():
-                        hit[coord + shift] = hit.get(coord + shift, ()) + tuple(p + pos for p in ps)
-                    pos += len(t)
-            self._supports[side][label] = hit
+            self._denominator()
+            ct, first, dot = self._scaled[1][b], None, 0
+            for c, x in self._scaled[0][a]:
+                y = ct.get(c + d)
+                if y is not None:
+                    if first is None:
+                        first = c
+                    dot += x * y
+            hit = self._kernel[key] = (first, dot * dot)
         return hit
+
+    def _row_pairs(self, i: int, index: Mapping[int, List[int]]) -> Iterator[Tuple[int, Number]]:
+        """(column piece, kernel value) for each pair of a piece of row i and
+        a column piece that ``index`` lists at a coordinate of it.  A pair
+        that shares several coordinates counts once, at the first shared
+        coordinate of its row piece."""
+        R, C, kernel = self.rows, self.cols, self._kernel
+        for p in R.pieces(i):
+            a, s = R.tids[p], R.shifts[p]
+            for x, _ in R.templates[a]:
+                for q in index.get(x + s, ()):
+                    key = (a, C.tids[q], s - C.shifts[q])
+                    first, value = kernel.get(key) or self._pair(*key)
+                    if first == x:
+                        yield q, value
+
+    def _sum(self, i: int, j: int) -> Optional[Number]:
+        """Row i against column j in scaled units, or None when their vectors
+        share no coordinate.  Labels whose spans miss each other are
+        rejected first; column j's coordinate index is built once."""
+        R, C = self.rows, self.cols
+        if R.los[i] > C.his[j] or C.los[j] > R.his[i]:
+            return None
+        index = self._col_maps.get(j)
+        if index is None:
+            index = self._col_maps[j] = _coordinate_index(C, C.pieces(j))
+        total = None
+        for _, value in self._row_pairs(i, index):
+            total = value if total is None else total + value
+        return total
 
     def entry(self, r: str, c: str) -> Number:
         """Certified sum (u.v)^2 over vector pairs with shared support."""
-        rmap, cmap = self.support("row", r), self.support("col", c)
-        pairs = {(t, tau) for coord in rmap.keys() & cmap.keys()
-                 for t in rmap[coord] for tau in cmap[coord]}
-        num, den = 0, 1  # exact sums stay integers over a common denominator
-        for t, tau in pairs:
-            u, v, dn, dd = self.row_vectors[r][t], self.col_vectors[c][tau], 0, 1
-            for coord, x in u.items():
-                y = v.get(coord)
-                if y is not None and self.mode == "float":
-                    dn += x * y
-                elif y is not None:
-                    q = x.denominator * y.denominator
-                    dn, dd = dn * q + x.numerator * y.numerator * dd, dd * q
-            num, den = num * dd * dd + dn * dn * den, den * dd * dd
-        return Fraction(num, den) if self.mode == "exact" else float(num)
+        total = self._sum(self.rows.index[r], self.cols.index[c])
+        total = 0 if total is None else total
+        return Fraction(total, self._denominator()) if self.mode == "exact" else float(total)
 
 
-def _positions(vecs: Sequence[Vector]) -> Dict[int, Tuple[int, ...]]:
-    if len(vecs) == 1:  # most labels; one shared (0,)
-        return {coord: (0,) for coord in vecs[0]}
-    idx: Dict[int, Tuple[int, ...]] = {}
-    for t, vec in enumerate(vecs):
-        for coord in vec:
-            idx[coord] = idx.get(coord, ()) + (t,)
-    return idx
+def _coordinate_index(T: PieceTable, pieces: Iterable[int]) -> Dict[int, List[int]]:
+    """Coordinate -> the pieces among ``pieces`` that use it, in order."""
+    index: Dict[int, List[int]] = {}
+    for q in pieces:
+        s = T.shifts[q]
+        for y, _ in T.templates[T.tids[q]]:
+            at = index.get(y + s)
+            if at is None:
+                index[y + s] = [q]
+            else:
+                at.append(q)
+    return index
+
+
+def _check_size_and_mode(k: int, mode: str) -> None:
+    if k < 1:
+        raise ValueError(f"factorization size must be positive, got {k}")
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def dense_vector(values: Sequence[Number]) -> Vector:
@@ -246,16 +446,18 @@ def verify_factorization(
 ) -> VerificationReport:
     """Check tr(B_i C_j) against A entrywise.  An entry whose row and column
     vectors share no coordinate is 0, so where A is 0 too the supports certify
-    it; `PSDFactorization.entry` checks the rest.  Full mode certifies every
-    entry by joining each row's support with the column supports indexed by
-    coordinate; sampled mode checks ``samples`` (row, column) index pairs of
-    the splitmix64 stream of ``seed``.  ``worst_entry`` is the first largest
-    residual in row-major label order; a NaN residual fails.  The default
-    tolerance is exact zero for exact witnesses and 1e-9 otherwise."""
+    it; the memoized piece kernel of `PSDFactorization` computes the rest.
+    Full mode certifies every entry by joining each row's pieces with the
+    column pieces indexed by coordinate; sampled mode checks ``samples``
+    (row, column) index pairs of the splitmix64 stream of ``seed``, testing
+    label spans before pieces.  ``worst_entry`` is the first
+    largest residual in row-major label order; a NaN residual fails.  The
+    default tolerance is exact zero for exact witnesses and 1e-9 otherwise."""
     if set(A.row_labels) != set(F.row_labels) or set(A.col_labels) != set(F.col_labels):
         raise ValueError("matrix and factorization label sets differ")
+    exact = F.mode == "exact"
     if tol is None:
-        tol = Fraction(0) if F.mode == "exact" else 1e-9
+        tol = Fraction(0) if exact else 1e-9
     if mode not in ("full", "sampled"):
         raise ValueError(f"unknown verification mode {mode!r}")
     if mode == "sampled" and samples < 1:
@@ -264,42 +466,62 @@ def verify_factorization(
         raise ValueError(f"cannot sample entries of a {A.nrows}x{A.ncols} matrix")
 
     worst: Optional[Tuple[str, str]] = None
-    max_res: Union[Fraction, float] = Fraction(0) if F.mode == "exact" else 0.0
+    max_res: Union[Fraction, float] = Fraction(0) if exact else 0.0
     joined = nonzero = visited = 0
+    DD, data = F._denominator(), A.data
 
-    def visit(r: str, c: str) -> None:
+    def visit(r: str, c: str, total: Number) -> None:
+        """Compare the scaled sum ``total`` of entry (r, c) with A."""
         nonlocal worst, max_res, visited
         visited += 1
-        value, a = F.entry(r, c), A.data.get((r, c), 0)
-        if value != a:
+        a = data.get((r, c), 0)
+        if exact:
+            if total * a.denominator == a.numerator * DD:
+                return
+            res = abs(Fraction(total, DD) - a)
+        else:
+            value = float(total)
+            if value == a:
+                return
             res = abs(value - a)
-            if res > max_res or (res != res and max_res == max_res):  # the first NaN stays
-                max_res, worst = res, (r, c)
+        if res > max_res or (res != res and max_res == max_res):  # the first NaN stays
+            max_res, worst = res, (r, c)
 
+    R, C = F.rows, F.cols
     if mode == "full":
-        cols, index = A.col_labels, {}  # index: coordinate -> positions of the columns using it
+        cols = A.col_labels
+        owner = [0] * len(C.tids)  # column piece -> its column's position in A
         for j, c in enumerate(cols):
-            for coord in F.support("col", c):
-                index.setdefault(coord, []).append(j)
+            lo, hi = C.starts[C.index[c]], C.starts[C.index[c] + 1]
+            owner[lo:hi] = [j] * (hi - lo)
+        index = _coordinate_index(C, range(len(C.tids)))
         cpos = {c: j for j, c in enumerate(cols)}
         nonzero_cols: Dict[str, List[int]] = {}
-        for r, c in A.data:
+        for r, c in data:
             nonzero_cols.setdefault(r, []).append(cpos[c])
         for r in A.row_labels:
-            js = set().union(*(index.get(coord, ()) for coord in F.support("row", r)))
-            joined += len(js)
-            for j in sorted(js.union(nonzero_cols.get(r, ()))):
-                visit(r, cols[j])
-        nonzero, checked = len(A.data), A.nrows * A.ncols
+            sums: Dict[int, Number] = {}  # column position -> scaled entry
+            for q, value in F._row_pairs(R.index[r], index):
+                sums[owner[q]] = sums.get(owner[q], 0) + value
+            joined += len(sums)
+            for j in sorted(sums.keys() | set(nonzero_cols.get(r, ()))):
+                visit(r, cols[j], sums.get(j, 0))
+        nonzero, checked = len(data), A.nrows * A.ncols
     else:
+        rows, cols, nrows, ncols = A.row_labels, A.col_labels, A.nrows, A.ncols
+        rpos = [R.index[r] for r in rows]
+        cpos = [C.index[c] for c in cols]
+        rlo, rhi, clo, chi = R.los, R.his, C.los, C.his
         gen = splitmix64(seed)
         for _ in range(samples):
-            r, c = A.row_labels[next(gen) % A.nrows], A.col_labels[next(gen) % A.ncols]
-            meet = not F.support("row", r).keys().isdisjoint(F.support("col", c))
-            hit = (r, c) in A.data
+            ai, aj = next(gen) % nrows, next(gen) % ncols
+            r, c, i, j = rows[ai], cols[aj], rpos[ai], cpos[aj]
+            # most pairs are rejected by their spans, without a call
+            total = F._sum(i, j) if rlo[i] <= chi[j] and clo[j] <= rhi[i] else None
+            meet, hit = total is not None, (r, c) in data
             joined, nonzero = joined + meet, nonzero + hit
             if meet or hit:
-                visit(r, c)
+                visit(r, c, total or 0)
         checked = samples
     return VerificationReport(mode, checked, max_res, worst, tol, max_res <= tol,
                               None if mode == "full" else seed, joined, nonzero, checked - visited)
@@ -671,22 +893,6 @@ def hadamard_square_target(
     return InstanceMatrix.from_dense(dense, rl, cl)
 
 
-def direct_sum(F1: PSDFactorization, F2: PSDFactorization) -> PSDFactorization:
-    """Witness for A1 + A2 from witnesses of A1 and A2 over the same labels:
-    block-diagonal padding, size k1 + k2.  F1's label order wins."""
-    if (set(F1.row_labels) != set(F2.row_labels)
-            or set(F1.col_labels) != set(F2.col_labels)):
-        raise ValueError("direct sum needs identical label sets")
-
-    def join(a: Sequence[Vector], b: Sequence[Vector]) -> GramVectors:
-        return GramVectors((*_pieces(a), *((t, s + F1.k) for t, s in _pieces(b))))
-
-    rows = {l: join(F1.row_vectors[l], F2.row_vectors[l]) for l in F1.row_labels}
-    cols = {l: join(F1.col_vectors[l], F2.col_vectors[l]) for l in F1.col_labels}
-    mode = "exact" if F1.mode == F2.mode == "exact" else "float"
-    return PSDFactorization(F1.k + F2.k, F1.row_labels, F1.col_labels, rows, cols, mode)
-
-
 def identity_factorization(n: int) -> PSDFactorization:
     """The canonical size-n witness for I_n (diagonal unit Gram vectors)."""
     labels = tuple(f"r{i}" for i in range(n)), tuple(f"c{j}" for j in range(n))
@@ -730,47 +936,52 @@ def write_factorization(F: PSDFactorization, sparse: Optional[bool] = None) -> s
             tok = tokens[id(x)] = _num_token(x, F.mode)
         return tok
 
-    # Sparse lines render each template once, as text with a "{n}" field for
-    # its n-th distinct coordinate; each piece fills in those plus its shift.
-    texts: Dict[int, Tuple[str, List[int]]] = {}
+    def render(tmpl: Template) -> Tuple[str, Tuple[int, ...]]:
+        """A template's text in coordinate order, with a "{n}" field for its
+        n-th coordinate, and those coordinates if it has several (each piece
+        fills in its own; a single coordinate is 0, so it is the shift)."""
+        items = sorted(tmpl)
+        text = " ".join([str(len(items))] + [f"{{{n}}} {token(x)}" for n, (_, x) in enumerate(items)])
+        return text, tuple(c for c, _ in items) if len(items) > 1 else ()
 
-    def render(tmpl: Sequence[Vector]) -> Tuple[str, List[int]]:
-        field: Dict[int, str] = {}
-        parts = []
-        for vec in tmpl:
-            items = sorted(vec.items())
-            parts.append(str(len(items)))
-            for coord, val in items:
-                parts += (field.setdefault(coord, f"{{{len(field)}}}"), token(val))
-        texts[id(tmpl)] = hit = (" ".join(parts), list(field))
-        return hit
-
-    for side, labels, table in (("row", F.row_labels, F.row_vectors),
-                                ("col", F.col_labels, F.col_vectors)):
-        for l in labels:
-            vecs = table.get(l, ())
+    for side, T in (("row", F.rows), ("col", F.cols)):
+        starts, tids, shifts = T.starts, T.tids, T.shifts
+        texts = [render(t) for t in T.templates] if sparse else []
+        for i, label in enumerate(T.labels):
+            lo, hi = starts[i], starts[i + 1]
             if sparse:
-                parts, nvec = [side, l, ""], 0
-                for tmpl, shift in _pieces(vecs):
-                    if tmpl:
-                        text, coords = texts.get(id(tmpl)) or render(tmpl)
-                        parts.append(text.format(*[c + shift for c in coords]))
-                        nvec += len(tmpl)
-                parts[2] = str(nvec)
+                parts = [side, label, str(hi - lo)]
+                for t, s in zip(tids[lo:hi], shifts[lo:hi]):
+                    text, coords = texts[t]
+                    parts.append(text.format(*[s + c for c in coords]) if coords
+                                 else text.format(s))
             else:
-                parts = [side, l, *(token(vec.get(c, 0)) for vec in vecs for c in range(F.k))]
+                parts = [side, label, *(token(vec.get(c, 0)) for vec in T.vectors(i)
+                                        for c in range(F.k))]
             lines.append(" ".join(parts))
     lines.append("")
     return "\n".join(lines)
 
 
+def _finite_float(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {token!r}")
+    return x
+
+
 def parse_factorization(text: str) -> PSDFactorization:
     """Read back a factorization file; every rejected line, including a
-    repeated row or col label, raises ParseError naming it."""
+    repeated row or col label, raises ParseError naming it.
+
+    Each vector is interned while it is read: its tokens, with coordinates
+    taken relative to its first one, key its template and its offset from
+    that first coordinate, so each distinct vector's values are converted
+    and checked once.  Zero values are dropped."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(FACTORIZATION_HEADER):
+    head = lines[0].split() if lines else []
+    if head[:2] != FACTORIZATION_HEADER.split():
         raise ParseError(f"missing '{FACTORIZATION_HEADER}' header")
-    head = lines[0].split()
     try:
         if len(head) not in (6, 7):
             raise ValueError("expected 6 or 7 tokens")
@@ -784,53 +995,92 @@ def parse_factorization(text: str) -> PSDFactorization:
         raise ParseError(f"malformed factorization header: {lines[0]!r} ({e})") from None
     mode = head[5]
     sparse = len(head) == 7
+    conv = parse_fraction if mode == "exact" else _finite_float
+    values: Dict[str, Number] = {}  # token -> number, converted once
+    sides = {"row": PieceTable(k), "col": PieceTable(k)}
+    # per side: vector key -> (template id, lowest coordinate relative to the first)
+    placed: Dict[str, Dict[object, Tuple[int, Optional[int]]]] = {"row": {}, "col": {}}
+    errors: Dict[str, str] = {}  # side -> its first label with a coordinate outside [0, k)
 
-    def finite_float(token: str) -> float:
-        x = float(token)
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite value {token!r}")
-        return x
+    def place(T: PieceTable, key) -> Tuple[int, Optional[int]]:
+        """Intern the vector of a key: a lone value token, or a tuple of
+        alternating relative coordinates and value tokens."""
+        vec: Vector = {}
+        for c, tok in ((0, key),) if isinstance(key, str) else zip(key[::2], key[1::2]):
+            x = values[tok]
+            if x:
+                vec[c] = x
+        return T.template(vec)
 
-    # Few distinct values fill most of a witness: convert each token once.
-    conv = functools.cache(parse_fraction if mode == "exact" else finite_float)
-    tables: Dict[str, Dict[str, Tuple[Vector, ...]]] = {"row": {}, "col": {}}
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) < 2 or parts[0] not in tables:
+        if len(parts) < 2 or parts[0] not in sides:
             raise ParseError(f"malformed factorization line: {ln!r}")
         side, label = parts[0], parts[1]
-        if label in tables[side]:
+        T, known = sides[side], placed[side]
+        if label in T.index:
             raise ParseError(f"repeated {side} label in line {ln!r}")
-        vecs: List[Vector] = []
+        tids: List[int] = []
+        shifts: List[int] = []
         try:
             if sparse:
-                nvec = int(parts[2])
                 pos = 3
-                for _ in range(nvec):
-                    nnz = int(parts[pos]); pos += 1
-                    vec: Vector = {}
-                    for _ in range(nnz):
-                        coord = int(parts[pos]); val = conv(parts[pos + 1]); pos += 2
-                        if val:
-                            vec[coord] = val
-                    vecs.append(vec)
+                for _ in range(int(parts[2])):
+                    nnz = int(parts[pos])
+                    pos += 1
+                    first = 0
+                    if nnz == 1:  # a known key was converted and checked before
+                        first, key = int(parts[pos]), parts[pos + 1]
+                        pos += 2
+                        if key not in known and key not in values:
+                            values[key] = conv(key)
+                    else:
+                        pairs: List[object] = []
+                        for n in range(nnz):
+                            c, tok = int(parts[pos]), parts[pos + 1]
+                            pos += 2
+                            if tok not in values:
+                                values[tok] = conv(tok)
+                            if not n:
+                                first = c
+                            pairs += (c - first, tok)
+                        key = tuple(pairs)
+                    hit = known.get(key)
+                    if hit is None:
+                        hit = known[key] = place(T, key)
+                    tids.append(hit[0])
+                    shifts.append(0 if hit[1] is None else first + hit[1])
                 if pos != len(parts):
                     raise ValueError("trailing tokens")
             else:
-                numbers = [conv(t) for t in parts[2:]]
-                if len(numbers) % k:
+                tokens = parts[2:]
+                for tok in tokens:
+                    if tok not in values:
+                        values[tok] = conv(tok)
+                if len(tokens) % k:
                     raise ValueError(f"dense vector data is not a multiple of k={k}")
-                for off in range(0, len(numbers), k):
-                    vecs.append({i: x for i, x in enumerate(numbers[off:off + k]) if x})
+                for off in range(0, len(tokens), k):
+                    key = tuple(tokens[off:off + k])
+                    hit = known.get(key)
+                    if hit is None:
+                        hit = known[key] = T.template(
+                            {i: values[t] for i, t in enumerate(key) if values[t]})
+                    tids.append(hit[0])
+                    shifts.append(hit[1] or 0)
         except IndexError:
             raise ParseError(f"truncated sparse line: {ln!r}") from None
         except ValueError as e:
             raise ParseError(f"malformed factorization line: {ln!r} ({e})") from None
-        tables[side][label] = tuple(vecs)
-    rows, cols = tables["row"], tables["col"]
-    if len(rows) != nrows or len(cols) != ncols:
+        try:
+            T.add(label, tids, shifts)
+        except ValueError as e:
+            errors.setdefault(side, str(e))
+    rows, cols = sides["row"], sides["col"]
+    if len(rows.labels) != nrows or len(cols.labels) != ncols:
         raise ParseError("factorization label lines do not match the header counts")
-    try:
-        return PSDFactorization(k, tuple(rows), tuple(cols), rows, cols, mode)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    if mode not in _MODES:
+        raise ParseError(f"unknown mode {mode!r}")
+    for side in ("row", "col"):
+        if side in errors:
+            raise ParseError(errors[side])
+    return PSDFactorization.from_tables(rows, cols, mode)

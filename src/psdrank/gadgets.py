@@ -67,6 +67,14 @@ def index_set_H(f: Polynomial) -> Tuple[LabelVector, ...]:
     return _triples_with_one(sigma_set(f))
 
 
+def index_set_size(sigma: Sequence[Polynomial]) -> int:
+    """|H| for the sigma set ``sigma`` without building H: sigma holds the
+    constant 1 exactly once, so s^3 - (s-1)^3 of its s^3 triples have a 1
+    coordinate."""
+    s = len(sigma)
+    return s ** 3 - (s - 1) ** 3
+
+
 def _gram_table(f: Polynomial) -> Tuple[
         Tuple[LabelVector, ...], Tuple[str, ...], Iterator[Tuple[str, str, Polynomial]]]:
     """H(f), its rendered labels, and (label u, label v, u.v) for every pair

@@ -288,9 +288,9 @@ def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -
     coordinate entries converted by ``entry``.  Every rejected line, including
     a repeated label index or coordinate, raises ParseError naming it."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(header):
+    head = lines[0].split() if lines else []
+    if head[:2] != header.split():
         raise ParseError(f"missing '{header}' header")
-    head = lines[0].split()
     try:
         if len(head) != 4:
             raise ValueError("expected 4 tokens")

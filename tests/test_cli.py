@@ -308,6 +308,18 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "sigma_size=9" in out and "H_size=217" in out
 
+    def test_sigma_counts_H_without_building_it(self, workdir, capsys):
+        # |sigma| = 291 for "x1 > 0"; building its 253,171 H labels took
+        # 13 s, and the printed lines are the same as when H was built.
+        (workdir / "f.formula").write_text("x1 > 0\n")
+        assert run("normalize", "f.formula", "-o", "f.poly") == 0
+        capsys.readouterr()
+        assert run("sigma", "f.poly") == 0
+        out = capsys.readouterr().out
+        assert out.endswith("sigma_size=291\nH_size=253171\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "171bb65cf9b119bf268e5f7fefe8aa8419bb6bc6ab2e04e4709c44511dccc6be")
+
     def test_bound(self, workdir):
         (workdir / "f.poly").write_text("x1*x1 - 1\n")
         assert run("bound", "f.poly", "--m", "1", "-o", "phi.poly") == 0

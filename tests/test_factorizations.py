@@ -10,14 +10,13 @@ import pytest
 from psdrank.certificates import assemble_instance_witness, completion_from_root
 from psdrank.factorizations import (
     _MR_BASES,
-    GramVectors,
+    PieceTable,
     PSDFactorization,
     VerificationReport,
     _is_prime,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     _two_squares,
-    direct_sum,
     four_squares,
     hadamard_square_factorization,
     hadamard_square_target,
@@ -85,17 +84,16 @@ class TestValidation:
             PSDFactorization(3, ("a", "b"), ("a", "b"), tables["row"], tables["col"])
 
     @pytest.mark.parametrize("pieces,message", [
-        (((({0: ONE}, {1: ONE}), 2),), "vector coordinate 3 outside dimension 3"),
-        (((({1: ONE},), 0), (({0: ONE},), -1)), "vector coordinate -1 outside dimension 3"),
-        (((({0: ONE},), 0), (({0: ONE, 1: 0.5},), 1)), "exact factorization holds a float value"),
+        ((({0: ONE}, 2), ({1: ONE}, 2)), "vector coordinate 3 outside dimension 3"),
+        ((({1: ONE}, 0), ({0: ONE}, -1)), "vector coordinate -1 outside dimension 3"),
+        ((({0: ONE}, 0), ({0: ONE, 1: 0.5}, 1)), "exact factorization holds a float value"),
     ])
     def test_template_offender_named(self, pieces, message):
         with pytest.raises(ValueError, match=message):
-            PSDFactorization(3, ("a",), ("a",), {"a": GramVectors(pieces)}, {})
+            from_pieces(3, ("a",), {"a": pieces})
 
     def test_shifted_template_in_range(self):
-        tmpl = ({0: ONE, 1: ONE},)
-        F = PSDFactorization(3, ("a",), ("a",), {"a": GramVectors(((tmpl, 1),))}, {})
+        F = from_pieces(3, ("a",), {"a": [({0: ONE, 1: ONE}, 1)]})
         assert F.row_vectors == {"a": ({1: ONE, 2: ONE},)}
 
     def test_float_mode_accepts_floats(self):
@@ -103,44 +101,69 @@ class TestValidation:
         assert F.col_vectors == {"a": ()}
 
 
-class _CountingVector(dict):
-    """A template vector that counts how often it is copied."""
+def from_pieces(k, labels, pieces, mode="exact"):
+    """A witness whose rows hold ``pieces`` (label -> (vector, shift) pairs)
+    and whose columns hold nothing."""
+    return PSDFactorization.from_tables(PieceTable.build(k, labels, pieces),
+                                        PieceTable.build(k, labels, {}), mode)
 
-    copies = 0
 
-    def items(self):
-        _CountingVector.copies += 1
-        return super().items()
+def pieces_of(T, label, shift=0):
+    """A label's pieces as (template dict, shift) pairs, moved by ``shift``."""
+    return [(dict(T.templates[T.tids[p]]), T.shifts[p] + shift)
+            for p in T.pieces(T.index[label])]
+
+
+def direct_sum(F1, F2):
+    """Witness for A1 + A2 from witnesses of A1 and A2 over the same labels:
+    F2's pieces move past F1's k coordinates (block-diagonal padding, size
+    k1 + k2).  F1's label order wins."""
+    if (set(F1.row_labels) != set(F2.row_labels)
+            or set(F1.col_labels) != set(F2.col_labels)):
+        raise ValueError("direct sum needs identical label sets")
+    k = F1.k + F2.k
+
+    def side(T1, T2):
+        return PieceTable.build(k, T1.labels, {l: pieces_of(T1, l) + pieces_of(T2, l, F1.k)
+                                               for l in T1.labels})
+
+    mode = "exact" if F1.mode == F2.mode == "exact" else "float"
+    return PSDFactorization.from_tables(side(F1.rows, F2.rows), side(F1.cols, F2.cols), mode)
 
 
 class TestGramVectors:
-    def test_len_builds_no_vector(self):
-        tmpl = (_CountingVector({0: ONE}), _CountingVector({1: ONE}))
-        F = PSDFactorization(9, ("a",), ("a",),
-                             {"a": GramVectors(((tmpl, 2), (tmpl, 5)))}, {})
-        before = _CountingVector.copies
-        assert len(F.row_vectors["a"]) == 4
-        assert _CountingVector.copies == before
+    """A label's Gram vectors are read from its pieces."""
+
+    def test_len_builds_no_vector(self, monkeypatch):
+        tmpl = ({0: ONE}, {1: ONE})
+        F = from_pieces(9, ("a",), {"a": [(v, s) for s in (2, 5) for v in tmpl]})
+
+        def build_nothing(self, i):
+            raise AssertionError("len built a vector")
+
+        with monkeypatch.context() as m:
+            m.setattr(PieceTable, "vectors", build_nothing)
+            assert len(F.row_vectors["a"]) == 4
+            assert sum(len(v) for v in F.row_vectors.values()) == 4
         assert F.row_vectors["a"][3] == {6: ONE}
-        assert _CountingVector.copies == before + 4
 
     def test_sequence_behaviour(self):
         base = ({0: ONE}, {1: Fraction(2)})
-        vecs = GramVectors(((base, 0), (base[:1], 3)))
+        vecs = from_pieces(4, ("a",), {"a": [(base[0], 0), (base[1], 0), (base[0], 3)]}
+                           ).row_vectors["a"]
         expected = ({0: ONE}, {1: Fraction(2)}, {3: ONE})
         assert vecs == expected and expected == vecs
         assert list(vecs) == list(expected) and vecs[1:] == expected[1:]
         assert vecs != expected[:2] and vecs != list(expected)
-        assert vecs[0] is base[0]  # a shift-0 piece is not copied
+        assert vecs[-1] == {3: ONE} and len(vecs) == 3
 
     def test_direct_sum_shifts_pieces(self):
         F = p_alpha_factorization(1)
         S = direct_sum(F, F)
         SS = direct_sum(S, F)
         for l in F.row_labels:
-            # plain vector tuples are one piece at shift 0
-            assert S.row_vectors[l].pieces == ((F.row_vectors[l], 0), (F.row_vectors[l], 2))
-            assert SS.row_vectors[l].pieces == S.row_vectors[l].pieces + ((F.row_vectors[l], 4),)
+            assert pieces_of(S.rows, l) == pieces_of(F.rows, l) + pieces_of(F.rows, l, 2)
+            assert pieces_of(SS.rows, l) == pieces_of(S.rows, l) + pieces_of(F.rows, l, 4)
             assert S.col_vectors[l] == tuple(F.col_vectors[l]) + tuple(
                 {c + 2: v for c, v in vec.items()} for vec in F.col_vectors[l])
 
@@ -153,7 +176,7 @@ class TestGramVectors:
                                  {l: tuple(v) for l, v in S.col_vectors.items()})
         text = write_factorization(S, sparse=sparse)
         assert text == write_factorization(plain, sparse=sparse)
-        assert parse_factorization(text) == plain
+        assert parse_factorization(text) == plain == S
 
 
 class TestVerify:
@@ -355,6 +378,11 @@ def x1_minus_1_files():
     return write_matrix(out.M, target_rank=out.r), write_factorization(F)
 
 
+def coords(vectors):
+    """The coordinates a label's vectors use."""
+    return set().union(*vectors)
+
+
 def _full(mtext, ftext):
     return verify_factorization(parse_matrix(mtext).instance, parse_factorization(ftext))
 
@@ -395,7 +423,7 @@ class TestFullModeCorruption:
         A, F = parse_matrix(mtext).instance, parse_factorization(ftext)
         r = A.row_labels[len(A.row_labels) // 2]
         c = next(c for c in A.col_labels if (r, c) not in A.data
-                 and F.support("row", r).keys().isdisjoint(F.support("col", c)))
+                 and coords(F.row_vectors[r]).isdisjoint(coords(F.col_vectors[c])))
         base = verify_factorization(A, F)
         report = _full(mtext + f"{r} {c} 1/7\n", ftext)
         assert not report.passed
@@ -411,14 +439,81 @@ class TestFullModeCorruption:
         i = next(i for i, ln in enumerate(lines) if ln.startswith("row ")
                  and ln.split()[2:4] == ["1", "1"])
         _, r, _, _, coord, value = lines[i].split()
-        c = next(c for c in A.col_labels if F.support("col", c)
-                 and F.support("row", r).keys().isdisjoint(F.support("col", c)))
-        extra = min(F.support("col", c))
+        c = next(c for c in A.col_labels if coords(F.col_vectors[c])
+                 and coords(F.row_vectors[r]).isdisjoint(coords(F.col_vectors[c])))
+        extra = min(coords(F.col_vectors[c]))
         lines[i] = f"row {r} 1 2 {coord} {value} {extra} 1/1"
         base = verify_factorization(A, F)
         report = _full(mtext, "\n".join(lines) + "\n")
         assert not report.passed and report.worst_entry[0] == r
         assert report.joined > base.joined
+
+
+INSTANCE_ROOTS = {"x1 - 1": {"x1": Fraction(1)},
+                  "x1 - x2": {"x1": Fraction(19, 23), "x2": Fraction(19, 23)}}
+
+
+@pytest.fixture(scope="module", params=sorted(INSTANCE_ROOTS))
+def instance_witness(request):
+    """An assembled instance witness and its file."""
+    xi = Assignment.exact({xvar(int(n[1:])): v for n, v in INSTANCE_ROOTS[request.param].items()})
+    F = assemble_instance_witness(parse_polynomial(request.param), xi)
+    return F, write_factorization(F)
+
+
+# Vectors that follow no block layout: mixed counts of coordinates, unsorted
+# coordinates, a zero value (dropped when read), an empty vector and a label
+# with none.
+UNALIGNED_FAC = """psdrank-factorization v1 5 2 3 exact sparse
+row a 3 2 3 1/2 1 2/1 1 4 -1/1 3 0 1/1 2 0/1 4 3/2
+row b 2 0 1 2 5/3
+col x 2 3 4 1/1 2 -1/2 0 1/1 1 1 1/1
+col y 1 2 2 1/1 3 1/3
+col z 0
+"""
+UNALIGNED_ROWS = {"a": ({3: Fraction(1, 2), 1: Fraction(2)}, {4: Fraction(-1)},
+                        {0: ONE, 4: Fraction(3, 2)}),
+                  "b": ({}, {2: Fraction(5, 3)})}
+UNALIGNED_COLS = {"x": ({4: ONE, 2: Fraction(-1, 2), 0: ONE}, {1: ONE}),
+                  "y": ({2: ONE, 3: Fraction(1, 3)},), "z": ()}
+
+
+class TestPieceTable:
+    def test_parsed_equals_assembled(self, instance_witness):
+        F, text = instance_witness
+        G = parse_factorization(text)
+        assert G.rows == F.rows and G.cols == F.cols and G == F
+        # a direct sum of the completion and k gadget blocks: few templates
+        assert len(F.rows.templates) + len(F.cols.templates) < 300 < len(F.row_labels)
+        assert write_factorization(G) == text
+
+    def test_completion_round_trip(self):
+        f = parse_polynomial("x1*x2 - x1")
+        F = completion_from_root(
+            f, Assignment.exact({xvar(1): Fraction(1), xvar(2): Fraction(1)})).factorization
+        assert parse_factorization(write_factorization(F)) == F
+
+    def test_unaligned_file_verifies_like_plain_vectors(self):
+        G = parse_factorization(UNALIGNED_FAC)
+        plain = PSDFactorization(5, ("a", "b"), ("x", "y", "z"), UNALIGNED_ROWS, UNALIGNED_COLS)
+        assert G == plain and write_factorization(G) == write_factorization(plain)
+        assert pieces_of(G.rows, "a") == [({2: Fraction(1, 2), 0: Fraction(2)}, 1),
+                                          ({0: Fraction(-1)}, 4), ({0: ONE, 4: Fraction(3, 2)}, 0)]
+        dense = [[oracle_entry(plain, r, c) for c in plain.col_labels] for r in plain.row_labels]
+        A = InstanceMatrix.from_dense(dense, plain.row_labels, plain.col_labels)
+        wrong = InstanceMatrix.from_dense([[x + (r == c == 1) for c, x in enumerate(row)]
+                                           for r, row in enumerate(dense)],
+                                          plain.row_labels, plain.col_labels)
+        for M in (A, wrong):
+            for r, c in every_pair(M):
+                assert G.entry(r, c) == plain.entry(r, c) == oracle_entry(plain, r, c)
+            full = verify_factorization(M, G)
+            assert full == verify_factorization(M, plain) == oracle_report(
+                M, plain, every_pair(M), "full")
+            sampled = verify_factorization(M, G, mode="sampled", seed=4, samples=40)
+            assert sampled == verify_factorization(M, plain, mode="sampled", seed=4, samples=40)
+        assert verify_factorization(A, G).passed
+        assert verify_factorization(wrong, G).worst_entry == ("b", "y")
 
 
 NAN_FAC = """psdrank-factorization v1 2 2 2 float
@@ -709,6 +804,12 @@ class TestFileFormat:
     def test_header_guard(self):
         with pytest.raises(ValueError, match="header"):
             parse_factorization("bogus\n")
+
+    @pytest.mark.parametrize("version", ["v17", "v1x"])
+    def test_later_version_rejected(self, version):
+        text = write_factorization(p_alpha_factorization(1))
+        with pytest.raises(ParseError, match="missing 'psdrank-factorization v1' header"):
+            parse_factorization(text.replace(" v1 ", f" {version} ", 1))
 
     def test_one_token_line_rejected(self):
         head = write_factorization(p_alpha_factorization(1)).splitlines()[0]

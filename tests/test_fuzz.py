@@ -1,0 +1,80 @@
+"""Fuzzed reading of factorization files: every text either parses or
+raises ParseError, and whatever parses writes back to an equal witness.
+
+The profile is derandomized with a fixed example count, so every run tries
+the same texts."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psdrank.factorizations import parse_factorization, write_factorization
+from psdrank.polynomials import ParseError
+
+PROFILE = settings(derandomize=True, max_examples=400, deadline=None, database=None)
+
+INTS = st.one_of(st.integers(-3, 8), st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 30]))
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0/1", "1/1", "2/3", "-5/6", "12/1", "1/0", "0.5", "-0.0",
+                     "1e400", "nan", "inf", "-inf", "3.25", "x", "1/x", ""]),
+    st.fractions(max_denominator=9).map(lambda q: f"{q.numerator}/{q.denominator}"))
+VALUES = {"exact": st.sampled_from(["1/1", "2/3", "-5/6", "0/1", "12/1", "3"]),
+          "float": st.sampled_from(["0.5", "-2.25", "0", "1e-3", "7"])}
+TOKENS = st.one_of(INTS.map(str), NUMBERS, st.sampled_from(["row", "col", "sparse", "a", "b"]))
+
+
+@st.composite
+def factorization_texts(draw):
+    """Header and lines near the format.  A well-formed text draws its
+    sizes, coordinates and values from valid tokens; a broken one draws
+    them from valid and invalid tokens alike and may add stray ones."""
+    broken = draw(st.integers(0, 2)) == 0
+    mode = draw(st.sampled_from(["exact", "float"] + ["bogus"] * broken))
+    k = draw(INTS if broken else st.sampled_from([1, 2, 3, 6, 2 ** 64]))
+    coords = INTS if broken else st.one_of(st.integers(0, min(k, 6) - 1), st.just(k - 1))
+    values = NUMBERS if broken else VALUES[mode]
+    sparse = not broken or draw(st.booleans())  # the text below is laid out sparse
+    lines, counts = [], {"row": 0, "col": 0}
+    for _ in range(draw(st.integers(0, 6))):
+        side = draw(st.sampled_from(["row", "col"] + ["r", ""] * broken))
+        counts[side] = counts.get(side, 0) + 1
+        label = (draw(st.sampled_from(["a", "b", "e1[0]"])) if broken
+                 else f"e1[{counts[side]}]")
+        nvec = draw(st.integers(0, 3))
+        body = [str(draw(st.sampled_from([nvec] + [-1, nvec + 1] * broken)))]
+        for _ in range(nvec):
+            nnz = draw(st.integers(-1 if broken else 0, 3))
+            body.append(str(nnz))
+            for _ in range(max(nnz, 0)):
+                body += [str(draw(coords)), draw(values)]
+        if broken:
+            body += draw(st.lists(TOKENS, max_size=2))
+        lines.append(" ".join([side, label, *body]))
+    head = ["psdrank-factorization", "v1", str(k), str(counts["row"]), str(counts["col"]), mode]
+    head += ["sparse"] if sparse else []
+    if broken:
+        head[1] = draw(st.sampled_from(["v1"] * 3 + ["v17", "v1x"]))
+        head[3:5] = [str(draw(st.sampled_from([n, -1, n + 1])))
+                     for n in (counts["row"], counts["col"])]
+        if draw(st.integers(0, 7)) == 0:
+            head = draw(st.lists(TOKENS, max_size=8))
+    return "\n".join([" ".join(head)] + lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def _round_trips(text: str) -> None:
+    try:
+        F = parse_factorization(text)
+    except ParseError:
+        return
+    assert parse_factorization(write_factorization(F)) == F
+
+
+@PROFILE
+@given(factorization_texts())
+def test_near_format_texts_parse_or_raise_parse_error(text):
+    _round_trips(text)
+
+
+@PROFILE
+@given(st.text(alphabet=st.sampled_from("psdrank-factorization v1 0123 /.-\nrowcl"), max_size=120))
+def test_arbitrary_texts_parse_or_raise_parse_error(text):
+    _round_trips(text)

@@ -11,6 +11,7 @@ from psdrank.gadgets import (
     build_P,
     compute_K,
     index_set_H,
+    index_set_size,
     reduce,
     sigma_set,
 )
@@ -73,6 +74,11 @@ class TestIndexSetH:
         H = index_set_H(f)
         assert s == sigma_size
         assert len(H) == h_size == s ** 3 - (s - 1) ** 3
+
+    @pytest.mark.parametrize("text", ["x1 - 1", "x1*x1 - 1", "x1*x2 - x1"])
+    def test_size_without_building(self, text):
+        sigma = sigma_set(P(text))
+        assert index_set_size(sigma) == len(index_set_H(P(text)))
 
     def test_contains_unit_vector(self):
         H = index_set_H(P("-1"))

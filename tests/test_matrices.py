@@ -172,6 +172,16 @@ class TestFileFormat:
         with pytest.raises(ParseError, match="malformed matrix header.*negative dimension"):
             parse(f"{header} {dims}\n")
 
+    @pytest.mark.parametrize("parse, name, body", [
+        (parse_matrix, "psdrank-matrix", "1 1\nrow 0 a\ncol 0 b\na b 1\n"),
+        (parse_polynomial_matrix, "psdrank-polymatrix", "1 1\nrow 0 a\ncol 0 b\na b x1\n"),
+    ])
+    @pytest.mark.parametrize("version", ["v17", "v1x"])
+    def test_later_version_rejected(self, parse, name, body, version):
+        parse(f"{name} v1 {body}")
+        with pytest.raises(ParseError, match=f"missing '{name} v1' header"):
+            parse(f"{name} {version} {body}")
+
     def test_repeated_target_rank_rejected(self):
         text = write_matrix(InstanceMatrix(("a",), ("a",), {}), target_rank=5)
         with pytest.raises(ParseError, match="repeated r line 'r 6'"):
