@@ -187,35 +187,47 @@ def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
     k is the number of unknown entries of S (row-major order).  Known
     entries of S land on the plain part; each unknown e = (i, j) plants the
     block K*P(1) on rows {i, e1, e2} x columns {j, e1, e2}; all remaining
-    entries are zero.  Labels follow ``instance_labels``.
+    entries are zero.  Labels follow ``instance_labels``, and the entries
+    are stored in row-major label order, the order the writer emits.
     """
     K = Fraction(K)
     if K <= 0:
         raise ValueError(f"K must be positive, got {K}")
     if S.row_labels != S.col_labels:
         raise ValueError("M(S, K) needs a square S with matching label order")
-    for (r, c), v in S.data.items():
-        if v is NONZERO_UNKNOWN:
-            raise ValueError("M(S, K) accepts known/unknown entries only")
-        if isinstance(v, Fraction) and (v < 0 or v > K):
-            raise ValueError(f"known entry {v} at ({r!r},{c!r}) is outside [0, K={K}]")
     E, labels = instance_labels(S)
     k = len(E)
+    pos = {l: p for p, l in enumerate(S.row_labels)}
+    # One read of S, in item order so the first bad entry is the one named:
+    # the keys of each row of S and the number of its unknowns.
+    rows: List[List[Tuple[str, str]]] = [[] for _ in pos]
+    unknowns = [0] * len(pos)
+    for rc, v in S.data.items():
+        p = pos[rc[0]]
+        if v is UNKNOWN:
+            unknowns[p] += 1
+        elif v is NONZERO_UNKNOWN:
+            raise ValueError("M(S, K) accepts known/unknown entries only")
+        elif v < 0 or v > K:
+            raise ValueError(f"known entry {v} at ({rc[0]!r},{rc[1]!r}) is outside [0, K={K}]")
+        rows[p].append(rc)
     data: Dict[Tuple[str, str], Fraction] = {}
-    for (r, c), v in S.data.items():
-        if isinstance(v, Fraction) and v:
-            data[(r, c)] = v
-    for t, (i, j) in enumerate(E):
-        e1, e2 = labels[t], labels[k + t]
-        # K * P(1) on rows (i, e1, e2) x cols (j, e1, e2); its zeros at
-        # (e1, e2) and (e2, e1) stay absent.
-        data[(i, j)] = K
-        data[(i, e1)] = K
-        data[(i, e2)] = K
-        data[(e1, j)] = K
-        data[(e1, e1)] = K
-        data[(e2, j)] = K
-        data[(e2, e2)] = K
+    # K * P(1) on rows (i, e1, e2) x cols (j, e1, e2) for unknown t at
+    # (i, j); its zeros at (e1, e2) and (e2, e1) stay absent.  Every E1 or
+    # E2 label precedes the labels of S, and unknowns are in row-major
+    # order, so row i takes its E1, then its E2, then its own columns.
+    for e, (_, j) in zip(labels[:2 * k], E + E):
+        data[(e, e)] = K
+        data[(e, j)] = K
+    t = 0
+    for i, row, n in zip(S.row_labels, rows, unknowns):
+        for e in labels[t:t + n] + labels[k + t:k + t + n]:
+            data[(i, e)] = K
+        t += n
+        row.sort(key=lambda rc: pos[rc[1]])
+        for rc in row:
+            v = S.data[rc]
+            data[rc] = K if v is UNKNOWN else v
     return InstanceMatrix(labels, labels, data)
 
 

@@ -9,10 +9,12 @@ absent entry is zero.  Three views of the labelled H x H matrix share it:
 * ``IncompleteMatrix``  entries are known rationals, ``UNKNOWN`` or
                         ``NONZERO_UNKNOWN``; the shadow B and its pattern C.
 * ``InstanceMatrix``    an incomplete matrix with no marks and no negative
-                        entries; the reduction's output M(B, K).
+                        entries; the reduction's output M(B, K), whose
+                        entries ``build_M`` stores in row-major label order.
 
-The gadget builders attach the label triples behind the labels as
-``label_vectors``.
+A matrix checks its labels once and its values once per distinct value
+object, and owns a copy of the caller's dict.  The gadget builders attach the
+label triples behind the labels as ``label_vectors``.
 
 Both file formats are line oriented and written by one writer.  Header
 ``psdrank-matrix v1 <nrows> <ncols>`` (``psdrank-polymatrix v1`` for
@@ -28,7 +30,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .polynomials import (
     ParseError,
@@ -70,9 +74,26 @@ def _check_labels(labels: Sequence[str]) -> Tuple[str, ...]:
     return out
 
 
+def _distinct(data: Dict[Any, Any]) -> Iterable[Any]:
+    """The distinct value objects of ``data``, by identity.  Matrices share
+    value objects (M stores K once; B and a parsed file convert each value
+    once), so this is far shorter than ``data``."""
+    values = data.values()
+    return dict(zip(map(id, values), values)).values()
+
+
 @dataclass
 class _SparseMatrix:
-    """Labels plus the nonzero entries keyed by (row, col) label pairs."""
+    """Labels plus the nonzero entries keyed by (row, col) label pairs.
+
+    Construction checks each label once (once in all when rows and columns
+    are equal tuples), every key by set containment over its column of
+    the keys and, through ``_clean``, each distinct value object once.  The
+    matrix stores a copy of ``data`` in the caller's item order.  Only when
+    some value must be converted, dropped or rejected, or some key lies
+    outside the labels, does ``_check_entries`` walk the entries one by one:
+    it converts and drops, or rejects the first offending entry.
+    """
 
     row_labels: Tuple[str, ...]
     col_labels: Tuple[str, ...]
@@ -81,14 +102,28 @@ class _SparseMatrix:
     label_vectors: Optional[Tuple["LabelVector", ...]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        self.row_labels = _check_labels(self.row_labels)
-        self.col_labels = _check_labels(self.col_labels)
-        self._check_data(set(self.row_labels), set(self.col_labels))
+        rows = self.row_labels = _check_labels(self.row_labels)
+        cols = tuple(self.col_labels)
+        cols = self.col_labels = rows if cols == rows else _check_labels(cols)
+        rset = set(rows)
+        cset = rset if cols is rows else set(cols)
+        data = self.data
+        if (rset.issuperset(map(itemgetter(0), data))
+                and cset.issuperset(map(itemgetter(1), data))
+                and self._clean(_distinct(data))):
+            self.data = dict(data)
+        else:
+            self.data = self._check_entries(rset, cset)
 
-    def _check_data(self, rset: set, cset: set) -> None:
+    def _clean(self, values: Iterable[Any]) -> bool:
+        """Whether every value may be stored as it is."""
+        return True
+
+    def _check_entries(self, rset: set, cset: set) -> Dict[Tuple[str, str], Any]:
         for r, c in self.data:
             if r not in rset or c not in cset:
                 raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
+        return dict(self.data)
 
     @property
     def nrows(self) -> int:
@@ -109,14 +144,27 @@ class PolynomialMatrix(_SparseMatrix):
 class IncompleteMatrix(_SparseMatrix):
     """Matrix over known rationals plus unknown / nonzero-unknown marks.
 
-    Entries not stored are known zeros.  Construction checks the labels and
-    every entry in one pass, stores values as Fractions and drops zeros.
+    Entries not stored are known zeros.  Values are stored as Fractions
+    (ints and bools are converted) and zeros are dropped.
     """
 
     _instance = False  # InstanceMatrix: no marks, no negative entries
 
-    def _check_data(self, rset: set, cset: set) -> None:
-        # One pass over the entries: membership, marks and values.
+    def _clean(self, values: Iterable[Any]) -> bool:
+        # Stored as is: a nonzero Fraction (positive in an instance), or a
+        # mark outside an instance.
+        instance = self._instance
+        for v in values:
+            if type(v) is Fraction:
+                if v.numerator > 0 or (v.numerator and not instance):
+                    continue
+            elif type(v) is _Mark and not instance:
+                continue
+            return False
+        return True
+
+    def _check_entries(self, rset: set, cset: set) -> Dict[Tuple[str, str], Entry]:
+        # One pass over the entries in item order: membership, marks and values.
         instance = self._instance
         clean: Dict[Tuple[str, str], Entry] = {}
         for (r, c), v in self.data.items():
@@ -134,7 +182,7 @@ class IncompleteMatrix(_SparseMatrix):
                 raise ValueError(f"negative entry {v} at ({r!r}, {c!r})")
             if num:
                 clean[(r, c)] = v
-        self.data = clean
+        return clean
 
     def entry(self, r: str, c: str) -> Entry:
         return self.data.get((r, c), Fraction(0))
@@ -235,7 +283,8 @@ def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str
     for j, l in enumerate(m.col_labels):
         lines.append(f"col {j} {l}")
     rpos = {l: i for i, l in enumerate(m.row_labels)}
-    cpos = {l: j for j, l in enumerate(m.col_labels)}
+    cpos = (rpos if m.col_labels is m.row_labels
+            else {l: j for j, l in enumerate(m.col_labels)})
     ncols = m.ncols
     data = m.data
     # Runs of entries share one value object (M stores K once), so the
@@ -302,8 +351,11 @@ def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -
     target_rank: Optional[int] = None
     labels: Dict[str, Dict[int, str]] = {"row": {}, "col": {}}
     data: Dict[Tuple[str, str], object] = {}
-    # Few distinct values fill most of a file: convert each token once.
+    # Few distinct values fill most of a file: convert each token once.  The
+    # keys share one string object per label rather than two fresh ones per
+    # line (about 28 MB on M of x1*x1 - 1).
     entry = functools.cache(entry)
+    names: Dict[str, str] = {}
     for ln in lines[1:]:
         parts = ln.split()
         try:
@@ -314,7 +366,8 @@ def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -
                     raise ParseError(f"repeated {parts[0]} index in line {ln!r}")
                 table[index] = parts[2]
             elif len(parts) == 3:
-                rc = (parts[0], parts[1])
+                rc = (names.setdefault(parts[0], parts[0]),
+                      names.setdefault(parts[1], parts[1]))
                 if rc in data:
                     raise ParseError(f"repeated coordinate in line {ln!r}")
                 data[rc] = entry(parts[2])
@@ -341,7 +394,7 @@ _MARKS = {"?": UNKNOWN, "*": NONZERO_UNKNOWN}
 def parse_matrix(text: str) -> ParsedMatrix:
     target_rank, row_labels, col_labels, data = _parse_matrix_text(
         text, MATRIX_HEADER, lambda tok: _MARKS.get(tok) or parse_fraction(tok))
-    kind = (IncompleteMatrix if any(type(v) is _Mark for v in data.values())
+    kind = (IncompleteMatrix if any(type(v) is _Mark for v in _distinct(data))
             else InstanceMatrix)
     try:
         return ParsedMatrix(kind(row_labels, col_labels, data), target_rank)

@@ -480,8 +480,20 @@ def approx_sqrt(x: Fraction, digits: int = 30) -> Fraction:
     return Fraction(math.isqrt((x.numerator * scale * scale) // x.denominator), scale)
 
 
+# Bound on a decimal literal: its mantissa's length plus its exponent's
+# magnitude.  Fraction expands the exponent exactly, so '1e10000000' alone
+# would build a 33M-bit integer.  The bound is the digit limit int() puts on
+# integer tokens, so the numerator and denominator of whatever parses stay
+# within it and the writers can render them.
+MAX_DECIMAL_DIGITS = 4300
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'p/q' or an integer or a decimal literal into a Fraction."""
+    """Parse 'p/q' or an integer or a decimal literal into a Fraction.
+
+    A decimal literal whose exponent, added to the length of its mantissa,
+    exceeds ``MAX_DECIMAL_DIGITS`` raises ValueError before any expansion.
+    """
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
@@ -489,4 +501,12 @@ def parse_fraction(text: str) -> Fraction:
             return Fraction(int(num), int(den))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
+    mantissa, marker, exponent = text.lower().partition("e")
+    try:
+        huge = bool(marker) and len(mantissa) + abs(int(exponent)) > MAX_DECIMAL_DIGITS
+    except ValueError:  # no integer exponent: Fraction rejects the text
+        huge = False
+    if huge:
+        raise ValueError(f"decimal literal {text!r} spells more than {MAX_DECIMAL_DIGITS} "
+                         "digits")
     return Fraction(text)

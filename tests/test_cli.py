@@ -96,6 +96,14 @@ class TestVerify:
         (workdir / "q.fac").write_text(write_factorization(p_alpha_factorization(2)))
         assert run("verify", "p.mtx", "q.fac", "--mode", "full") == 1
 
+    def test_huge_decimal_exponent_is_a_parse_error(self, workdir, capsys):
+        text = write_matrix(build_P(4)).replace("4/1", "1e10000000", 1)
+        (workdir / "p.mtx").write_text(text)
+        (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(4)))
+        assert run("verify", "p.mtx", "p.fac") == 2
+        err = capsys.readouterr().err
+        assert "error code=parse" in err and "1e10000000" in err
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_sampled_needs_a_sample(self, workdir, capsys, samples):
         (workdir / "p.mtx").write_text(write_matrix(build_P(1)))
@@ -292,6 +300,13 @@ class TestWitnessPipeline:
         (workdir / "f.poly").write_text("x1*x1 - 1\n")
         assert run("witness", "f.poly", "--root", "x1=0", "--outdir", "w") == 2
         assert "error code=usage" in capsys.readouterr().err
+
+    def test_huge_decimal_exponent_root_rejected(self, workdir, capsys):
+        (workdir / "f.poly").write_text("x1*x1 - 1\n")
+        assert run("witness", "f.poly", "--root", "x1=1e10000000", "--outdir", "w") == 2
+        err = capsys.readouterr().err
+        assert "error code=usage" in err and "more than 4300 digits" in err
+        assert not (workdir / "w").exists()
 
     def test_repeated_root_variable_rejected(self, workdir, capsys):
         (workdir / "f.poly").write_text("x1*x1 - 1\n")

@@ -1,5 +1,6 @@
-"""Fuzzed reading of factorization files: every text either parses or
-raises ParseError, and whatever parses writes back to an equal witness.
+"""Fuzzed reading of factorization and matrix files: every text either
+parses or raises ParseError, and whatever parses writes back to an equal
+witness or matrix.
 
 The profile is derandomized with a fixed example count, so every run tries
 the same texts."""
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdrank.factorizations import parse_factorization, write_factorization
+from psdrank.matrices import parse_matrix, write_matrix
 from psdrank.polynomials import ParseError
 
 PROFILE = settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -78,3 +80,70 @@ def test_near_format_texts_parse_or_raise_parse_error(text):
 @given(st.text(alphabet=st.sampled_from("psdrank-factorization v1 0123 /.-\nrowcl"), max_size=120))
 def test_arbitrary_texts_parse_or_raise_parse_error(text):
     _round_trips(text)
+
+
+# Value tokens of a matrix file, drawn freely: rationals, integers, decimals
+# with exponents of any size (a huge one is rejected before it is expanded),
+# marks and garbage.
+DECIMALS = st.builds(lambda m, e: f"{m}e{e}",
+                     st.sampled_from(["1", "2.5", "-2.5", ".5", "0", "7_0", "x", ""]),
+                     st.one_of(st.integers(-30, 30), st.integers(-5000, 5000),
+                               st.integers(-10 ** 9, 10 ** 9)))
+MATRIX_VALUES = st.one_of(
+    st.fractions(min_value=0, max_denominator=9).map(lambda q: f"{q.numerator}/{q.denominator}"),
+    DECIMALS, st.sampled_from(["?", "*", "**", "?1", "1/-3"]), NUMBERS)
+MATRIX_LABELS = ["a", "b", "c", "(1,0,x1)", "row", "r"]
+
+
+@st.composite
+def matrix_texts(draw):
+    """Header, an optional ``r`` line, label lines and data lines in any
+    order.  A well-formed text declares each label line once and draws its
+    coordinates from the declared labels; a broken one may repeat, drop or
+    add lines and tokens."""
+    broken = draw(st.integers(0, 2)) == 2
+    labels = {side: draw(st.lists(st.sampled_from(MATRIX_LABELS[:4 + 2 * broken]),
+                                  min_size=not broken, max_size=3, unique=not broken))
+              for side in ("row", "col")}
+    lines = [f"{side} {i} {label}" for side in labels for i, label in enumerate(labels[side])]
+    if draw(st.booleans()):
+        lines.append(f"r {draw(INTS)}")
+    rows = labels["row"] + ["zz"] * broken or ["zz"]
+    cols = labels["col"] + ["zz"] * broken or ["zz"]
+    coords = draw(st.lists(st.tuples(st.sampled_from(rows), st.sampled_from(cols)),
+                           min_size=not broken, max_size=8, unique=not broken))
+    lines += [f"{r} {c} {draw(MATRIX_VALUES)}" for r, c in coords]
+    if broken:
+        lines += [" ".join(draw(st.lists(TOKENS, max_size=4)))
+                  for _ in range(draw(st.integers(0, 2)))]
+    lines = draw(st.permutations(lines))
+    head = ["psdrank-matrix", "v1", str(len(labels["row"])), str(len(labels["col"]))]
+    if broken:
+        head[2:] = [str(draw(st.sampled_from([n, -1, n + 1]))) for n in map(int, head[2:])]
+        if draw(st.integers(0, 7)) == 7:
+            head = draw(st.lists(TOKENS, max_size=5))
+    return "\n".join([" ".join(head)] + lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def _matrix_round_trips(text: str) -> None:
+    try:
+        parsed = parse_matrix(text)
+    except ParseError:
+        return
+    written = write_matrix(parsed.matrix, parsed.target_rank)
+    again = parse_matrix(written)
+    assert type(again.matrix) is type(parsed.matrix)
+    assert again == parsed
+    assert write_matrix(again.matrix, again.target_rank) == written
+
+
+@PROFILE
+@given(matrix_texts())
+def test_near_format_matrix_texts_parse_or_raise_parse_error(text):
+    _matrix_round_trips(text)
+
+
+@PROFILE
+@given(st.text(alphabet=st.sampled_from("psdrank-matrix v1 0123 /.e?*\nrowcl"), max_size=120))
+def test_arbitrary_matrix_texts_parse_or_raise_parse_error(text):
+    _matrix_round_trips(text)

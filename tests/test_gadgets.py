@@ -12,6 +12,7 @@ from psdrank.gadgets import (
     compute_K,
     index_set_H,
     index_set_size,
+    instance_labels,
     reduce,
     sigma_set,
 )
@@ -234,6 +235,59 @@ class TestBuildM:
             build_M(IncompleteMatrix(("a",), ("a",), {("a", "a"): Fraction(9)}), 2)
         with pytest.raises(ValueError, match="known/unknown"):
             build_M(IncompleteMatrix(("a",), ("a",), {("a", "a"): NONZERO_UNKNOWN}), 2)
+
+
+def reference_build_M(S, K):
+    """M(S, K) entry by entry, block by block: the reference for the
+    row-ordered ``build_M``."""
+    K = Fraction(K)
+    for (r, c), v in S.data.items():
+        if v is NONZERO_UNKNOWN:
+            raise ValueError("M(S, K) accepts known/unknown entries only")
+        if isinstance(v, Fraction) and (v < 0 or v > K):
+            raise ValueError(f"known entry {v} at ({r!r},{c!r}) is outside [0, K={K}]")
+    E, labels = instance_labels(S)
+    k = len(E)
+    data = {(r, c): v for (r, c), v in S.data.items() if isinstance(v, Fraction) and v}
+    for t, (i, j) in enumerate(E):
+        e1, e2 = labels[t], labels[k + t]
+        for key in [(i, j), (i, e1), (i, e2), (e1, j), (e1, e1), (e2, j), (e2, e2)]:
+            data[key] = K
+    return data
+
+
+def hand_made_S():
+    """Unknowns in several rows, one on the diagonal, a known entry equal to
+    K = 5, and entries inserted out of row-major order."""
+    labels = ("u", "v", "w", "x")
+    return IncompleteMatrix(labels, labels, {
+        ("w", "u"): UNKNOWN, ("x", "x"): Fraction(1, 2), ("u", "x"): UNKNOWN,
+        ("v", "v"): UNKNOWN, ("u", "v"): Fraction(5), ("w", "x"): UNKNOWN,
+        ("u", "u"): Fraction(2), ("x", "u"): Fraction(5), ("w", "v"): Fraction(3)})
+
+
+class TestBuildMOrder:
+    @pytest.mark.parametrize("S, K", [
+        (hand_made_S(), 5),
+        (build_B(P("x1*x1 - 1")), compute_K(P("x1*x1 - 1"))),
+    ], ids=["hand-made", "B(x1*x1-1)"])
+    def test_row_major_and_equal_to_reference(self, S, K):
+        M = build_M(S, K)
+        pos = {l: p for p, l in enumerate(M.row_labels)}
+        keys = list(M.data)
+        assert keys == sorted(keys, key=lambda rc: (pos[rc[0]], pos[rc[1]]))
+        assert M.data == reference_build_M(S, K)
+
+    def test_first_bad_entry_named(self):
+        S = IncompleteMatrix(("a", "b"), ("a", "b"), {
+            ("b", "a"): UNKNOWN, ("b", "b"): Fraction(7), ("a", "a"): NONZERO_UNKNOWN,
+            ("a", "b"): Fraction(9)})
+        with pytest.raises(ValueError) as expected:
+            reference_build_M(S, 6)
+        with pytest.raises(ValueError) as got:
+            build_M(S, 6)
+        assert str(got.value) == str(expected.value) == (
+            "known entry 7 at ('b','b') is outside [0, K=6]")
 
 
 class TestBuildG:

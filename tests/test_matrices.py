@@ -2,6 +2,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdrank.matrices import (
     NONZERO_UNKNOWN,
@@ -251,3 +253,105 @@ class TestPolynomialMatrixValidation:
             PolynomialMatrix(("a",), ("b",), {("b", "a"): one})
         with pytest.raises(ValueError, match="unique"):
             PolynomialMatrix(("a", "a"), ("b",), {})
+
+
+# ---------------------------------------------------------------------------
+# The constructor against a one-pass reference
+# ---------------------------------------------------------------------------
+
+def reference_check(instance, row_labels, col_labels, data):
+    """The constructor's checks as one pass over each label tuple and then
+    over every entry in item order: the reference the constructor's checks
+    are compared with.  Returns the stored entries or raises ValueError."""
+    def check_labels(labels):
+        out = tuple(labels)
+        for label in out:
+            if label.split() != [label]:
+                raise ValueError(
+                    f"matrix labels must be nonempty and whitespace-free: {label!r}")
+            if label in ("row", "col", "r"):
+                raise ValueError(f"label {label!r} collides with a format keyword")
+        if len(set(out)) != len(out):
+            raise ValueError("matrix labels must be unique")
+        return out
+
+    rset, cset = set(check_labels(row_labels)), set(check_labels(col_labels))
+    clean = {}
+    for (r, c), v in data.items():
+        if r not in rset or c not in cset:
+            raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
+        if v is UNKNOWN or v is NONZERO_UNKNOWN:
+            if instance:
+                raise ValueError(f"mark {v.token!r} at ({r!r}, {c!r}) in an instance matrix")
+            clean[(r, c)] = v
+            continue
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if v.numerator < 0 and instance:
+            raise ValueError(f"negative entry {v} at ({r!r}, {c!r})")
+        if v.numerator:
+            clean[(r, c)] = v
+    return clean
+
+
+LABELS = ["a", "b", "c", "e1[0]", "(1,0,x1)"]
+BAD_LABELS = ["", "a b", "row", "r"]
+# Value objects that many examples share, as M's entries share K.
+SHARED = [Fraction(144), UNKNOWN, Fraction(1, 3), NONZERO_UNKNOWN, Fraction(0), Fraction(-2),
+          0, 1, -1, 7, True, False, 0.5]
+VALUES = st.one_of(
+    st.sampled_from(SHARED),
+    st.fractions(min_value=-2, max_value=3, max_denominator=4),  # a new object each
+    st.integers(-2, 3),
+    st.booleans())
+
+
+@st.composite
+def constructor_inputs(draw):
+    """Label tuples (the same tuple for rows and columns, equal ones, or
+    different ones; now and then a bad label) and a data dict whose keys
+    mostly lie inside the label sets."""
+    pool = LABELS + BAD_LABELS * (draw(st.integers(0, 5)) == 0)
+    rows = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)))
+    shape = draw(st.sampled_from(["same", "equal", "other"]))
+    cols = (rows if shape == "same" else list(rows) if shape == "equal"
+            else tuple(draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))))
+    if draw(st.integers(0, 9)) == 0:
+        rows += rows[:1]  # a repeated label
+    outside = draw(st.integers(0, 3)) == 0
+    keys_r = st.sampled_from(list(rows) + ["zz"] * outside or ["zz"])
+    keys_c = st.sampled_from(list(cols) + ["zz"] * outside or ["zz"])
+    # Most entries share the few value objects of a per-example pool.
+    pool = draw(st.lists(VALUES, min_size=1, max_size=3))
+    values = st.one_of(st.sampled_from(pool), VALUES)
+    data = draw(st.dictionaries(st.tuples(keys_r, keys_c), values, min_size=1, max_size=12))
+    return rows, cols, data
+
+
+def outcome(build):
+    try:
+        data = build()
+    except ValueError as e:
+        return "rejected", str(e)
+    return "stored", [(key, type(v), v) for key, v in data.items()]
+
+
+@pytest.mark.parametrize("cls", [IncompleteMatrix, InstanceMatrix])
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(constructor_inputs())
+def test_constructor_matches_one_pass_reference(cls, args):
+    rows, cols, data = args
+    before = dict(data)
+    expected = outcome(lambda: reference_check(cls._instance, rows, cols, data))
+    matrix = None
+
+    def build():
+        nonlocal matrix
+        matrix = cls(rows, cols, data)
+        return matrix.data
+
+    assert outcome(build) == expected
+    assert list(data.items()) == list(before.items())  # the caller's dict is untouched
+    if matrix is not None:
+        assert matrix.data is not data
+        assert matrix.row_labels == tuple(rows) and matrix.col_labels == tuple(cols)

@@ -1,5 +1,6 @@
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -298,3 +299,13 @@ def test_parse_fraction_zero_denominator():
     assert parse_fraction("3/4") == Fraction(3, 4)
     with pytest.raises(ValueError, match="zero denominator"):
         parse_fraction("1/0")
+
+
+def test_parse_fraction_bounds_decimal_literals():
+    assert parse_fraction("1e4299") == 10 ** 4299
+    assert parse_fraction("-2.5E-3") == Fraction(-1, 400)
+    for text in ["1e4300", "1e10000000", "-1.5E-10000000", "1e" + "9" * 100]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            parse_fraction(text)
+        assert time.perf_counter() - start < 0.05
