@@ -66,9 +66,6 @@ from .factorizations import (
     PSDFactorization,
     VerificationReport,
     four_squares,
-    hadamard_square_factorization,
-    hadamard_square_target,
-    identity_factorization,
     p_alpha_factorization,
     parse_factorization,
     rational_square_sum,
@@ -83,9 +80,8 @@ from .certificates import (
     assemble_instance_witness,
     completion_from_root,
     extract_root,
-    hadamard_sqrt_from_rank1,
     sqrt_condition_check,
 )
-from .search import SearchConfig, SearchReport, pad_witness_arrays, psd_rank_search
+from .search import SearchConfig, SearchReport, psd_rank_search
 
 __version__ = "0.1.0"

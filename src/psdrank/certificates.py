@@ -21,7 +21,6 @@ from .factorizations import (
     Vector,
     dense_vector,
     p_alpha_gram_vectors,
-    sparse_dot,
     vector_norm_sq,
 )
 from .gadgets import build_B, compute_K, index_set_H, instance_labels, sigma_set
@@ -424,25 +423,3 @@ def sqrt_condition_check(S: IncompleteMatrix) -> Tuple[bool, Optional[SqrtWitnes
     if dual is None:
         return (False, None)
     return (True, SqrtWitness(primal, dual))
-
-
-# ---------------------------------------------------------------------------
-# Hadamard square root of a rank-one factorization
-# ---------------------------------------------------------------------------
-
-def hadamard_sqrt_from_rank1(F: PSDFactorization, tol: float = 1e-9) -> List[List[Number]]:
-    """Entrywise square root Q(i|j) = a_i . b_j of the certified matrix,
-    where a_i, b_j are the single live Gram vectors per index.
-
-    Raises when some index carries two or more vectors of norm above tol
-    (its PSD factor has rank >= 2 and no rank-one square root exists).
-    """
-    def live(table: Mapping[str, Tuple[Vector, ...]], label: str) -> Vector:
-        vecs = [v for v in table.get(label, ()) if float(vector_norm_sq(v)) > tol * tol]
-        if len(vecs) > 1:
-            raise ValueError(f"factor at {label!r} has numerical rank >= 2")
-        return vecs[0] if vecs else {}
-
-    a = [live(F.row_vectors, l) for l in F.row_labels]
-    b = [live(F.col_vectors, l) for l in F.col_labels]
-    return [[sparse_dot(ai, bj) for bj in b] for ai in a]

@@ -41,17 +41,6 @@ Vector = Dict[int, Number]  # sparse coordinate -> value
 Template = Tuple[Tuple[int, Number], ...]  # (coordinate, value) pairs, lowest coordinate 0
 
 
-def sparse_dot(u: Vector, v: Vector) -> Number:
-    if len(u) > len(v):
-        u, v = v, u
-    total: Number = 0
-    for coord, x in u.items():
-        y = v.get(coord)
-        if y is not None:
-            total += x * y
-    return total
-
-
 def vector_norm_sq(u: Vector) -> Number:
     return sum(x * x for x in u.values())
 
@@ -846,59 +835,6 @@ def p_alpha_factorization(alpha: Union[int, Fraction]) -> PSDFactorization:
         {l: v for l, v in zip(labels, rows)},
         {l: v for l, v in zip(labels, cols)},
         "exact")
-
-
-def _hadamard_operands(P, Q, row_labels, col_labels):
-    """P and Q as row lists, inner size r, Q's column count n, and labels."""
-    Pr, Qr = [list(x) for x in P], [list(x) for x in Q]
-    if any(len(x) != len(M[0]) for M in (Pr, Qr) for x in M):
-        raise ValueError("ragged matrix")
-    r, n = len(Pr[0]) if Pr else 0, len(Qr[0]) if Qr else 0
-    if len(Qr) != r:
-        raise ValueError(f"inner dimensions differ: P is mx{r}, Q has {len(Qr)} rows")
-    rl = tuple(row_labels) if row_labels is not None else tuple(f"r{i}" for i in range(len(Pr)))
-    cl = tuple(col_labels) if col_labels is not None else tuple(f"c{j}" for j in range(n))
-    return Pr, Qr, r, n, rl, cl
-
-
-def hadamard_square_factorization(
-    P: Sequence[Sequence[Number]],
-    Q: Sequence[Sequence[Number]],
-    row_labels: Optional[Sequence[str]] = None,
-    col_labels: Optional[Sequence[str]] = None,
-) -> PSDFactorization:
-    """Rank-one witness of (PQ) o (PQ) at size r from P (m x r), Q (r x n).
-
-    Row i's single Gram vector is the i-th row of P; column j's is the j-th
-    column of Q, so every certified entry is ((PQ)_{ij})^2.
-    """
-    Pr, Qr, r, n, rl, cl = _hadamard_operands(P, Q, row_labels, col_labels)
-    exact = all(not isinstance(x, float) for row in Pr + Qr for x in row)
-    conv = (lambda x: Fraction(x)) if exact else float
-    rows = {rl[i]: (dense_vector([conv(x) for x in Pr[i]]),) for i in range(len(Pr))}
-    cols = {cl[j]: (dense_vector([conv(Qr[t][j]) for t in range(r)]),) for j in range(n)}
-    return PSDFactorization(max(r, 1), rl, cl, rows, cols, "exact" if exact else "float")
-
-
-def hadamard_square_target(
-    P: Sequence[Sequence[Number]],
-    Q: Sequence[Sequence[Number]],
-    row_labels: Optional[Sequence[str]] = None,
-    col_labels: Optional[Sequence[str]] = None,
-) -> InstanceMatrix:
-    """The matrix (PQ) o (PQ) the factorization above certifies."""
-    Pr, Qr, r, n, rl, cl = _hadamard_operands(P, Q, row_labels, col_labels)
-    dense = [[sum(Fraction(Pr[i][t]) * Fraction(Qr[t][j]) for t in range(r)) ** 2
-              for j in range(n)] for i in range(len(Pr))]
-    return InstanceMatrix.from_dense(dense, rl, cl)
-
-
-def identity_factorization(n: int) -> PSDFactorization:
-    """The canonical size-n witness for I_n (diagonal unit Gram vectors)."""
-    labels = tuple(f"r{i}" for i in range(n)), tuple(f"c{j}" for j in range(n))
-    rows = {f"r{i}": ({i: Fraction(1)},) for i in range(n)}
-    cols = {f"c{j}": ({j: Fraction(1)},) for j in range(n)}
-    return PSDFactorization(n, labels[0], labels[1], rows, cols, "exact")
 
 
 # ---------------------------------------------------------------------------

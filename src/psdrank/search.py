@@ -1,13 +1,14 @@
 """Seeded numerical search for PSD factorizations of a target size.
 
 The search minimizes sum_ij (tr(U_i U_i^T V_j V_j^T) - A_ij)^2 over k x k
-factor blocks with gradient descent plus Armijo backtracking, restarted
-from seeded random initializations.  Every restart is polished with
-Levenberg-Marquardt, and the best polished run is kept.  A run that ends
-with max-abs entry residual at or below the success threshold yields a
-float witness; a failed search is evidence only, never a proof of a rank
-lower bound.  Size-1 decisions skip numerics entirely: PSD rank 1 equals
-nonnegative rank 1, which is an exact rational rank-one test.
+factor blocks with Levenberg-Marquardt, restarted from seeded random
+initializations, and keeps the best run.  A run that ends with max-abs
+entry residual at or below the success threshold yields a float witness; a
+failed search is evidence only, never a proof of a rank lower bound.  The
+search builds a dense (m*n) x ((m+n)*k^2) Jacobian, so it refuses targets
+where that exceeds MAX_JACOBIAN_ENTRIES.  Size-1 decisions skip numerics
+entirely: PSD rank 1 equals nonnegative rank 1, which is an exact rational
+rank-one test.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ import numpy as np
 from .factorizations import PSDFactorization, rational_square_sum
 from .matrices import InstanceMatrix
 
+POLISH_ITERATIONS = 80           # Levenberg-Marquardt steps per restart
+MAX_JACOBIAN_ENTRIES = 1 << 24   # float64 entries of the largest Jacobian built
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 32
     seed: int = 1
-    iterations: int = 300          # gradient-descent steps per restart
-    polish_iterations: int = 80    # Levenberg-Marquardt steps per restart
     success_tol: float = 1e-8      # max-abs entry residual declaring a witness
-    init: Optional[Tuple[np.ndarray, np.ndarray]] = None  # restart-0 override
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
@@ -41,7 +42,7 @@ class SearchReport:
     verdict: str                   # "witness-found" | "failed"
     best_residual: float
     best_restart: int
-    iterations: int
+    iterations: int                # accepted Levenberg-Marquardt steps
     seed: int
     exact: bool = False            # set by the rational size-1 decision
     witness: Optional[PSDFactorization] = None
@@ -59,44 +60,6 @@ class SearchReport:
 def _trace_table(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     G = np.einsum("ica,jcb->ijab", U, V)
     return np.einsum("ijab,ijab->ij", G, G)
-
-
-def _loss_and_grad(U, V, A):
-    G = np.einsum("ica,jcb->ijab", U, V)
-    T = np.einsum("ijab,ijab->ij", G, G)
-    R = T - A
-    loss = float(np.einsum("ij,ij->", R, R))
-    CV = np.einsum("jca,jcb->jab", V, V)   # V_j V_j^T
-    CU = np.einsum("ica,icb->iab", U, U)
-    gU = 4.0 * np.einsum("ij,jab,icb->ica", R, CV, U)
-    gV = 4.0 * np.einsum("ij,iab,jcb->jca", R, CU, V)
-    return loss, gU, gV
-
-
-def _gradient_descent(U, V, A, iterations: int):
-    step = 0.1
-    loss, gU, gV = _loss_and_grad(U, V, A)
-    done = 0
-    for _ in range(iterations):
-        gnorm = float(np.sum(gU * gU) + np.sum(gV * gV))
-        if gnorm < 1e-24 or loss < 1e-26:
-            break
-        # Armijo backtracking on the joint step
-        accepted = False
-        for _ in range(40):
-            U2 = U - step * gU
-            V2 = V - step * gV
-            loss2, gU2, gV2 = _loss_and_grad(U2, V2, A)
-            if loss2 <= loss - 1e-4 * step * gnorm:
-                U, V, loss, gU, gV = U2, V2, loss2, gU2, gV2
-                step *= 1.5
-                accepted = True
-                break
-            step *= 0.5
-        done += 1
-        if not accepted:
-            break
-    return U, V, loss, done
 
 
 def _jacobian(U, V, A):
@@ -118,7 +81,8 @@ def _jacobian(U, V, A):
 
 
 def _polish(U, V, A, iterations: int):
-    """Damped Gauss-Newton to machine-precision residuals near a minimum."""
+    """Levenberg-Marquardt from (U, V); returns the end point and the number
+    of accepted steps."""
     m, k = U.shape[0], U.shape[1]
     n = V.shape[0]
     lam = 1e-6
@@ -129,12 +93,12 @@ def _polish(U, V, A, iterations: int):
 
     R, J = _jacobian(U, V, A)
     cost = float(R @ R)
+    steps = 0
     for _ in range(iterations):
         if cost < 1e-30:
             break
         JtJ = J.T @ J
         g = J.T @ R
-        improved = False
         for _ in range(25):
             try:
                 delta = np.linalg.solve(JtJ + lam * np.eye(JtJ.shape[0]), -g)
@@ -148,13 +112,13 @@ def _polish(U, V, A, iterations: int):
             if cost2 < cost:
                 theta, R, J, cost = th2, R2, J2, cost2
                 lam = max(lam * 0.3, 1e-12)
-                improved = True
                 break
             lam *= 10
-        if not improved:
-            break
+        else:
+            break  # no damping improves the cost
+        steps += 1
     U, V = unpack(theta)
-    return U, V, cost
+    return U, V, steps
 
 
 def _rank_one_exact(A: InstanceMatrix) -> Optional[PSDFactorization]:
@@ -194,32 +158,16 @@ def _float_witness(A: InstanceMatrix, U: np.ndarray, V: np.ndarray) -> PSDFactor
     return PSDFactorization(k, A.row_labels, A.col_labels, rows, cols, "float")
 
 
-def pad_witness_arrays(F: PSDFactorization, A: InstanceMatrix, k_new: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Embed a found witness into dimension k_new as a warm start."""
-    if k_new < F.k:
-        raise ValueError("cannot pad a witness into a smaller dimension")
-    m, n = A.nrows, A.ncols
-    U = np.zeros((m, k_new, k_new))
-    V = np.zeros((n, k_new, k_new))
-    for i, l in enumerate(A.row_labels):
-        for a, vec in enumerate(F.row_vectors.get(l, ())[:k_new]):
-            for c, val in vec.items():
-                U[i, c, a] = float(val)
-    for j, l in enumerate(A.col_labels):
-        for b, vec in enumerate(F.col_vectors.get(l, ())[:k_new]):
-            for c, val in vec.items():
-                V[j, c, b] = float(val)
-    return U, V
-
-
 def psd_rank_search(A: InstanceMatrix, k: int,
                     config: SearchConfig = SearchConfig()) -> SearchReport:
     """Look for a size-k witness of A; reproducible from the seed.
 
     Restart r draws its initialization from default_rng([seed, r]) at scale
-    sqrt(mean(A))/k.  Every restart is polished; the best polished run (ties
+    sqrt(mean(A))/k and runs Levenberg-Marquardt from it.  The best run (ties
     to the lowest restart index) is compared against the success threshold,
-    and the first restart at or below it ends the search.
+    and the first restart at or below it ends the search.  For k >= 2 a
+    target whose Jacobian would exceed MAX_JACOBIAN_ENTRIES is refused with
+    ValueError before anything is built.
     """
     if k < 1:
         raise ValueError(f"target size must be positive, got {k}")
@@ -234,24 +182,21 @@ def psd_rank_search(A: InstanceMatrix, k: int,
                                 exact=True, witness=W)
         return SearchReport(1, "failed", float("inf"), 0, 0, config.seed, exact=True)
 
+    m, n = A.nrows, A.ncols
+    if m * n * (m + n) * k * k > MAX_JACOBIAN_ENTRIES:
+        raise ValueError(f"search target {m}x{n} at k={k} needs a {m * n} x {(m + n) * k * k} "
+                         f"Jacobian, above the limit of {MAX_JACOBIAN_ENTRIES} entries")
     dense = np.array(A.to_dense(), dtype=float)
-    m, n = dense.shape
-    scale = float(np.sqrt(dense.mean())) / k if dense.any() else 1.0 / k
+    scale = float(np.sqrt(dense.mean())) / k or 1.0 / k  # 1/k when the mean is 0
     best: Optional[Tuple[float, int, np.ndarray, np.ndarray]] = None
-    total_iters = 0
+    total_steps = 0
 
     for r in range(config.restarts):
-        if r == 0 and config.init is not None:
-            U0, V0 = config.init
-            U = np.array(U0, dtype=float).copy()
-            V = np.array(V0, dtype=float).copy()
-        else:
-            rng = np.random.default_rng([config.seed, r])
-            U = rng.normal(0.0, scale or 1.0, size=(m, k, k))
-            V = rng.normal(0.0, scale or 1.0, size=(n, k, k))
-        U, V, loss, done = _gradient_descent(U, V, dense, config.iterations)
-        total_iters += done
-        U, V, _ = _polish(U, V, dense, config.polish_iterations)
+        rng = np.random.default_rng([config.seed, r])
+        U = rng.normal(0.0, scale, size=(m, k, k))
+        V = rng.normal(0.0, scale, size=(n, k, k))
+        U, V, steps = _polish(U, V, dense, POLISH_ITERATIONS)
+        total_steps += steps
         residual = float(np.max(np.abs(_trace_table(U, V) - dense)))
         if best is None or residual < best[0]:
             best = (residual, r, U, V)
@@ -261,6 +206,6 @@ def psd_rank_search(A: InstanceMatrix, k: int,
     assert best is not None
     residual, restart, U, V = best
     if residual <= config.success_tol:
-        return SearchReport(k, "witness-found", residual, restart, total_iters,
+        return SearchReport(k, "witness-found", residual, restart, total_steps,
                             config.seed, witness=_float_witness(A, U, V))
-    return SearchReport(k, "failed", residual, restart, total_iters, config.seed)
+    return SearchReport(k, "failed", residual, restart, total_steps, config.seed)

@@ -8,13 +8,11 @@ from psdrank.certificates import (
     assemble_instance_witness,
     completion_from_root,
     extract_root,
-    hadamard_sqrt_from_rank1,
     sqrt_condition_check,
 )
 from psdrank.factorizations import (
     PSDFactorization,
     dense_vector,
-    hadamard_square_factorization,
     p_alpha_gram_vectors,
     verify_factorization,
     write_factorization,
@@ -295,31 +293,3 @@ class TestSqrtCondition:
         assert ok
         for k, (i1, i2, j1, j2) in witness.columns.items():
             assert S.entry(i1, j1) == 1 and S.entry(i2, j2) == 1
-
-
-class TestHadamardSqrt:
-    def test_recovers_product_up_to_signs(self):
-        Pm = [[1, 1, 0], [1, -1, 0]]
-        Qm = [[1, -1], [1, 1], [0, 0]]
-        F = hadamard_square_factorization(Pm, Qm)
-        Q = hadamard_sqrt_from_rank1(F)
-        assert [[abs(x) for x in row] for row in Q] == [[2, 0], [0, 2]]
-
-    def test_size_one_entrywise_roots(self):
-        F = PSDFactorization(1, ("a", "b"), ("c",),
-                             {"a": ({0: Fraction(2)},), "b": ({0: Fraction(3)},)},
-                             {"c": ({0: Fraction(5)},)})
-        Q = hadamard_sqrt_from_rank1(F)
-        assert Q == [[10], [15]]
-
-    def test_identity_diagonal(self):
-        from psdrank.factorizations import identity_factorization
-        Q = hadamard_sqrt_from_rank1(identity_factorization(2))
-        assert [[abs(x) for x in r] for r in Q] == [[1, 0], [0, 1]]
-
-    def test_rank_two_rejected(self):
-        F = PSDFactorization(2, ("a",), ("b",),
-                             {"a": ({0: Fraction(1)}, {1: Fraction(1)})},
-                             {"b": ({0: Fraction(1)},)})
-        with pytest.raises(ValueError, match="rank"):
-            hadamard_sqrt_from_rank1(F)

@@ -263,6 +263,13 @@ class TestSearch:
         assert run("search", "i3.mtx", "--k", "2", "--restarts", "0") == 2
         assert "error code=usage" in capsys.readouterr().err
 
+    def test_oversized_target_refused(self, workdir, capsys):
+        labels = tuple(f"l{i}" for i in range(3000))
+        (workdir / "big.mtx").write_text(write_matrix(InstanceMatrix(labels, labels)))
+        assert run("search", "big.mtx", "--k", "3") == 2
+        err = capsys.readouterr().err
+        assert "error code=usage" in err and "Jacobian" in err
+
 
 class TestWitnessPipeline:
     def test_witness_then_extract(self, workdir, capsys):

@@ -17,10 +17,8 @@ from psdrank.factorizations import (
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     _two_squares,
+    dense_vector,
     four_squares,
-    hadamard_square_factorization,
-    hadamard_square_target,
-    identity_factorization,
     p_alpha_factorization,
     parse_factorization,
     rational_square_sum,
@@ -129,6 +127,47 @@ def direct_sum(F1, F2):
 
     mode = "exact" if F1.mode == F2.mode == "exact" else "float"
     return PSDFactorization.from_tables(side(F1.rows, F2.rows), side(F1.cols, F2.cols), mode)
+
+
+def identity_factorization(n):
+    """The canonical size-n witness for I_n (diagonal unit Gram vectors)."""
+    labels = tuple(f"r{i}" for i in range(n)), tuple(f"c{j}" for j in range(n))
+    rows = {f"r{i}": ({i: Fraction(1)},) for i in range(n)}
+    cols = {f"c{j}": ({j: Fraction(1)},) for j in range(n)}
+    return PSDFactorization(n, labels[0], labels[1], rows, cols, "exact")
+
+
+def _hadamard_operands(P, Q):
+    """P and Q as row lists, inner size r, Q's column count n, and labels."""
+    Pr, Qr = [list(x) for x in P], [list(x) for x in Q]
+    if any(len(x) != len(M[0]) for M in (Pr, Qr) for x in M):
+        raise ValueError("ragged matrix")
+    r, n = len(Pr[0]) if Pr else 0, len(Qr[0]) if Qr else 0
+    if len(Qr) != r:
+        raise ValueError(f"inner dimensions differ: P is mx{r}, Q has {len(Qr)} rows")
+    return Pr, Qr, r, n, tuple(f"r{i}" for i in range(len(Pr))), tuple(f"c{j}" for j in range(n))
+
+
+def hadamard_square_factorization(P, Q):
+    """Rank-one witness of (PQ) o (PQ) at size r from P (m x r), Q (r x n).
+
+    Row i's single Gram vector is the i-th row of P; column j's is the j-th
+    column of Q, so every certified entry is ((PQ)_{ij})^2.
+    """
+    Pr, Qr, r, n, rl, cl = _hadamard_operands(P, Q)
+    exact = all(not isinstance(x, float) for row in Pr + Qr for x in row)
+    conv = Fraction if exact else float
+    rows = {rl[i]: (dense_vector([conv(x) for x in Pr[i]]),) for i in range(len(Pr))}
+    cols = {cl[j]: (dense_vector([conv(Qr[t][j]) for t in range(r)]),) for j in range(n)}
+    return PSDFactorization(max(r, 1), rl, cl, rows, cols, "exact" if exact else "float")
+
+
+def hadamard_square_target(P, Q):
+    """The matrix (PQ) o (PQ) the factorization above certifies."""
+    Pr, Qr, r, n, rl, cl = _hadamard_operands(P, Q)
+    dense = [[sum(Fraction(Pr[i][t]) * Fraction(Qr[t][j]) for t in range(r)) ** 2
+              for j in range(n)] for i in range(len(Pr))]
+    return InstanceMatrix.from_dense(dense, rl, cl)
 
 
 class TestGramVectors:

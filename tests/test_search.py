@@ -7,10 +7,10 @@ from psdrank.factorizations import verify_factorization
 from psdrank.gadgets import build_G, build_P
 from psdrank.matrices import InstanceMatrix
 from psdrank.search import (
+    MAX_JACOBIAN_ENTRIES,
     SearchConfig,
     _jacobian,
     _trace_table,
-    pad_witness_arrays,
     psd_rank_search,
 )
 
@@ -68,13 +68,6 @@ class TestNumericSearch:
         assert not psd_rank_search(G, 2, SearchConfig(restarts=16)).found
         assert psd_rank_search(G, 3, SearchConfig(restarts=16)).found
 
-    def test_monotone_with_padded_init(self):
-        base = psd_rank_search(build_P(2), 2, SearchConfig(restarts=8))
-        assert base.found
-        init = pad_witness_arrays(base.witness, build_P(2), 3)
-        again = psd_rank_search(build_P(2), 3, SearchConfig(restarts=1, init=init))
-        assert again.found
-
     def test_deterministic(self):
         a = psd_rank_search(I3, 2, SearchConfig(seed=5, restarts=6))
         b = psd_rank_search(I3, 2, SearchConfig(seed=5, restarts=6))
@@ -86,6 +79,22 @@ class TestNumericSearch:
         assert report.found
         check = verify_factorization(build_P(1), report.witness, tol=1e-7)
         assert check.passed
+
+
+def known_rank_target(seed, m, k):
+    """m x m with A_ij = tr(U_i U_i^T V_j V_j^T) for seeded k x k blocks, so
+    its PSD rank is at most k."""
+    rng = np.random.default_rng(seed)
+    U, V = rng.normal(size=(m, k, k)), rng.normal(size=(m, k, k))
+    return InstanceMatrix.from_dense(_trace_table(U, V).tolist())
+
+
+@pytest.mark.parametrize("m,k,seed", [(4, 2, 0), (4, 2, 1), (6, 3, 0), (6, 3, 1)])
+def test_random_target_of_known_rank(m, k, seed):
+    A = known_rank_target(seed, m, k)
+    report = psd_rank_search(A, k, SearchConfig(restarts=8, seed=1))
+    assert report.found and report.iterations > 0
+    assert verify_factorization(A, report.witness, tol=1e-7).passed
 
 
 def test_jacobian_layout():
@@ -129,6 +138,14 @@ class TestValidation:
     def test_restarts_must_be_positive(self, restarts):
         with pytest.raises(ValueError, match="restarts"):
             SearchConfig(restarts=restarts)
+
+    def test_oversized_target_refused_before_building(self, monkeypatch):
+        labels = tuple(f"l{i}" for i in range(3000))
+        A = InstanceMatrix(labels, labels, {})
+        assert 3000 * 3000 * 6000 * 4 > MAX_JACOBIAN_ENTRIES
+        monkeypatch.setattr(InstanceMatrix, "to_dense", lambda self: pytest.fail("built"))
+        with pytest.raises(ValueError, match="Jacobian"):
+            psd_rank_search(A, 2)
 
     def test_negative_entries_cannot_occur_but_guarded(self):
         # InstanceMatrix already rejects negatives; the guard is for raw dicts
