@@ -11,10 +11,9 @@ into the final instance (M, 2k+3).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from .matrices import (
     NONZERO_UNKNOWN,
@@ -75,38 +74,62 @@ def index_set_size(sigma: Sequence[Polynomial]) -> int:
     return s ** 3 - (s - 1) ** 3
 
 
-def _gram_table(f: Polynomial) -> Tuple[
-        Tuple[LabelVector, ...], Tuple[str, ...], Iterator[Tuple[str, str, Polynomial]]]:
-    """H(f), its rendered labels, and (label u, label v, u.v) for every pair
-    u <= v of H in label order."""
+def _gram_table(f: Polynomial, entry: Callable[[Polynomial], Any]) -> Tuple[
+        Tuple[LabelVector, ...], Tuple[str, ...], Dict[Tuple[str, str], Any]]:
+    """H(f), its rendered labels, and the symmetric table {(u, v): entry(u.v)}
+    over H, filled pair by pair (u <= v in label order, (u, v) before
+    (v, u)); pairs whose entry is None stay absent.
+
+    Every coordinate of an H label lies in sigma(f), so u.v is a sum of three
+    entries of the |sigma| x |sigma| product table.  Each distinct product
+    gets an integer id, and a pair is keyed by the sorted triple of its three
+    ids (addition commutes and polynomial forms are canonical).  The sum is
+    formed once per distinct key and ``entry`` runs once per distinct sum: the
+    table repeats a few hundred dot products over tens of thousands of pairs.
+    """
     sigma = sigma_set(f)
     H = _triples_with_one(sigma)
     labels = tuple(h.render() for h in H)
-    # Every coordinate of an H label lies in sigma(f), so each dot product
-    # is a sum of three entries of the |sigma| x |sigma| product table.
     pos = {p: t for t, p in enumerate(sigma)}
-    product = [[p * q for q in sigma] for p in sigma]
+    ids: Dict[Polynomial, int] = {}
+    product = [[ids.setdefault(p * q, len(ids)) for q in sigma] for p in sigma]
+    polys = tuple(ids)
     index = [tuple(pos[c] for c in h.coords) for h in H]
+    by_sum: Dict[Polynomial, Any] = {}
+    by_key: Dict[Tuple[int, int, int], Any] = {}
+    # Ids in coordinate order, in front of ``by_key``: a pair seen before
+    # costs one lookup and no sort.
+    by_triple: Dict[Tuple[int, int, int], Any] = {}
 
-    def dots() -> Iterator[Tuple[str, str, Polynomial]]:
-        for i, u in enumerate(labels):
-            p0, p1, p2 = (product[t] for t in index[i])
-            for j in range(i, len(H)):
-                a, b, c = index[j]
-                yield u, labels[j], p0[a] + p1[b] + p2[c]
+    def resolve(triple: Tuple[int, int, int]) -> Any:
+        key = tuple(sorted(triple))
+        if key not in by_key:
+            d = polys[key[0]] + polys[key[1]] + polys[key[2]]
+            if d not in by_sum:
+                by_sum[d] = entry(d)
+            by_key[key] = by_sum[d]
+        by_triple[triple] = by_key[key]
+        return by_key[key]
 
-    return H, labels, dots()
+    data: Dict[Tuple[str, str], Any] = {}
+    for i, u in enumerate(labels):
+        p0, p1, p2 = (product[t] for t in index[i])
+        for j in range(i, len(H)):
+            a, b, c = index[j]
+            triple = (p0[a], p1[b], p2[c])
+            try:
+                e = by_triple[triple]
+            except KeyError:
+                e = resolve(triple)
+            if e is not None:
+                v = labels[j]
+                data[(u, v)] = data[(v, u)] = e
+    return H, labels, data
 
 
 def build_A(f: Polynomial) -> PolynomialMatrix:
     """The symmetric polynomial matrix with entries (u.v)^2 over H(f)."""
-    H, labels, dots = _gram_table(f)
-    data: Dict[Tuple[str, str], Polynomial] = {}
-    # The H x H table repeats a small set of dot products: square each once.
-    square = functools.cache(lambda d: d * d)
-    for u, v, d in dots:
-        if not d.is_zero:
-            data[(u, v)] = data[(v, u)] = square(d)
+    H, labels, data = _gram_table(f, lambda d: None if d.is_zero else d * d)
     return PolynomialMatrix(labels, labels, data, label_vectors=H)
 
 
@@ -116,27 +139,20 @@ def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatr
 
     The zero test checks f | (u.v) by default; ``square_multiple_test``
     switches to f | (u.v)^2, which can mark more zeros when f is reducible.
+    ``_gram_table`` decides each distinct dot product once, so the pairs of
+    H cost a lookup each and no polynomial arithmetic.
     """
-    H, labels, dots = _gram_table(f)
-    data: Dict[Tuple[str, str], object] = {}
 
-    # Entry decisions depend only on the dot product, so memoize per
-    # canonical dot; the H x H table repeats a small set of values.
-    @functools.cache
-    def decide(d: Polynomial) -> object:
+    def decide(d: Polynomial) -> Any:
         if d.is_zero:
-            return Fraction(0)
+            return None
         if not d.variables():
             return Fraction(sum(d.coefficients().values())) ** 2
         if square_multiple_test:
-            return Fraction(0) if is_multiple_of(d * d, f) else UNKNOWN
-        return Fraction(0) if is_multiple_of(d, f) else UNKNOWN
+            return None if is_multiple_of(d * d, f) else UNKNOWN
+        return None if is_multiple_of(d, f) else UNKNOWN
 
-    for u, v, d in dots:
-        e = decide(d)
-        if e is not UNKNOWN and not e:
-            continue
-        data[(u, v)] = data[(v, u)] = e
+    H, labels, data = _gram_table(f, decide)
     return IncompleteMatrix(labels, labels, data, label_vectors=H)
 
 

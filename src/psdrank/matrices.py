@@ -30,7 +30,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from itertools import pairwise, repeat, starmap
+from operator import add, itemgetter, lt, mul
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -59,18 +60,28 @@ NONZERO_UNKNOWN = _Mark("*")
 Entry = Union[Fraction, _Mark]
 
 
-def _check_label(label: str) -> str:
+_KEYWORDS = frozenset(("row", "col", "r"))
+
+
+def _check_label(label: str) -> None:
     if label.split() != [label]:
         raise ValueError(f"matrix labels must be nonempty and whitespace-free: {label!r}")
-    if label in ("row", "col", "r"):
+    if label in _KEYWORDS:
         raise ValueError(f"label {label!r} collides with a format keyword")
-    return label
 
 
 def _check_labels(labels: Sequence[str]) -> Tuple[str, ...]:
-    out = tuple(_check_label(l) for l in labels)
-    if len(set(out)) != len(out):
-        raise ValueError("matrix labels must be unique")
+    """The labels as a tuple, checked in one pass: joined by spaces they
+    split back into themselves exactly when each is nonempty and
+    whitespace-free.  Only a rejected tuple walks the labels one by one, so
+    the message names the first bad label."""
+    out = tuple(labels)
+    if not (" ".join(out).split() == list(out) and _KEYWORDS.isdisjoint(out)
+            and len(set(out)) == len(out)):
+        for l in out:
+            _check_label(l)
+        if len(set(out)) != len(out):
+            raise ValueError("matrix labels must be unique")
     return out
 
 
@@ -273,7 +284,10 @@ def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str
     """Shared writer of both matrix formats; ``token`` renders a value.
 
     Data lines come out in row-major label order, so identical matrices
-    serialize byte-identically.  Each distinct value is rendered once.
+    serialize byte-identically.  A matrix stored in that order (M from
+    ``build_M``) is written as it is stored, after one C-level pass over its
+    keys confirms the order; only other matrices (B, B', a parsed file) are
+    sorted.  Each distinct value is rendered once.
     """
     lines = [f"{header} {m.nrows} {m.ncols}"]
     if target_rank is not None:
@@ -287,19 +301,26 @@ def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str
             else {l: j for j, l in enumerate(m.col_labels)})
     ncols = m.ncols
     data = m.data
+    # Flat positions i * ncols + j of the keys, streamed: no int per entry
+    # is held.
+    flat = map(add, map(mul, map(rpos.__getitem__, map(itemgetter(0), data)), repeat(ncols)),
+               map(cpos.__getitem__, map(itemgetter(1), data)))
+    items: Iterable[Tuple[Tuple[str, str], Any]] = data.items()
+    if not all(starmap(lt, pairwise(flat))):
+        items = ((rc, data[rc])
+                 for rc in sorted(data, key=lambda rc: rpos[rc[0]] * ncols + cpos[rc[1]]))
     # Runs of entries share one value object (M stores K once), so the
     # identity test skips most lookups; hashing a Fraction is not cheap.
     tokens: Dict[Any, str] = {}
     last: Any = None
     tok = ""
-    for rc in sorted(data, key=lambda rc: rpos[rc[0]] * ncols + cpos[rc[1]]):
-        v = data[rc]
+    for (r, c), v in items:
         if v is not last:
             last = v
             tok = tokens.get(v)
             if tok is None:
                 tok = tokens[v] = token(v)
-        lines.append(f"{rc[0]} {rc[1]} {tok}")
+        lines.append(f"{r} {c} {tok}")
     return "\n".join(lines) + "\n"
 
 

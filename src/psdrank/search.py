@@ -122,26 +122,25 @@ def _polish(U, V, A, iterations: int):
 
 
 def _rank_one_exact(A: InstanceMatrix) -> Optional[PSDFactorization]:
-    """Exact witness when A is a nonnegative outer product, else None."""
-    pivot = None
-    for r in A.row_labels:
-        for c in A.col_labels:
-            if A.entry(r, c):
-                pivot = (r, c)
-                break
-        if pivot:
-            break
-    if pivot is None:
+    """Exact witness when A is a nonnegative outer product, else None.
+
+    The pivot is the first stored entry in row-major label order; u is its
+    column over the pivot and v its row.  A equals u v^T exactly when every
+    stored entry matches u[r] v[c] and there are as many stored entries as
+    pairs of nonzero u[r] and v[c]; the test costs O(nnz + m + n).
+    """
+    if not A.data:
         # the zero matrix: empty Gram lists certify every entry
         return PSDFactorization(1, A.row_labels, A.col_labels, {}, {}, "exact")
-    r0, c0 = pivot
+    rpos = {r: i for i, r in enumerate(A.row_labels)}
+    cpos = {c: j for j, c in enumerate(A.col_labels)}
+    r0, c0 = min(A.data, key=lambda rc: (rpos[rc[0]], cpos[rc[1]]))
     base = A.entry(r0, c0)
     u = {r: A.entry(r, c0) / base for r in A.row_labels}
     v = {c: A.entry(r0, c) for c in A.col_labels}
-    for r in A.row_labels:
-        for c in A.col_labels:
-            if A.entry(r, c) != u[r] * v[c]:
-                return None
+    if (any(x != u[r] * v[c] for (r, c), x in A.data.items())
+            or sum(map(bool, u.values())) * sum(map(bool, v.values())) != len(A.data)):
+        return None
     rows = {r: tuple({0: s} for s in rational_square_sum(u[r])) for r in A.row_labels}
     cols = {c: tuple({0: s} for s in rational_square_sum(v[c])) for c in A.col_labels}
     return PSDFactorization(1, A.row_labels, A.col_labels, rows, cols, "exact")

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,11 @@ from psdrank.matrices import (
     UNKNOWN,
     IncompleteMatrix,
     LabelVector,
+    PolynomialMatrix,
     write_matrix,
+    write_polynomial_matrix,
 )
-from psdrank.polynomials import Polynomial, parse_polynomial
+from psdrank.polynomials import Polynomial, is_multiple_of, parse_polynomial
 
 ONE = Polynomial.constant(1)
 ZERO = Polynomial.zero()
@@ -288,6 +291,83 @@ class TestBuildMOrder:
             build_M(S, 6)
         assert str(got.value) == str(expected.value) == (
             "known entry 7 at ('b','b') is outside [0, K=6]")
+
+
+def reference_dots(f):
+    """(u, v, u.v) for every pair u <= v of H(f) in label order, each dot
+    product summed as polynomials from the sigma product table: the
+    construction ``_gram_table`` replaced, kept as its reference."""
+    sigma = sigma_set(f)
+    H = index_set_H(f)
+    labels = [h.render() for h in H]
+    pos = {p: t for t, p in enumerate(sigma)}
+    product = [[p * q for q in sigma] for p in sigma]
+    index = [tuple(pos[c] for c in h.coords) for h in H]
+    for i, u in enumerate(labels):
+        p0, p1, p2 = (product[t] for t in index[i])
+        for j in range(i, len(H)):
+            a, b, c = index[j]
+            yield u, labels[j], p0[a] + p1[b] + p2[c]
+
+
+def reference_build_A(f):
+    square = functools.cache(lambda d: d * d)
+    data = {}
+    for u, v, d in reference_dots(f):
+        if not d.is_zero:
+            data[(u, v)] = data[(v, u)] = square(d)
+    return data
+
+
+def reference_build_B(f, square_multiple_test=False):
+    """B pair by pair, one dot product at a time, with the entry decision
+    memoized per dot product: the reference for ``build_B``."""
+    @functools.cache
+    def decide(d):
+        if d.is_zero:
+            return Fraction(0)
+        if not d.variables():
+            return Fraction(sum(d.coefficients().values())) ** 2
+        if square_multiple_test:
+            return Fraction(0) if is_multiple_of(d * d, f) else UNKNOWN
+        return Fraction(0) if is_multiple_of(d, f) else UNKNOWN
+
+    data = {}
+    for u, v, d in reference_dots(f):
+        e = decide(d)
+        if e is not UNKNOWN and not e:
+            continue
+        data[(u, v)] = data[(v, u)] = e
+    return data
+
+
+GRAM_CASES = [("x1 - 1", False), ("x1*x1 - 1", False), ("x1*x2 - x1", False),
+              ("x1 - x2", False), ("x1*x1", False), ("x1*x1", True)]
+
+
+class TestGramTableAgainstReference:
+    @pytest.mark.parametrize("text, square", GRAM_CASES)
+    def test_build_B(self, text, square):
+        f = P(text)
+        B = build_B(f, square)
+        expected = reference_build_B(f, square)
+        assert list(B.data.items()) == list(expected.items())
+        labels = B.row_labels
+        assert write_matrix(B) == write_matrix(IncompleteMatrix(labels, labels, expected))
+
+    def test_reducible_f_square_test_differs(self):
+        f = P("x1*x1")
+        assert build_B(f, False).data != build_B(f, True).data
+
+    @pytest.mark.parametrize("text", ["x1 - 1", "x1*x2 - x1", "x1*x1"])
+    def test_build_A(self, text):
+        f = P(text)
+        A = build_A(f)
+        expected = reference_build_A(f)
+        assert list(A.data.items()) == list(expected.items())
+        labels = A.row_labels
+        assert write_polynomial_matrix(A) == write_polynomial_matrix(
+            PolynomialMatrix(labels, labels, expected))
 
 
 class TestBuildG:

@@ -1,10 +1,13 @@
 import hashlib
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdrank import matrices
 from psdrank.matrices import (
     NONZERO_UNKNOWN,
     UNKNOWN,
@@ -154,6 +157,28 @@ class TestFileFormat:
         assert hashlib.sha256(data).hexdigest() == (
             "e044dec2512c5f7d24f20289333a45dd95ba21b48716777f046948f60072301c")
 
+    def test_shuffled_entries_write_sorted(self):
+        M = reduce(parse_polynomial("x1 - 1")).M
+        items = list(M.data.items())
+        random.Random(3).shuffle(items)
+        shuffled = InstanceMatrix(M.row_labels, M.col_labels, dict(items))
+        assert list(shuffled.data) != list(M.data)
+        assert write_matrix(shuffled, target_rank=5) == write_matrix(M, target_rank=5)
+
+    def test_row_major_entries_skip_the_sort(self, monkeypatch):
+        M = reduce(parse_polynomial("x1 - 1")).M
+        expected = write_matrix(M)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted() called")
+
+        monkeypatch.setattr(matrices, "sorted", no_sort, raising=False)
+        assert write_matrix(M) == expected
+        swapped = dict(reversed(list(M.data.items())[:2]))
+        swapped.update(M.data)
+        with pytest.raises(AssertionError, match="sorted"):
+            write_matrix(InstanceMatrix(M.row_labels, M.col_labels, swapped))
+
     def test_zero_denominator_names_line(self):
         text = "psdrank-matrix v1 1 1\nrow 0 a\ncol 0 b\na b 1/0\n"
         with pytest.raises(ValueError, match="'a b 1/0'"):
@@ -259,23 +284,53 @@ class TestPolynomialMatrixValidation:
 # The constructor against a one-pass reference
 # ---------------------------------------------------------------------------
 
+def reference_check_labels(labels):
+    """Each label checked on its own, then the tuple for repeats."""
+    out = tuple(labels)
+    for label in out:
+        if label.split() != [label]:
+            raise ValueError(f"matrix labels must be nonempty and whitespace-free: {label!r}")
+        if label in ("row", "col", "r"):
+            raise ValueError(f"label {label!r} collides with a format keyword")
+    if len(set(out)) != len(out):
+        raise ValueError("matrix labels must be unique")
+    return out
+
+
+# Every character str.split() splits at, \x1c-\x1f, \x85 and \u2028 among them.
+SPLIT_CHARS = [chr(i) for i in range(sys.maxunicode + 1) if chr(i).isspace()]
+
+
+CLEAN_LABEL = st.one_of(st.sampled_from(["a", "b", "e1[0]", "(1,0,x1)", "rows", "r1"]),
+                        st.text(alphabet="abr(),1", min_size=1, max_size=3))
+BAD_LABEL = st.one_of(st.sampled_from(["", "row", "col", "r"]),
+                      st.text(alphabet=st.sampled_from(SPLIT_CHARS + ["a"]), max_size=3))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.lists(st.one_of(CLEAN_LABEL, CLEAN_LABEL, CLEAN_LABEL, BAD_LABEL), max_size=6))
+def test_label_check_matches_per_label_reference(labels):
+    def outcome(check):
+        try:
+            return "accepted", check(labels)
+        except ValueError as e:
+            return "rejected", str(e)
+
+    assert outcome(matrices._check_labels) == outcome(reference_check_labels)
+
+
+def test_split_chars_cover_the_unusual_separators():
+    assert {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u3000"} <= set(SPLIT_CHARS)
+    for ch in SPLIT_CHARS:
+        assert f"a{ch}b".split() == ["a", "b"]
+
+
 def reference_check(instance, row_labels, col_labels, data):
     """The constructor's checks as one pass over each label tuple and then
     over every entry in item order: the reference the constructor's checks
     are compared with.  Returns the stored entries or raises ValueError."""
-    def check_labels(labels):
-        out = tuple(labels)
-        for label in out:
-            if label.split() != [label]:
-                raise ValueError(
-                    f"matrix labels must be nonempty and whitespace-free: {label!r}")
-            if label in ("row", "col", "r"):
-                raise ValueError(f"label {label!r} collides with a format keyword")
-        if len(set(out)) != len(out):
-            raise ValueError("matrix labels must be unique")
-        return out
-
-    rset, cset = set(check_labels(row_labels)), set(check_labels(col_labels))
+    rset = set(reference_check_labels(row_labels))
+    cset = set(reference_check_labels(col_labels))
     clean = {}
     for (r, c), v in data.items():
         if r not in rset or c not in cset:

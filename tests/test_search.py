@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,54 @@ class TestExactSizeOne:
         report = psd_rank_search(A, 1)
         assert report.found
         assert verify_factorization(A, report.witness).max_residual == 0
+
+
+class TestSizeOneScale:
+    """The rank-one decision reads the stored entries, not every pair."""
+
+    N = 3000
+    ROWS = tuple(f"r{i}" for i in range(N))
+    COLS = tuple(f"c{j}" for j in range(N))
+
+    def decide(self, data):
+        A = InstanceMatrix(self.ROWS, self.COLS, data)
+        start = time.perf_counter()
+        report = psd_rank_search(A, 1)
+        assert time.perf_counter() - start < 1.0
+        return A, report
+
+    def rank_one(self):
+        # u and v nonzero on every 60th label, with the pivot's row and
+        # column inside those: 50 x 50 stored entries.
+        u = {r: Fraction(i % 7 + 1, 3) for i, r in enumerate(self.ROWS) if i % 60 == 5}
+        v = {c: Fraction(j % 5 + 1) for j, c in enumerate(self.COLS) if j % 60 == 7}
+        return {(r, c): a * b for r, a in u.items() for c, b in v.items()}
+
+    def test_empty(self):
+        A, report = self.decide({})
+        assert report.found and report.exact
+        assert verify_factorization(A, report.witness).max_residual == 0
+
+    def test_rank_one(self):
+        A, report = self.decide(self.rank_one())
+        assert report.found and report.exact
+        assert verify_factorization(A, report.witness).max_residual == 0
+
+    @pytest.mark.parametrize("change", ["extra before the pivot", "extra after the pivot",
+                                        "entry changed", "entry missing"])
+    def test_off_by_one_entry_refused(self, change):
+        data = self.rank_one()
+        last = next(reversed(data))
+        if change == "extra before the pivot":
+            data[(self.ROWS[0], self.COLS[0])] = Fraction(1)
+        elif change == "extra after the pivot":
+            data[(self.ROWS[-1], self.COLS[-1])] = Fraction(1)
+        elif change == "entry changed":
+            data[last] += 1
+        else:
+            del data[last]
+        _, report = self.decide(data)
+        assert not report.found and report.exact
 
 
 class TestNumericSearch:
