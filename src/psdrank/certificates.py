@@ -51,7 +51,14 @@ class Completion:
     factorization: PSDFactorization
 
 
-def _check_root(f: Polynomial, xi: Assignment, tol: float = 1e-12) -> None:
+# Largest |f(xi)| a float root may leave.
+ROOT_TOL = 1e-12
+
+
+def _root_values(f: Polynomial, xi: Assignment) -> Dict[Polynomial, Number]:
+    """Check that xi is a cube root of f (exactly, or within ``ROOT_TOL`` for
+    a float point), then evaluate each sigma element once; every coordinate
+    of an H label is one of them."""
     for v in f.variables():
         val = xi.value_of(v)
         mag = abs(val if isinstance(val, float) else Fraction(val))
@@ -61,14 +68,8 @@ def _check_root(f: Polynomial, xi: Assignment, tol: float = 1e-12) -> None:
     if xi.mode == "exact":
         if residual != 0:
             raise ValueError(f"point is not a root: f(xi) = {residual}")
-    elif abs(residual) > tol:
-        raise ValueError(f"point is not a root within {tol}: f(xi) = {residual}")
-
-
-def _root_values(f: Polynomial, xi: Assignment, tol: float) -> Dict[Polynomial, Number]:
-    """Check that xi is a cube root of f, then evaluate each sigma element
-    once; every coordinate of an H label is one of them."""
-    _check_root(f, xi, tol)
+    elif abs(residual) > ROOT_TOL:
+        raise ValueError(f"point is not a root within {ROOT_TOL}: f(xi) = {residual}")
     return {p: evaluate(p, xi) for p in sigma_set(f)}
 
 
@@ -88,32 +89,30 @@ def _interned_points(value: Mapping[Polynomial, Number], H: Sequence[LabelVector
     return points, pid, square
 
 
-def completion_from_root(f: Polynomial, xi: Assignment, tol: float = 1e-12) -> Completion:
+def completion_from_root(f: Polynomial, xi: Assignment) -> Completion:
     """Entrywise square of the evaluated label matrix, plus its witness.
 
     B'(u|v) = ((u.v)(xi))^2 agrees with every known entry of B and its
-    entries stay within 9*(length f)^4 because |xi_i| <= 1.  The witness is
-    the rank-one factorization by evaluated label vectors.
+    entries stay within 9*(length f)^4 because |xi_i| <= 1.  B' is stored in
+    row-major label order, the order the writer emits.  The witness is the
+    rank-one factorization by evaluated label vectors.
     """
-    value = _root_values(f, xi, tol)
+    value = _root_values(f, xi)
     H = index_set_H(f)
     exact = xi.mode == "exact"
     labels = tuple(h.render() for h in H)
     points, pid, square = _interned_points(value, H)
     data: Dict[Tuple[str, str], Fraction] = {}
-    n = len(H)
-    for i in range(n):
-        for j in range(i, n):
-            sq = square(pid[i], pid[j])
+    for u, p in zip(labels, pid):
+        for v, q in zip(labels, pid):
+            sq = square(p, q)
             if sq is not None:
-                data[(labels[i], labels[j])] = sq
-                if i != j:
-                    data[(labels[j], labels[i])] = sq
+                data[(u, v)] = sq
     if not exact:
         data = {k: Fraction(v) for k, v in data.items()}
     matrix = InstanceMatrix(labels, labels, data)
     vectors = [(dense_vector(p),) for p in points]  # one per distinct point
-    rows = {labels[i]: vectors[pid[i]] for i in range(n)}
+    rows = {l: vectors[p] for l, p in zip(labels, pid)}
     fact = PSDFactorization(3, labels, labels, rows, rows, "exact" if exact else "float")
     return Completion(matrix, fact)
 
@@ -122,8 +121,7 @@ def completion_from_root(f: Polynomial, xi: Assignment, tol: float = 1e-12) -> C
 # Witness assembly for M(B, K)
 # ---------------------------------------------------------------------------
 
-def assemble_instance_witness(f: Polynomial, xi: Assignment,
-                              tol: float = 1e-12) -> PSDFactorization:
+def assemble_instance_witness(f: Polynomial, xi: Assignment) -> PSDFactorization:
     """Size 2k+3 witness for M(B(f), K) from a cube root xi of f.
 
     M decomposes as the embedded completion plus k disjoint blocks
@@ -132,7 +130,7 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment,
     exactly the block-diagonal padding of the direct-sum bound.  B' is read
     only at the k unknown entries e of B.
     """
-    value = _root_values(f, xi, tol)
+    value = _root_values(f, xi)
     B = build_B(f)
     K = Fraction(compute_K(f))
     E, labels = instance_labels(B)

@@ -308,7 +308,7 @@ def main(argv: Optional[list] = None) -> int:
     trace = _Trace()
     try:
         return args.func(args, trace)
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing file, a directory where a file belongs, ...
         return _fail("io", str(e), 2)
     except ParseError as e:
         return _fail("parse", str(e), 2)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from .matrices import (
@@ -77,8 +79,8 @@ def index_set_size(sigma: Sequence[Polynomial]) -> int:
 def _gram_table(f: Polynomial, entry: Callable[[Polynomial], Any]) -> Tuple[
         Tuple[LabelVector, ...], Tuple[str, ...], Dict[Tuple[str, str], Any]]:
     """H(f), its rendered labels, and the symmetric table {(u, v): entry(u.v)}
-    over H, filled pair by pair (u <= v in label order, (u, v) before
-    (v, u)); pairs whose entry is None stay absent.
+    over H, stored in row-major label order, the order the writer emits;
+    pairs whose entry is None stay absent.
 
     Every coordinate of an H label lies in sigma(f), so u.v is a sum of three
     entries of the |sigma| x |sigma| product table.  Each distinct product
@@ -112,18 +114,16 @@ def _gram_table(f: Polynomial, entry: Callable[[Polynomial], Any]) -> Tuple[
         return by_key[key]
 
     data: Dict[Tuple[str, str], Any] = {}
-    for i, u in enumerate(labels):
-        p0, p1, p2 = (product[t] for t in index[i])
-        for j in range(i, len(H)):
-            a, b, c = index[j]
+    for u, (s0, s1, s2) in zip(labels, index):
+        p0, p1, p2 = product[s0], product[s1], product[s2]
+        for v, (a, b, c) in zip(labels, index):
             triple = (p0[a], p1[b], p2[c])
             try:
                 e = by_triple[triple]
             except KeyError:
                 e = resolve(triple)
             if e is not None:
-                v = labels[j]
-                data[(u, v)] = data[(v, u)] = e
+                data[(u, v)] = e
     return H, labels, data
 
 
@@ -204,43 +204,40 @@ def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
     entries of S land on the plain part; each unknown e = (i, j) plants the
     block K*P(1) on rows {i, e1, e2} x columns {j, e1, e2}; all remaining
     entries are zero.  Labels follow ``instance_labels``, and the entries
-    are stored in row-major label order, the order the writer emits.
+    are stored in row-major label order, the order the writer emits, read
+    off S's own row-major order (B is built in it, so its sort is linear).
     """
     K = Fraction(K)
     if K <= 0:
         raise ValueError(f"K must be positive, got {K}")
     if S.row_labels != S.col_labels:
         raise ValueError("M(S, K) needs a square S with matching label order")
+    # Checked in item order, so the first bad entry is the one named.
+    for rc, v in S.data.items():
+        if v is NONZERO_UNKNOWN:
+            raise ValueError("M(S, K) accepts known/unknown entries only")
+        if v is not UNKNOWN and (v < 0 or v > K):
+            raise ValueError(f"known entry {v} at ({rc[0]!r},{rc[1]!r}) is outside [0, K={K}]")
     E, labels = instance_labels(S)
     k = len(E)
     pos = {l: p for p, l in enumerate(S.row_labels)}
-    # One read of S, in item order so the first bad entry is the one named:
-    # the keys of each row of S and the number of its unknowns.
-    rows: List[List[Tuple[str, str]]] = [[] for _ in pos]
-    unknowns = [0] * len(pos)
-    for rc, v in S.data.items():
-        p = pos[rc[0]]
-        if v is UNKNOWN:
-            unknowns[p] += 1
-        elif v is NONZERO_UNKNOWN:
-            raise ValueError("M(S, K) accepts known/unknown entries only")
-        elif v < 0 or v > K:
-            raise ValueError(f"known entry {v} at ({rc[0]!r},{rc[1]!r}) is outside [0, K={K}]")
-        rows[p].append(rc)
     data: Dict[Tuple[str, str], Fraction] = {}
     # K * P(1) on rows (i, e1, e2) x cols (j, e1, e2) for unknown t at
     # (i, j); its zeros at (e1, e2) and (e2, e1) stay absent.  Every E1 or
-    # E2 label precedes the labels of S, and unknowns are in row-major
-    # order, so row i takes its E1, then its E2, then its own columns.
+    # E2 label precedes the labels of S, and E is in row-major order, so
+    # row i takes the E1, then the E2 labels of its run of E, then S's row.
     for e, (_, j) in zip(labels[:2 * k], E + E):
         data[(e, e)] = K
         data[(e, j)] = K
     t = 0
-    for i, row, n in zip(S.row_labels, rows, unknowns):
-        for e in labels[t:t + n] + labels[k + t:k + t + n]:
+    keys = sorted(S.data, key=lambda rc: (pos[rc[0]], pos[rc[1]]))
+    for i, row in groupby(keys, itemgetter(0)):
+        end = t
+        while end < k and E[end][0] == i:
+            end += 1
+        for e in labels[t:end] + labels[k + t:k + end]:
             data[(i, e)] = K
-        t += n
-        row.sort(key=lambda rc: pos[rc[1]])
+        t = end
         for rc in row:
             v = S.data[rc]
             data[rc] = K if v is UNKNOWN else v

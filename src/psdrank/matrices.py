@@ -9,10 +9,10 @@ absent entry is zero.  Three views of the labelled H x H matrix share it:
 * ``IncompleteMatrix``  entries are known rationals, ``UNKNOWN`` or
                         ``NONZERO_UNKNOWN``; the shadow B and its pattern C.
 * ``InstanceMatrix``    an incomplete matrix with no marks and no negative
-                        entries; the reduction's output M(B, K), whose
-                        entries ``build_M`` stores in row-major label order.
+                        entries; the reduction's output M(B, K).
 
-A matrix checks its labels once and its values once per distinct value
+Every table the package builds (A, B, C, the completion B' and M) starts out
+in row-major label order, the order the writer emits.  A matrix checks its labels once and its values once per distinct value
 object, and owns a copy of the caller's dict.  The gadget builders attach the
 label triples behind the labels as ``label_vectors``.
 
@@ -225,13 +225,14 @@ class IncompleteMatrix(_SparseMatrix):
         return cls(rl, cl, data)
 
     def unknown_positions(self) -> Tuple[Tuple[str, str], ...]:
-        """Unknown coordinates in deterministic row-major label order."""
-        out = []
-        for r in self.row_labels:
-            for c in self.col_labels:
-                if self.data.get((r, c)) is UNKNOWN:
-                    out.append((r, c))
-        return tuple(out)
+        """Unknown coordinates in row-major label order: the stored unknown
+        keys, sorted by (row position, column position).  Every table the
+        package builds is stored in that order, so the sort is one linear
+        pass; only input stored out of order is really reordered."""
+        rpos = {l: i for i, l in enumerate(self.row_labels)}
+        cpos = {l: j for j, l in enumerate(self.col_labels)}
+        return tuple(sorted((rc for rc, v in self.data.items() if v is UNKNOWN),
+                            key=lambda rc: (rpos[rc[0]], cpos[rc[1]])))
 
     def transpose(self) -> "IncompleteMatrix":
         return IncompleteMatrix(
@@ -284,10 +285,11 @@ def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str
     """Shared writer of both matrix formats; ``token`` renders a value.
 
     Data lines come out in row-major label order, so identical matrices
-    serialize byte-identically.  A matrix stored in that order (M from
-    ``build_M``) is written as it is stored, after one C-level pass over its
-    keys confirms the order; only other matrices (B, B', a parsed file) are
-    sorted.  Each distinct value is rendered once.
+    serialize byte-identically.  Every table the package builds (A, B, C,
+    B' and M) is stored in that order and is written as it is stored, after
+    one C-level pass over its keys confirms the order; only input stored
+    out of order (a parsed file with shuffled lines, a transpose, a caller's
+    dict) is sorted.  Each distinct value object is rendered once.
     """
     lines = [f"{header} {m.nrows} {m.ncols}"]
     if target_rank is not None:
@@ -310,16 +312,17 @@ def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str
         items = ((rc, data[rc])
                  for rc in sorted(data, key=lambda rc: rpos[rc[0]] * ncols + cpos[rc[1]]))
     # Runs of entries share one value object (M stores K once), so the
-    # identity test skips most lookups; hashing a Fraction is not cheap.
-    tokens: Dict[Any, str] = {}
+    # identity test skips most lookups.  Hashing a Fraction is not cheap, so
+    # tokens are keyed by id, unique while ``data`` keeps each value alive.
+    tokens: Dict[int, str] = {}
     last: Any = None
     tok = ""
     for (r, c), v in items:
         if v is not last:
             last = v
-            tok = tokens.get(v)
+            tok = tokens.get(id(v))
             if tok is None:
-                tok = tokens[v] = token(v)
+                tok = tokens[id(v)] = token(v)
         lines.append(f"{r} {c} {tok}")
     return "\n".join(lines) + "\n"
 

@@ -79,6 +79,13 @@ class TestCompletionFromRoot:
         with pytest.raises(ValueError, match="not a root"):
             completion_from_root(P("x1*x1 - 1"), exact_point(x1=0))
 
+    @pytest.mark.parametrize("build", [completion_from_root, assemble_instance_witness])
+    def test_float_root_within_tolerance(self, build):
+        f = P("x1 - 1")
+        build(f, Assignment.floating({xvar(1): 1.0}))
+        with pytest.raises(ValueError, match="not a root within"):
+            build(f, Assignment.floating({xvar(1): 1 - 1e-9}))
+
     def test_fractional_root_bytes_pinned(self):
         # the benchmark's bprime.mtx and completion.fac entries for x1 - x2
         comp = completion_from_root(P("x1 - x2"), exact_point(x1="19/23", x2="19/23"))

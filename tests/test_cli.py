@@ -249,6 +249,32 @@ class TestMalformedFiles:
         assert "error code=usage" in err and "0x1" in err
 
 
+class TestPathErrors:
+    """A path naming the wrong kind of file ends in an io error line, not a
+    traceback."""
+
+    def assert_io_error(self, capsys, *argv):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "error code=io" in err
+        assert "Traceback" not in err
+
+    def test_directory_as_input(self, workdir, capsys):
+        (workdir / "adir").mkdir()
+        self.assert_io_error(capsys, "reduce", "adir")
+
+    def test_directory_as_output(self, workdir, capsys):
+        (workdir / "f.poly").write_text("x1 - 1\n")
+        (workdir / "adir").mkdir()
+        self.assert_io_error(capsys, "reduce", "f.poly", "-o", "adir")
+
+    def test_file_as_outdir(self, workdir, capsys):
+        (workdir / "f.poly").write_text("x1 - 1\n")
+        (workdir / "afile").write_text("")
+        self.assert_io_error(capsys, "witness", "f.poly", "--root", "x1=1",
+                             "--outdir", "afile")
+
+
 class TestSearch:
     def test_identity_three(self, workdir, capsys):
         (workdir / "i3.mtx").write_text(

@@ -345,13 +345,22 @@ GRAM_CASES = [("x1 - 1", False), ("x1*x1 - 1", False), ("x1*x2 - x1", False),
               ("x1 - x2", False), ("x1*x1", False), ("x1*x1", True)]
 
 
+def assert_row_major(m):
+    """The keys of ``m.data`` are stored in row-major label order."""
+    rpos = {l: i for i, l in enumerate(m.row_labels)}
+    cpos = {l: j for j, l in enumerate(m.col_labels)}
+    keys = list(m.data)
+    assert keys == sorted(keys, key=lambda rc: (rpos[rc[0]], cpos[rc[1]]))
+
+
 class TestGramTableAgainstReference:
     @pytest.mark.parametrize("text, square", GRAM_CASES)
     def test_build_B(self, text, square):
         f = P(text)
         B = build_B(f, square)
         expected = reference_build_B(f, square)
-        assert list(B.data.items()) == list(expected.items())
+        assert B.data == expected
+        assert_row_major(B)
         labels = B.row_labels
         assert write_matrix(B) == write_matrix(IncompleteMatrix(labels, labels, expected))
 
@@ -364,7 +373,8 @@ class TestGramTableAgainstReference:
         f = P(text)
         A = build_A(f)
         expected = reference_build_A(f)
-        assert list(A.data.items()) == list(expected.items())
+        assert A.data == expected
+        assert_row_major(A)
         labels = A.row_labels
         assert write_polynomial_matrix(A) == write_polynomial_matrix(
             PolynomialMatrix(labels, labels, expected))

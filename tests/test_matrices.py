@@ -20,8 +20,9 @@ from psdrank.matrices import (
     write_matrix,
     write_polynomial_matrix,
 )
-from psdrank.gadgets import build_A, build_P, reduce
-from psdrank.polynomials import ParseError, Polynomial, parse_polynomial
+from psdrank.certificates import completion_from_root
+from psdrank.gadgets import build_A, build_B, build_C, build_P, reduce
+from psdrank.polynomials import Assignment, ParseError, Polynomial, parse_polynomial, xvar
 
 
 class TestInstanceMatrix:
@@ -410,3 +411,90 @@ def test_constructor_matches_one_pass_reference(cls, args):
     if matrix is not None:
         assert matrix.data is not data
         assert matrix.row_labels == tuple(rows) and matrix.col_labels == tuple(cols)
+
+
+# ---------------------------------------------------------------------------
+# Every table the package builds is stored in row-major label order
+# ---------------------------------------------------------------------------
+
+ROOTS = {"x1 - 1": {1: 1}, "x1*x1 - 1": {1: 1}, "x1*x2 - x1": {1: 0, 2: 0}}
+TABLES = ("A", "B", "B_square", "C", "B'", "M")
+
+
+@pytest.fixture(scope="module", params=list(ROOTS))
+def tables(request):
+    """A, B under both zero tests, C, B' at a root, and M for one f."""
+    f = parse_polynomial(request.param)
+    B = build_B(f)
+    xi = Assignment.exact({xvar(i): Fraction(x) for i, x in ROOTS[request.param].items()})
+    return {"A": build_A(f), "B": B, "B_square": build_B(f, True), "C": build_C(B),
+            "B'": completion_from_root(f, xi).matrix, "M": reduce(f).M}
+
+
+def row_major(m, keys):
+    rpos = {l: i for i, l in enumerate(m.row_labels)}
+    cpos = {l: j for j, l in enumerate(m.col_labels)}
+    return sorted(keys, key=lambda rc: (rpos[rc[0]], cpos[rc[1]]))
+
+
+def shuffled(m, seed):
+    """A copy of m with its entries stored in a seeded random order."""
+    items = list(m.data.items())
+    random.Random(seed).shuffle(items)
+    return type(m)(m.row_labels, m.col_labels, dict(items))
+
+
+def write_any(m):
+    if isinstance(m, PolynomialMatrix):
+        return write_polynomial_matrix(m)
+    return write_matrix(m)
+
+
+def reference_unknown_positions(m):
+    """Unknown coordinates found by probing every label pair in row-major
+    order: the scan ``unknown_positions`` replaced, kept as its reference."""
+    return tuple((r, c) for r in m.row_labels for c in m.col_labels
+                 if m.data.get((r, c)) is UNKNOWN)
+
+
+class TestRowMajorTables:
+    @pytest.mark.parametrize("name", TABLES)
+    def test_stored_row_major(self, tables, name):
+        m = tables[name]
+        assert m.data
+        assert list(m.data) == row_major(m, m.data)
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_written_without_the_sort(self, tables, name, monkeypatch):
+        m = tables[name]
+        expected = write_any(m)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted() called")
+
+        monkeypatch.setattr(matrices, "sorted", no_sort, raising=False)
+        assert write_any(m) == expected
+
+    @pytest.mark.parametrize("name", ["B", "B_square"])
+    def test_unknown_positions_match_the_pair_scan(self, tables, name):
+        B = tables[name]
+        expected = reference_unknown_positions(B)
+        assert expected
+        assert B.unknown_positions() == expected
+        for seed in (1, 2, 3):
+            assert shuffled(B, seed).unknown_positions() == expected
+        T = B.transpose()
+        assert list(T.data) != row_major(T, T.data)
+        assert T.unknown_positions() == reference_unknown_positions(T)
+
+    def test_unknown_positions_of_a_non_square_matrix(self):
+        rows, cols = ("r2", "r0", "r1"), ("c1", "c0")
+        m = IncompleteMatrix(rows, cols, {
+            ("r1", "c0"): UNKNOWN, ("r0", "c1"): Fraction(2), ("r2", "c0"): UNKNOWN,
+            ("r0", "c0"): UNKNOWN, ("r2", "c1"): UNKNOWN, ("r1", "c1"): NONZERO_UNKNOWN})
+        expected = reference_unknown_positions(m)
+        assert expected == (("r2", "c1"), ("r2", "c0"), ("r0", "c0"), ("r1", "c0"))
+        assert m.unknown_positions() == expected
+        assert shuffled(m, 4).unknown_positions() == expected
+        T = m.transpose()
+        assert T.unknown_positions() == reference_unknown_positions(T)
