@@ -21,7 +21,6 @@ from .factorizations import (
     Vector,
     dense_vector,
     p_alpha_gram_vectors,
-    vector_norm_sq,
 )
 from .gadgets import build_B, compute_K, index_set_H, instance_labels, sigma_set
 from .matrices import (
@@ -190,19 +189,10 @@ class ExtractionError(ValueError):
     pass
 
 
-def _single_vector(F: PSDFactorization, side: str, label: str,
-                   tol: float) -> Tuple[Number, Number, Number]:
-    table = F.row_vectors if side == "row" else F.col_vectors
-    vecs = table.get(label, ())
-    live = [v for v in vecs if float(vector_norm_sq(v)) > tol * tol]
-    if len(live) > 1:
-        raise ExtractionError(f"{side} {label} is not rank one")
-    vec = live[0] if live else {}
-    return (vec.get(0, Fraction(0)), vec.get(1, Fraction(0)), vec.get(2, Fraction(0)))
-
-
-def _mat_vec(M: Sequence[Sequence[Number]], x: Sequence[Number]) -> List[Number]:
-    return [sum(M[i][t] * x[t] for t in range(3)) for i in range(3)]
+# Zero thresholds for a float witness; an exact witness is decided exactly.
+COORD_TOL = 1e-7  # a determinant or a transformed coordinate
+PATTERN_TOL = 1e-6  # the middle coordinate of a normalized l (the zero pattern)
+RESIDUAL_TOL = 1e-6  # f(y)
 
 
 def _det3(M: Sequence[Sequence[Number]]) -> Number:
@@ -211,125 +201,86 @@ def _det3(M: Sequence[Sequence[Number]]) -> Number:
             + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
 
 
-def _inv3(M: Sequence[Sequence[Number]], det: Number) -> List[List[Number]]:
-    cof = [
-        [M[1][1] * M[2][2] - M[1][2] * M[2][1],
-         M[0][2] * M[2][1] - M[0][1] * M[2][2],
-         M[0][1] * M[1][2] - M[0][2] * M[1][1]],
-        [M[1][2] * M[2][0] - M[1][0] * M[2][2],
-         M[0][0] * M[2][2] - M[0][2] * M[2][0],
-         M[0][2] * M[1][0] - M[0][0] * M[1][2]],
-        [M[1][0] * M[2][1] - M[1][1] * M[2][0],
-         M[0][1] * M[2][0] - M[0][0] * M[2][1],
-         M[0][0] * M[1][1] - M[0][1] * M[1][0]],
-    ]
-    return [[cof[i][j] / det for j in range(3)] for i in range(3)]
-
-
-def extract_root(f: Polynomial, F: PSDFactorization,
-                 coord_tol: float = 1e-7,
-                 residual_tol: float = 1e-6) -> Assignment:
+def extract_root(f: Polynomial, F: PSDFactorization) -> Assignment:
     """Invert a rank-3 completion witness into a root of f.
 
-    The basis change sends p_(1,0,0), p_(0,1,0), p_(0,0,1) to the standard
-    basis and dual-transforms the l vectors; a diagonal rescale makes
-    p_(1,1,1) = (1,1,1).  Each variable with x_i in sigma is then read off
-    l_(1,0,x_i) normalized to first coordinate 1.  Variables that appear in
-    monomials only behind other variables are recovered from consecutive
-    prefix-product values (val(prefix*x) / val(prefix)); any coordinate that
-    stays undetermined defaults to 0 and the final residual check |f(y)| <=
-    residual_tol decides acceptance.
+    Let p_0, p_1, p_2 be the row vectors of (1,0,0), (0,1,0), (0,0,1) and D
+    their determinant.  Sending them to the standard basis and rescaling
+    diagonally so that p_(1,1,1) = (1,1,1) maps a column vector l to
+    coordinates w_i (p_i . l), where w_i (Cramer's rule) is the determinant
+    with p_i replaced by p_(1,1,1), over D.  Each variable x_i in sigma is
+    then read off l_(1,0,x_i) normalized to first coordinate 1.  Variables
+    that appear in monomials only behind other variables are recovered from
+    consecutive prefix-product values (val(prefix*x) / val(prefix)); any
+    coordinate that stays undetermined defaults to 0 and f(y) = 0 decides
+    acceptance.  Every zero test is exact for an exact witness; a float
+    witness uses ``COORD_TOL``, ``PATTERN_TOL`` and ``RESIDUAL_TOL``.
     """
-    H = index_set_H(f)
-    renders = {h.render(): h for h in H}
-    if set(F.row_labels) != set(renders) or set(F.col_labels) != set(renders):
+    if F.k != 3:
+        raise ExtractionError(f"a completion witness has size 3, not {F.k}")
+    sigma = set(sigma_set(f))
+    labels = {h.render() for h in index_set_H(f)}
+    if set(F.row_labels) != labels or set(F.col_labels) != labels:
         raise ExtractionError("factorization labels do not match H(f)")
     exact = F.mode == "exact"
 
-    one = Polynomial.constant(1)
-    zero = Polynomial.zero()
+    def zero(x: Number, tol: float = COORD_TOL) -> bool:
+        return x == 0 if exact else abs(float(x)) <= tol
 
-    def lbl(a: Polynomial, b: Polynomial, c: Polynomial) -> str:
-        return LabelVector((a, b, c)).render()
+    def vector(side: str, T: PieceTable, *coords: Polynomial) -> List[Number]:
+        """The one nonzero Gram vector of the label (0 if it has none)."""
+        label = LabelVector(coords).render()
+        live = [v for v in T.vectors(T.index[label])
+                if not zero(sum(x * x for x in v.values()), COORD_TOL ** 2)]
+        if len(live) > 1:
+            raise ExtractionError(f"{side} {label} is not rank one")
+        vec = live[0] if live else {}
+        return [vec.get(c, 0) for c in range(3)]
 
-    e_labels = [lbl(one, zero, zero), lbl(zero, one, zero), lbl(zero, zero, one)]
-    p_basis = [_single_vector(F, "row", l, coord_tol) for l in e_labels]
-    # Columns of P3 are the three basis images; p -> P3^{-1} p, l -> P3^T l
-    # preserves every dot product.
-    P3 = [[p_basis[j][i] for j in range(3)] for i in range(3)]
-    det = _det3(P3)
-    if (exact and det == 0) or (not exact and abs(float(det)) < coord_tol):
+    one, nil = Polynomial.constant(1), Polynomial.zero()
+    p = [vector("row", F.rows, *e) for e in ((one, nil, nil), (nil, one, nil), (nil, nil, one))]
+    D = _det3(p)
+    if zero(D):
         raise ExtractionError("the p-vectors of (1,0,0),(0,1,0),(0,0,1) are singular")
-    P3inv = _inv3(P3, det)
-    P3t = [[P3[j][i] for j in range(3)] for i in range(3)]
+    D = Fraction(D) if exact else D  # an exact witness may hold ints: keep w rational
+    p111 = vector("row", F.rows, one, one, one)
+    w = [_det3(p[:i] + [p111] + p[i + 1:]) / D for i in range(3)]
+    if any(map(zero, w)):
+        raise ExtractionError("a coordinate of p_(1,1,1) vanishes")
 
-    def p_of(label: str) -> List[Number]:
-        return _mat_vec(P3inv, _single_vector(F, "row", label, coord_tol))
-
-    def l_of(label: str) -> List[Number]:
-        return _mat_vec(P3t, _single_vector(F, "col", label, coord_tol))
-
-    p111 = p_of(lbl(one, one, one))
-    for c in p111:
-        if (exact and c == 0) or (not exact and abs(float(c)) < coord_tol):
-            raise ExtractionError("a coordinate of p_(1,1,1) vanishes")
-
-    def l_normalized(s: Polynomial) -> Optional[Tuple[Number, Number]]:
-        """Transformed l_(1,0,s) rescaled to (1, *, value); None if absent."""
-        label = lbl(one, zero, s)
-        if label not in renders:
-            return None
-        raw = l_of(label)
-        # undo the diagonal rescale: l -> diag(p111) l
-        vec = [p111[i] * raw[i] for i in range(3)]
-        first = vec[0]
-        if (exact and first == 0) or (not exact and abs(float(first)) < coord_tol):
+    def value_at(s: Polynomial) -> Number:
+        """The last coordinate of the transformed l_(1,0,s) over its first."""
+        l = vector("col", F.cols, one, nil, s)
+        first, mid, last = (w[i] * (p[i][0] * l[0] + p[i][1] * l[1] + p[i][2] * l[2])
+                            for i in range(3))
+        if zero(first):
             raise ExtractionError(
                 f"first coordinate of l_(1,0,{format_polynomial(s, compact=True)}) vanishes")
-        mid = vec[1] / first
-        val = vec[2] / first
-        if abs(float(mid)) > max(coord_tol, 1e-6):
+        if not zero(mid / first, PATTERN_TOL):
             raise ExtractionError(
                 f"l_(1,0,{format_polynomial(s, compact=True)}) violates the zero pattern")
-        return (mid, val)
+        return last / first
 
-    values: Dict[VarId, Number] = {}
     fvars = f.variables()
-    sigma_elems = {c for h in H for c in h.coords}
-    for v in fvars:
-        xv = Polynomial.variable(v)
-        if xv in sigma_elems:
-            got = l_normalized(xv)
-            if got is not None:
-                values[v] = got[1]
-
-    # Prefix-product fallback for variables hidden behind others.
+    values: Dict[VarId, Number] = {v: value_at(x) for v in fvars
+                                   if (x := Polynomial.variable(v)) in sigma}
+    # Prefix-product fallback for variables hidden behind others; every
+    # prefix of a monomial lies in sigma.
     for term in f.terms:
-        prev: Number = Fraction(1)
-        prev_known = True
-        for cut in range(1, len(term.vars) + 1):
-            v = term.vars[cut - 1]
-            prefix = Polynomial.monomial(term.vars[:cut])
-            got = l_normalized(prefix)
-            if got is None:
-                prev_known = False
-                continue
-            if v not in values and prev_known:
-                nonzero = (prev != 0) if exact else abs(float(prev)) > coord_tol
-                if nonzero:
-                    values[v] = got[1] / prev
-            prev = got[1]
-            prev_known = True
-
+        prev: Number = 1
+        for cut, v in enumerate(term.vars, 1):
+            val = value_at(Polynomial.monomial(term.vars[:cut]))
+            if v not in values and not zero(prev):
+                values[v] = val / prev
+            prev = val
     for v in fvars:
         values.setdefault(v, Fraction(0))
 
-    mode = "exact" if exact and all(not isinstance(x, float) for x in values.values()) else "float"
-    if mode == "float":
+    if not exact:
         values = {k: float(x) for k, x in values.items()}
-    result = Assignment(values, mode)
+    result = Assignment(values, F.mode)
     residual = evaluate(f, result)
-    if abs(residual if isinstance(residual, float) else float(residual)) > residual_tol:
+    if not zero(residual, RESIDUAL_TOL):
         raise ExtractionError(f"extracted point misses the zero set: f(y) = {residual}")
     return result
 

@@ -191,8 +191,7 @@ def cmd_extract_root(args, trace: _Trace) -> int:
     f = parse_polynomial(text)
     F = factorizations.parse_factorization(_read(args.factorization))
     try:
-        root = certificates.extract_root(f, F, coord_tol=args.coord_tol,
-                                         residual_tol=args.residual_tol)
+        root = certificates.extract_root(f, F)
     except certificates.ExtractionError as e:
         return _fail("extraction", str(e), 1)
     for v in sorted(root.values):
@@ -279,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("extract-root", help="recover a root from a completion witness")
     q.add_argument("poly")
     q.add_argument("factorization")
-    q.add_argument("--coord-tol", type=float, default=1e-7)
-    q.add_argument("--residual-tol", type=float, default=1e-6)
     q.set_defaults(func=cmd_extract_root)
 
     q = sub.add_parser("search", help="seeded numerical PSD-rank search")

@@ -41,10 +41,6 @@ Vector = Dict[int, Number]  # sparse coordinate -> value
 Template = Tuple[Tuple[int, Number], ...]  # (coordinate, value) pairs, lowest coordinate 0
 
 
-def vector_norm_sq(u: Vector) -> Number:
-    return sum(x * x for x in u.values())
-
-
 def _check_vectors(vecs: Iterable[Vector], k: int, exact: bool) -> None:
     """Raise ValueError naming a label's first offending value in item
     order: a negative coordinate or a float in an exact witness, else its
@@ -851,14 +847,13 @@ def _num_token(x: Number, mode: str) -> str:
     return repr(float(x))
 
 
-def write_factorization(F: PSDFactorization, sparse: Optional[bool] = None) -> str:
+def write_factorization(F: PSDFactorization) -> str:
     """Serialize a factorization.
 
-    Dense lines carry whole vectors of k numbers each; the sparse variant
-    (chosen automatically for large k) writes per-vector coordinate pairs.
+    Dense lines carry whole vectors of k numbers each; for k > 64 the sparse
+    layout writes per-vector coordinate pairs instead.
     """
-    if sparse is None:
-        sparse = F.k > 64
+    sparse = F.k > 64
     head = f"{FACTORIZATION_HEADER} {F.k} {len(F.row_labels)} {len(F.col_labels)} {F.mode}"
     lines = [head + (" sparse" if sparse else "")]
     # A witness repeats few value objects many times: render each object

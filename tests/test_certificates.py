@@ -14,6 +14,7 @@ from psdrank.factorizations import (
     PSDFactorization,
     dense_vector,
     p_alpha_gram_vectors,
+    parse_factorization,
     verify_factorization,
     write_factorization,
 )
@@ -254,6 +255,38 @@ class TestExtractRoot:
         f = P("x1*x1 - 1")
         with pytest.raises(ExtractionError, match="labels"):
             extract_root(f, PSDFactorization(3, ("a",), ("a",), {}, {}))
+
+    @pytest.mark.parametrize("line, match", [
+        # l_(1,0,x1) reads x1 = 1 + 1e-8, and f(y) = 1e-8
+        ("col (1,0,x1) 1/1 0/1 100000001/100000000", "misses the zero set"),
+        ("col (1,0,x1) 1/1 1/100000000 1/1", "violates the zero pattern"),
+    ], ids=["residual", "zero-pattern"])
+    def test_exact_witness_decided_exactly(self, line, match):
+        f = P("x1 - 1")
+        text = write_factorization(completion_from_root(f, exact_point(x1=1)).factorization)
+        bad = text.replace("col (1,0,x1) 1/1 0/1 1/1\n", line + "\n")
+        assert bad != text
+        with pytest.raises(ExtractionError, match=match):
+            extract_root(f, parse_factorization(bad))
+
+    def test_tiny_second_vector_is_not_rank_one(self):
+        f = P("x1*x1 - 1")
+        comp = completion_from_root(f, exact_point(x1=1))
+        rows = dict(comp.factorization.row_vectors)
+        rows[L(ONE, ZERO, ZERO)] = tuple(rows[L(ONE, ZERO, ZERO)]) + ({0: Fraction(1, 10**8)},)
+        F = PSDFactorization(3, comp.factorization.row_labels,
+                             comp.factorization.col_labels, rows,
+                             dict(comp.factorization.col_vectors), "exact")
+        with pytest.raises(ExtractionError, match=r"row \(1,0,0\) is not rank one"):
+            extract_root(f, F)
+
+    def test_size_other_than_three_refused(self):
+        f = P("x1*x1 - 1")
+        comp = completion_from_root(f, exact_point(x1=1)).factorization
+        F = PSDFactorization(4, comp.row_labels, comp.col_labels,
+                             dict(comp.row_vectors), dict(comp.col_vectors), "exact")
+        with pytest.raises(ExtractionError, match="size 3, not 4"):
+            extract_root(f, F)
 
 
 class TestSqrtCondition:

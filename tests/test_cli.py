@@ -209,7 +209,7 @@ class TestMalformedFiles:
 
     def test_unknown_fac_layout(self, workdir, capsys):
         (workdir / "p.mtx").write_text(write_matrix(build_P(4)))
-        text = write_factorization(p_alpha_factorization(4), sparse=False)
+        text = write_factorization(p_alpha_factorization(4))
         head = text.splitlines()[0]
         (workdir / "bad.fac").write_text(text.replace(head, head + " bogus", 1))
         assert run("verify", "p.mtx", "bad.fac") == 2
@@ -304,6 +304,24 @@ class TestWitnessPipeline:
         assert run("extract-root", "f.poly", "w/completion.fac") == 0
         out = capsys.readouterr().out
         assert "x1=-1" in out
+
+    def test_corrupted_completion_refused(self, workdir, capsys):
+        (workdir / "g.poly").write_text("x1 - 1\n")
+        assert run("witness", "g.poly", "--root", "x1=1", "--outdir", "w") == 0
+        text = (workdir / "w/completion.fac").read_text()
+        bad = text.replace("col (1,0,x1) 1/1 0/1 1/1\n",
+                           "col (1,0,x1) 1/1 0/1 100000001/100000000\n")
+        assert bad != text
+        (workdir / "bad.fac").write_text(bad)
+        capsys.readouterr()
+        assert run("extract-root", "g.poly", "bad.fac") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error code=extraction" in err
+
+    def test_extract_root_has_no_tolerance_options(self, workdir, capsys):
+        assert run("extract-root", "--help") == 0
+        assert "tol" not in capsys.readouterr().out
+        assert run("extract-root", "f.poly", "w.fac", "--coord-tol", "1") == 2
 
     def test_verify_completion_file(self, workdir):
         (workdir / "f.poly").write_text("x1*x1 - 1\n")

@@ -112,6 +112,14 @@ def pieces_of(T, label, shift=0):
             for p in T.pieces(T.index[label])]
 
 
+def widened(F, k=65):
+    """F's pieces in a witness of size k; a size above 64 writes the sparse
+    layout."""
+    return PSDFactorization.from_tables(
+        *(PieceTable.build(k, T.labels, {l: pieces_of(T, l) for l in T.labels})
+          for T in (F.rows, F.cols)), F.mode)
+
+
 def direct_sum(F1, F2):
     """Witness for A1 + A2 from witnesses of A1 and A2 over the same labels:
     F2's pieces move past F1's k coordinates (block-diagonal padding, size
@@ -213,8 +221,11 @@ class TestGramVectors:
         plain = PSDFactorization(S.k, S.row_labels, S.col_labels,
                                  {l: tuple(v) for l, v in S.row_vectors.items()},
                                  {l: tuple(v) for l, v in S.col_vectors.items()})
-        text = write_factorization(S, sparse=sparse)
-        assert text == write_factorization(plain, sparse=sparse)
+        if sparse:
+            S, plain = widened(S), widened(plain)
+        text = write_factorization(S)
+        assert text.splitlines()[0].endswith(" sparse") == sparse
+        assert text == write_factorization(plain)
         assert parse_factorization(text) == plain == S
 
 
@@ -822,7 +833,9 @@ class TestFileFormat:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_round_trip(self, sparse):
         F = p_alpha_factorization(Fraction(1, 2))
-        text = write_factorization(F, sparse=sparse)
+        F = widened(F) if sparse else F
+        text = write_factorization(F)
+        assert text.splitlines()[0].endswith(" sparse") == sparse
         G = parse_factorization(text)
         assert (G.k, G.mode, G.row_labels, G.col_labels) == (F.k, F.mode, F.row_labels, F.col_labels)
         assert G.row_vectors == F.row_vectors
@@ -856,12 +869,12 @@ class TestFileFormat:
             parse_factorization(head + "\nrow\n")
 
     def test_unknown_layout_rejected(self):
-        text = write_factorization(p_alpha_factorization(1), sparse=False)
+        text = write_factorization(p_alpha_factorization(1))
         head = text.splitlines()[0]
         with pytest.raises(ParseError, match="unknown layout 'bogus'"):
             parse_factorization(text.replace(head, head + " bogus", 1))
 
     def test_truncated_sparse_line_rejected(self):
-        head = write_factorization(p_alpha_factorization(1), sparse=True).splitlines()[0]
+        head = write_factorization(widened(p_alpha_factorization(1))).splitlines()[0]
         with pytest.raises(ValueError, match="truncated"):
             parse_factorization(head + "\nrow 1 1 2 0 1/1\n")
