@@ -9,14 +9,20 @@ search builds a dense (m*n) x ((m+n)*k^2) Jacobian, so it refuses targets
 where that exceeds MAX_JACOBIAN_ENTRIES.  Size-1 decisions skip numerics
 entirely: PSD rank 1 equals nonnegative rank 1, which is an exact rational
 rank-one test.
+
+This is the only module that uses numpy, and it imports numpy inside the
+functions that need it: importing psdrank, and every command but
+``psdrank search``, never loads it, and the first numerical search in a
+process loads it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .factorizations import PSDFactorization, rational_square_sum
 from .matrices import InstanceMatrix
@@ -58,12 +64,14 @@ class SearchReport:
 
 
 def _trace_table(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    import numpy as np
     G = np.einsum("ica,jcb->ijab", U, V)
     return np.einsum("ijab,ijab->ij", G, G)
 
 
 def _jacobian(U, V, A):
     """Analytic Jacobian of the entry residuals in (U, V) parameters."""
+    import numpy as np
     m, k = U.shape[0], U.shape[1]
     n = V.shape[0]
     G = np.einsum("ica,jcb->ijab", U, V)
@@ -82,7 +90,9 @@ def _jacobian(U, V, A):
 
 def _polish(U, V, A, iterations: int):
     """Levenberg-Marquardt from (U, V); returns the end point and the number
-    of accepted steps."""
+    of accepted steps.  A trial point is judged by its residual alone; the
+    Jacobian is built only at accepted points."""
+    import numpy as np
     m, k = U.shape[0], U.shape[1]
     n = V.shape[0]
     lam = 1e-6
@@ -93,6 +103,7 @@ def _polish(U, V, A, iterations: int):
 
     R, J = _jacobian(U, V, A)
     cost = float(R @ R)
+    eye = np.eye(J.shape[1])
     steps = 0
     for _ in range(iterations):
         if cost < 1e-30:
@@ -101,16 +112,17 @@ def _polish(U, V, A, iterations: int):
         g = J.T @ R
         for _ in range(25):
             try:
-                delta = np.linalg.solve(JtJ + lam * np.eye(JtJ.shape[0]), -g)
+                delta = np.linalg.solve(JtJ + lam * eye, -g)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
             th2 = theta + delta
             U2, V2 = unpack(th2)
-            R2, J2 = _jacobian(U2, V2, A)
+            R2 = (_trace_table(U2, V2) - A).reshape(-1)
             cost2 = float(R2 @ R2)
             if cost2 < cost:
-                theta, R, J, cost = th2, R2, J2, cost2
+                theta, cost = th2, cost2
+                R, J = _jacobian(U2, V2, A)
                 lam = max(lam * 0.3, 1e-12)
                 break
             lam *= 10
@@ -185,6 +197,7 @@ def psd_rank_search(A: InstanceMatrix, k: int,
     if m * n * (m + n) * k * k > MAX_JACOBIAN_ENTRIES:
         raise ValueError(f"search target {m}x{n} at k={k} needs a {m * n} x {(m + n) * k * k} "
                          f"Jacobian, above the limit of {MAX_JACOBIAN_ENTRIES} entries")
+    import numpy as np
     dense = np.array(A.to_dense(), dtype=float)
     scale = float(np.sqrt(dense.mean())) / k or 1.0 / k  # 1/k when the mean is 0
     best: Optional[Tuple[float, int, np.ndarray, np.ndarray]] = None

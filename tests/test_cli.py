@@ -1,7 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import psdrank
 from psdrank.cli import main
 from psdrank.factorizations import p_alpha_factorization, write_factorization
 from psdrank.gadgets import build_P
@@ -17,6 +23,18 @@ def workdir(tmp_path, monkeypatch):
 
 def run(*argv):
     return main(list(argv))
+
+
+def child_env(**extra):
+    """Environment for a child interpreter that imports the same psdrank.
+
+    The child runs in workdir, where a relative PYTHONPATH (such as "src")
+    resolves to nothing; put the directory this process imported psdrank
+    from first, so both run the same package.
+    """
+    pkg_root = str(Path(psdrank.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
 
 
 class TestNormalize:
@@ -59,23 +77,10 @@ class TestReduce:
         assert (workdir / "a.mtx").read_bytes() == (workdir / "b.mtx").read_bytes()
 
     def test_deterministic_across_processes(self, workdir):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import psdrank
-
-        # The child runs in workdir, where a relative PYTHONPATH (such as
-        # "src") resolves to nothing; put the directory the parent imported
-        # psdrank from first, so both run the same package.
-        pkg_root = str(Path(psdrank.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(
-            p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
         (workdir / "f.poly").write_text("x1\n")
         outs = []
         for seed, name in (("1", "a.mtx"), ("99", "b.mtx")):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+            env = child_env(PYTHONHASHSEED=seed)
             proc = subprocess.run([sys.executable, "-m", "psdrank.cli", "reduce",
                                    "f.poly", "-o", name],
                                   cwd=workdir, env=env, capture_output=True)
@@ -317,6 +322,30 @@ class TestWitnessPipeline:
         assert run("extract-root", "g.poly", "bad.fac") == 1
         out, err = capsys.readouterr()
         assert out == "" and "error code=extraction" in err
+
+    def test_exact_chain_never_loads_numpy(self, workdir):
+        # A fresh interpreter runs the yes-chain of x1 - 1 without numpy;
+        # the first search in it loads numpy and finds I2's witness.
+        (workdir / "g.poly").write_text("x1 - 1\n")
+        child = textwrap.dedent("""
+            import sys
+            from psdrank.cli import main
+            for argv in (["reduce", "g.poly", "-o", "M.mtx"],
+                         ["witness", "g.poly", "--root", "x1=1", "--outdir", "w"],
+                         ["verify", "M.mtx", "w/instance.fac", "--mode", "full"],
+                         ["extract-root", "g.poly", "w/completion.fac"]):
+                assert main(argv) == 0, argv
+            assert "numpy" not in sys.modules, "an exact command loaded numpy"
+            from psdrank import InstanceMatrix, psd_rank_search
+            assert psd_rank_search(InstanceMatrix.from_dense([[1, 0], [0, 1]]), 2).found
+            assert "numpy" in sys.modules
+        """)
+        proc = subprocess.run([sys.executable, "-c", child], cwd=workdir, env=child_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert any("passed=True" in line for line in lines)
+        assert lines[-1] == "x1=1"
 
     def test_extract_root_has_no_tolerance_options(self, workdir, capsys):
         assert run("extract-root", "--help") == 0
