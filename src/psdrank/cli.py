@@ -16,7 +16,7 @@ import hashlib
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from . import certificates, cube, factorizations, formulas, gadgets, matrices, search
 from .polynomials import (
@@ -58,9 +58,17 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write(path: str, data: str, trace: _Trace, stage: str, in_digest: str, **params) -> None:
-    Path(path).write_text(data, encoding="utf-8")
-    trace.stage(stage, in_digest, _digest(data), file=path, **params)
+def _write(path: str, blocks: Iterable[str], trace: _Trace, stage: str, in_digest: str,
+           **params) -> None:
+    """Write text given as blocks, encoding and hashing one block at a time;
+    the trace's output digest is that of the whole file."""
+    sha = hashlib.sha256()
+    with open(path, "wb") as out:
+        for block in blocks:
+            data = block.encode("utf-8")
+            out.write(data)
+            sha.update(data)
+    trace.stage(stage, in_digest, sha.hexdigest()[:12], file=path, **params)
 
 
 def _parse_root(text: str) -> Assignment:
@@ -91,7 +99,7 @@ def cmd_normalize(args, trace: _Trace) -> int:
     system = formulas.flatten(formulas.to_equation_system(formulas.normalize_atoms(phi)))
     poly = formulas.to_single_polynomial(system)
     out = format_polynomial(poly) + "\n"
-    _write(args.output, out, trace, "normalize", _digest(text),
+    _write(args.output, [out], trace, "normalize", _digest(text),
            equations=len(system.equations), terms=len(poly.terms))
     return 0
 
@@ -101,7 +109,7 @@ def cmd_bound(args, trace: _Trace) -> int:
     f = parse_polynomial(text)
     inst = cube.build_phi(f, args.m)
     out = format_polynomial(inst.phi) + "\n"
-    _write(args.output, out, trace, "bound", _digest(text),
+    _write(args.output, [out], trace, "bound", _digest(text),
            m=args.m, degree=inst.d, terms=len(inst.phi.terms))
     print("note roots outside 2^(2^m) are not captured; m is a caller choice",
           file=sys.stderr)
@@ -127,12 +135,12 @@ def cmd_matrices(args, trace: _Trace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     A = gadgets.build_A(f)
-    _write(str(outdir / "A.pmtx"), matrices.write_polynomial_matrix(A),
+    _write(str(outdir / "A.pmtx"), matrices.polynomial_matrix_blocks(A),
            trace, "matrix-A", _digest(text))
     B = gadgets.build_B(f, args.square_multiple_test)
-    _write(str(outdir / "B.mtx"), matrices.write_matrix(B), trace, "matrix-B", _digest(text))
+    _write(str(outdir / "B.mtx"), matrices.matrix_blocks(B), trace, "matrix-B", _digest(text))
     C = gadgets.build_C(B)
-    _write(str(outdir / "C.mtx"), matrices.write_matrix(C), trace, "matrix-C", _digest(text))
+    _write(str(outdir / "C.mtx"), matrices.matrix_blocks(C), trace, "matrix-C", _digest(text))
     return 0
 
 
@@ -140,8 +148,7 @@ def cmd_reduce(args, trace: _Trace) -> int:
     text = _read(args.poly)
     f = parse_polynomial(text)
     out = gadgets.reduce(f, args.square_multiple_test)
-    data = matrices.write_matrix(out.M, target_rank=out.r)
-    _write(args.output, data, trace, "reduce", _digest(text),
+    _write(args.output, matrices.matrix_blocks(out.M, out.r), trace, "reduce", _digest(text),
            **dict(kv.split("=") for kv in out.trace))
     print(f"r={out.r}")
     print(f"k={out.k}")
@@ -157,13 +164,13 @@ def cmd_witness(args, trace: _Trace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     comp = certificates.completion_from_root(f, xi)
-    _write(str(outdir / "bprime.mtx"), matrices.write_matrix(comp.matrix),
+    _write(str(outdir / "bprime.mtx"), matrices.matrix_blocks(comp.matrix),
            trace, "completion-matrix", _digest(text))
     _write(str(outdir / "completion.fac"),
-           factorizations.write_factorization(comp.factorization),
+           [factorizations.write_factorization(comp.factorization)],
            trace, "completion-witness", _digest(text))
     F = certificates.assemble_instance_witness(f, xi)
-    _write(str(outdir / "instance.fac"), factorizations.write_factorization(F),
+    _write(str(outdir / "instance.fac"), [factorizations.write_factorization(F)],
            trace, "instance-witness", _digest(text), size=F.k)
     print(f"witness_size={F.k}")
     return 0
@@ -210,7 +217,7 @@ def cmd_search(args, trace: _Trace) -> int:
     trace.stage("search", _digest(mtext), k=args.k, seed=args.seed,
                 verdict=report.verdict)
     if args.out_witness and report.witness is not None:
-        _write(args.out_witness, factorizations.write_factorization(report.witness),
+        _write(args.out_witness, [factorizations.write_factorization(report.witness)],
                trace, "search-witness", _digest(mtext))
     return 0 if report.found else 1
 

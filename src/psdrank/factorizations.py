@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .matrices import InstanceMatrix
+from .matrices import InstanceMatrix, nonblank_lines
 from .polynomials import Number, ParseError, parse_fraction
 
 Vector = Dict[int, Number]  # sparse coordinate -> value
@@ -909,8 +909,9 @@ def parse_factorization(text: str) -> PSDFactorization:
     taken relative to its first one, key its template and its offset from
     that first coordinate, so each distinct vector's values are converted
     and checked once.  Zero values are dropped."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split() if lines else []
+    lines = nonblank_lines(text)
+    first = next(lines, "")
+    head = first.split()
     if head[:2] != FACTORIZATION_HEADER.split():
         raise ParseError(f"missing '{FACTORIZATION_HEADER}' header")
     try:
@@ -923,7 +924,7 @@ def parse_factorization(text: str) -> PSDFactorization:
         if head[6:] not in ([], ["sparse"]):
             raise ValueError(f"unknown layout {head[6]!r}")
     except ValueError as e:
-        raise ParseError(f"malformed factorization header: {lines[0]!r} ({e})") from None
+        raise ParseError(f"malformed factorization header: {first!r} ({e})") from None
     mode = head[5]
     sparse = len(head) == 7
     conv = parse_fraction if mode == "exact" else _finite_float
@@ -943,7 +944,7 @@ def parse_factorization(text: str) -> PSDFactorization:
                 vec[c] = x
         return T.template(vec)
 
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) < 2 or parts[0] not in sides:
             raise ParseError(f"malformed factorization line: {ln!r}")

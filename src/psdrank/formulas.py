@@ -88,12 +88,33 @@ class FormulaParseError(ParseError):
 _FORMULA_SYMBOLS = frozenset(RELATIONS + ("+", "-", "*", "(", ")", "&", "|", "!"))
 
 
+# Deepest nesting a formula may have: parentheses and negations open around
+# any token, and connectives stacked in the tree the parser builds (a chain
+# of n conjuncts stacks n - 1).  Every later stage recurses over the tree, so
+# a deeper formula would exhaust the interpreter's stack.
+MAX_FORMULA_DEPTH = 200
+
+
 class _Parser:
     """Recursive descent for: or := and {'|' and}; and := not {'&' not};
     not := '!' not | '(' formula ')' | atom; atom := poly rel poly."""
 
     def __init__(self, text: str):
         self.tokens = Tokens(text, _FORMULA_SYMBOLS, FormulaParseError)
+        self.open = 0  # '(' and '!' open around the current token
+        self.depth: Dict[int, int] = {}  # id of each connective built -> its depth
+
+    def nest(self, at: int) -> FormulaParseError:
+        return FormulaParseError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", at)
+
+    def node(self, cls, at: int, *children: Formula) -> Formula:
+        """The connective ``cls`` over ``children``, built at token ``at``."""
+        depth = 1 + max(self.depth.get(id(c), 0) for c in children)
+        if depth > MAX_FORMULA_DEPTH:
+            raise self.nest(at)
+        f = cls(*children)
+        self.depth[id(f)] = depth
+        return f
 
     def parse(self) -> Formula:
         f = self.parse_or()
@@ -105,29 +126,33 @@ class _Parser:
     def parse_or(self) -> Formula:
         f = self.parse_and()
         while self.tokens.next_is("|"):
-            self.tokens.take()
-            f = Or(f, self.parse_and())
+            at = self.tokens.take()[2]
+            f = self.node(Or, at, f, self.parse_and())
         return f
 
     def parse_and(self) -> Formula:
         f = self.parse_not()
         while self.tokens.next_is("&"):
-            self.tokens.take()
-            f = And(f, self.parse_not())
+            at = self.tokens.take()[2]
+            f = self.node(And, at, f, self.parse_not())
         return f
 
     def parse_not(self) -> Formula:
-        if self.tokens.next_is("!"):
-            self.tokens.take()
-            return Not(self.parse_not())
-        if self.tokens.next_is("("):
-            self.tokens.take()
+        if not self.tokens.next_is("!", "("):
+            return self.parse_atom()
+        _, op, at = self.tokens.take()
+        self.open += 1
+        if self.open > MAX_FORMULA_DEPTH:
+            raise self.nest(at)
+        if op == "!":
+            f = self.node(Not, at, self.parse_not())
+        else:
             f = self.parse_or()
             if not self.tokens.next_is(")"):
                 raise FormulaParseError("expected ')'", self.tokens.peek()[2])
             self.tokens.take()
-            return f
-        return self.parse_atom()
+        self.open -= 1
+        return f
 
     def parse_atom(self) -> Formula:
         lhs = read_terms(self.tokens)
@@ -138,7 +163,8 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse a formula; atoms are normalized to ``polynomial REL 0``."""
+    """Parse a formula; atoms are normalized to ``polynomial REL 0``.  A
+    formula nested deeper than ``MAX_FORMULA_DEPTH`` is refused."""
     return _Parser(text).parse()
 
 

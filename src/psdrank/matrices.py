@@ -22,7 +22,9 @@ polynomial entries) is followed by one ``row <i> <label>`` / ``col <j>
 <label>`` line per label (so all-zero rows and columns survive a round
 trip) and then coordinate lines ``<row-label> <col-label> <value>`` where a
 value is ``p/q``, ``?`` (unknown), ``*`` (nonzero unknown) or a compact
-polynomial.  Labels contain no whitespace.
+polynomial.  Labels contain no whitespace.  The writer yields the text in
+blocks of lines (``matrix_blocks``), so a caller can stream it to a file,
+and the readers take it one block of lines at a time (``nonblank_lines``).
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise, repeat, starmap
+from itertools import chain, islice, pairwise, repeat, starmap
 from operator import add, itemgetter, lt, mul
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .polynomials import (
     ParseError,
@@ -280,24 +282,35 @@ def _entry_token(v: Entry) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# Lines per block of written text and characters per block of read text:
+# neither side holds a list of every line of a file.  Blocks stay well under
+# 128 KiB, from where glibc's malloc maps a block on its own and, once it is
+# freed, raises that threshold: blocks of 4,096 lines of B' of x1 - x2 (up to
+# 144 KB each) left the witness built after it 1.4 MB higher in RSS.
+WRITE_BLOCK_LINES = 1024
+READ_BLOCK_CHARS = 1 << 16
+
+
 def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str],
-                       target_rank: Optional[int]) -> str:
+                       target_rank: Optional[int]) -> Iterator[str]:
     """Shared writer of both matrix formats; ``token`` renders a value.
 
-    Data lines come out in row-major label order, so identical matrices
-    serialize byte-identically.  Every table the package builds (A, B, C,
-    B' and M) is stored in that order and is written as it is stored, after
-    one C-level pass over its keys confirms the order; only input stored
-    out of order (a parsed file with shuffled lines, a transpose, a caller's
-    dict) is sorted.  Each distinct value object is rendered once.
+    Yields the text in blocks: the header, then label lines and data lines
+    ``WRITE_BLOCK_LINES`` at a time, each block one joined string of whole
+    lines.  Data lines come out in row-major label order, so identical
+    matrices serialize byte-identically.  Every table the package builds
+    (A, B, C, B' and M) is stored in that order and is written as it is
+    stored, after one C-level pass over its keys confirms the order; only
+    input stored out of order (a parsed file with shuffled lines, a
+    transpose, a caller's dict) is sorted.  Each distinct value object is
+    rendered once.
     """
-    lines = [f"{header} {m.nrows} {m.ncols}"]
-    if target_rank is not None:
-        lines.append(f"r {target_rank}")
-    for i, l in enumerate(m.row_labels):
-        lines.append(f"row {i} {l}")
-    for j, l in enumerate(m.col_labels):
-        lines.append(f"col {j} {l}")
+    yield (f"{header} {m.nrows} {m.ncols}\n"
+           + ("" if target_rank is None else f"r {target_rank}\n"))
+    for kind, labels in (("row", m.row_labels), ("col", m.col_labels)):
+        for lo in range(0, len(labels), WRITE_BLOCK_LINES):
+            yield "".join([f"{kind} {i} {l}\n"
+                           for i, l in enumerate(labels[lo:lo + WRITE_BLOCK_LINES], lo)])
     rpos = {l: i for i, l in enumerate(m.row_labels)}
     cpos = (rpos if m.col_labels is m.row_labels
             else {l: j for j, l in enumerate(m.col_labels)})
@@ -307,7 +320,7 @@ def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str
     # is held.
     flat = map(add, map(mul, map(rpos.__getitem__, map(itemgetter(0), data)), repeat(ncols)),
                map(cpos.__getitem__, map(itemgetter(1), data)))
-    items: Iterable[Tuple[Tuple[str, str], Any]] = data.items()
+    items: Iterator[Tuple[Tuple[str, str], Any]] = iter(data.items())
     if not all(starmap(lt, pairwise(flat))):
         items = ((rc, data[rc])
                  for rc in sorted(data, key=lambda rc: rpos[rc[0]] * ncols + cpos[rc[1]]))
@@ -317,25 +330,56 @@ def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str
     tokens: Dict[int, str] = {}
     last: Any = None
     tok = ""
-    for (r, c), v in items:
-        if v is not last:
-            last = v
-            tok = tokens.get(id(v))
-            if tok is None:
-                tok = tokens[id(v)] = token(v)
-        lines.append(f"{r} {c} {tok}")
-    return "\n".join(lines) + "\n"
+    for _ in range(0, len(data), WRITE_BLOCK_LINES):
+        lines = []
+        for (r, c), v in islice(items, WRITE_BLOCK_LINES):
+            if v is not last:
+                last = v
+                tok = tokens.get(id(v))
+                if tok is None:
+                    tok = tokens[id(v)] = token(v)
+            lines.append(f"{r} {c} {tok}\n")
+        yield "".join(lines)
+
+
+def matrix_blocks(m: IncompleteMatrix, target_rank: Optional[int] = None) -> Iterator[str]:
+    """The text of ``write_matrix(m, target_rank)``, one block at a time."""
+    return _write_matrix_text(m, MATRIX_HEADER, _entry_token, target_rank)
+
+
+def polynomial_matrix_blocks(m: PolynomialMatrix) -> Iterator[str]:
+    """The text of ``write_polynomial_matrix(m)``, one block at a time."""
+    return _write_matrix_text(m, POLYMATRIX_HEADER,
+                              functools.partial(format_polynomial, compact=True), None)
 
 
 def write_matrix(m: IncompleteMatrix, target_rank: Optional[int] = None) -> str:
     """Serialize a matrix; a reduction target emits an extra ``r <k>`` line."""
-    return _write_matrix_text(m, MATRIX_HEADER, _entry_token, target_rank)
+    return "".join(matrix_blocks(m, target_rank))
 
 
 def write_polynomial_matrix(m: PolynomialMatrix) -> str:
     """Serialize a polynomial matrix; entries render as compact polynomials."""
-    return _write_matrix_text(m, POLYMATRIX_HEADER,
-                              functools.partial(format_polynomial, compact=True), None)
+    return "".join(polynomial_matrix_blocks(m))
+
+
+def _blocks(text: str, size: int) -> Iterator[str]:
+    """``text`` in pieces of at least ``size`` characters, each cut just
+    after a newline (or at the end).  A newline always ends a line and a
+    CR LF pair ends in one, so no piece splits a line or a line break."""
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + size - 1) + 1 or end
+        yield text[start:cut]
+        start = cut
+
+
+def nonblank_lines(text: str, block: int = READ_BLOCK_CHARS) -> Iterator[str]:
+    """The lines of ``text`` (as ``str.splitlines`` cuts them) that are not
+    blank, read ``block`` characters at a time: only one block's lines are
+    held at once, and the per-line work stays in C."""
+    return chain.from_iterable(filter(str.strip, piece.splitlines())
+                               for piece in _blocks(text, block))
 
 
 @dataclass
@@ -360,8 +404,9 @@ def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -
     ``MATRIX_HEADER`` files may carry one), the row and column labels and the
     coordinate entries converted by ``entry``.  Every rejected line, including
     a repeated label index or coordinate, raises ParseError naming it."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split() if lines else []
+    lines = nonblank_lines(text)
+    first = next(lines, "")
+    head = first.split()
     if head[:2] != header.split():
         raise ParseError(f"missing '{header}' header")
     try:
@@ -371,7 +416,7 @@ def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -
         if nrows < 0 or ncols < 0:
             raise ValueError("negative dimension")
     except ValueError as e:
-        raise ParseError(f"malformed matrix header: {lines[0]!r} ({e})") from None
+        raise ParseError(f"malformed matrix header: {first!r} ({e})") from None
     target_rank: Optional[int] = None
     labels: Dict[str, Dict[int, str]] = {"row": {}, "col": {}}
     data: Dict[Tuple[str, str], object] = {}
@@ -380,7 +425,7 @@ def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -
     # line (about 28 MB on M of x1*x1 - 1).
     entry = functools.cache(entry)
     names: Dict[str, str] = {}
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         try:
             if len(parts) == 3 and parts[0] in labels:

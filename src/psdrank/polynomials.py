@@ -409,10 +409,20 @@ class Tokens:
         return kind == "op" and tok in ops
 
 
+# Most terms the standard form of a parsed sum may have.  An integer c
+# stands for |c| signed copies of its monomial, so a short text such as a
+# 31-digit integer times x1 would otherwise parse into a polynomial that
+# nothing can render.
+MAX_STANDARD_TERMS = 10 ** 6
+
+
 def read_terms(tokens: Tokens) -> Polynomial:
     """Read ``+``/``-``-joined products of integers and variables, stopping
-    before the first token that continues neither a term nor the sum."""
+    before the first token that continues neither a term nor the sum.  An
+    integer token longer than ``int`` reads, or a sum whose standard form
+    has more than ``MAX_STANDARD_TERMS`` terms, is an error."""
     coeffs: Dict[VarsKey, int] = {}
+    start = tokens.peek()[2]
     while True:
         sign = 1
         while tokens.next_is("+", "-"):
@@ -423,7 +433,10 @@ def read_terms(tokens: Tokens) -> Polynomial:
         while True:
             kind, tok, at = tokens.take()
             if kind == "int":
-                coeff *= int(tok)
+                try:
+                    coeff *= int(tok)
+                except ValueError:  # more digits than int() reads
+                    raise tokens.error(f"integer of {len(tok)} digits is too long", at) from None
             elif kind == "var":
                 try:
                     vars_.append(var(tok))
@@ -437,6 +450,9 @@ def read_terms(tokens: Tokens) -> Polynomial:
         key = tuple(sorted(vars_))
         coeffs[key] = coeffs.get(key, 0) + sign * coeff
         if not tokens.next_is("+", "-"):
+            if sum(map(abs, coeffs.values())) > MAX_STANDARD_TERMS:
+                raise tokens.error(
+                    f"standard form has more than {MAX_STANDARD_TERMS} terms", start)
             return Polynomial._from_coeffs(coeffs)
 
 

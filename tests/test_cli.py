@@ -10,7 +10,7 @@ import pytest
 import psdrank
 from psdrank.cli import main
 from psdrank.factorizations import p_alpha_factorization, write_factorization
-from psdrank.gadgets import build_P
+from psdrank.gadgets import build_P, reduce
 from psdrank.matrices import parse_matrix, write_matrix, InstanceMatrix
 from psdrank.polynomials import parse_polynomial
 
@@ -59,6 +59,14 @@ class TestNormalize:
         assert run("normalize", "nope.formula") == 2
         assert "error code=io" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["(" * 3000 + "x1 > 0" + ")" * 3000, "!" * 3000 + "x1 > 0"])
+    def test_deep_formula_is_a_parse_error(self, workdir, capsys, text):
+        (workdir / "deep.formula").write_text(text + "\n")
+        assert run("normalize", "deep.formula") == 2
+        err = capsys.readouterr().err
+        assert "error code=parse" in err and "nests deeper than" in err
+        assert "Traceback" not in err
+
 
 class TestReduce:
     def test_round_trips_with_target(self, workdir, capsys):
@@ -69,6 +77,16 @@ class TestReduce:
         parsed = parse_matrix((workdir / "m.mtx").read_text())
         assert parsed.target_rank == 3
         assert parsed.instance.nrows == 19
+
+    def test_trace_digest_is_the_files(self, workdir, capsys):
+        (workdir / "f.poly").write_text("x1 - 1\n")
+        assert run("reduce", "f.poly", "-o", "m.mtx") == 0
+        record = capsys.readouterr().err.split()
+        data = (workdir / "m.mtx").read_bytes()
+        assert len(data) > 2_000_000  # many blocks
+        assert f"output={hashlib.sha256(data).hexdigest()[:12]}" in record
+        out = reduce(parse_polynomial("x1 - 1"))
+        assert data.decode() == write_matrix(out.M, out.r)
 
     def test_deterministic_output(self, workdir):
         (workdir / "f.poly").write_text("-1\n")

@@ -9,6 +9,7 @@ from psdrank.formulas import (
     Atom,
     ConstE,
     EquationSystem,
+    MAX_FORMULA_DEPTH,
     FormulaParseError,
     Not,
     OpE,
@@ -72,6 +73,32 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(FormulaParseError):
             parse_formula("x1 > 0 )")
+
+    @pytest.mark.parametrize("text", [
+        "(" * 3000 + "x1 > 0" + ")" * 3000,
+        "!" * 3000 + "x1 > 0",
+        " & ".join(["x1 > 0"] * 3000),
+        " | ".join(["x1 > 0"] * 3000),
+        "(!" * 1500 + "x1 > 0" + ")" * 1500,
+    ], ids=["parens", "negations", "and-chain", "or-chain", "mixed"])
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(FormulaParseError, match=f"nests deeper than {MAX_FORMULA_DEPTH} levels"):
+            parse_formula(text)
+
+    @pytest.mark.parametrize("deep, at", [
+        (lambda n: "(" * n + "x1 > 0" + ")" * n, MAX_FORMULA_DEPTH),
+        (lambda n: "!" * n + "x1 > 0", MAX_FORMULA_DEPTH),
+        (lambda n: " & ".join(["x1 > 0"] * (n + 1)), 7 + 9 * MAX_FORMULA_DEPTH),
+    ], ids=["parens", "negations", "and-chain"])
+    def test_nesting_up_to_the_limit_compiles(self, deep, at):
+        phi = parse_formula(deep(MAX_FORMULA_DEPTH))
+        poly = to_single_polynomial(flatten(to_equation_system(normalize_atoms(phi))))
+        point = Assignment.exact({xvar(1): Fraction(1)})
+        assert formula_truth(phi, point)  # an even number of negations
+        assert evaluate(poly, lift_witness(phi, point)) == 0
+        with pytest.raises(FormulaParseError) as e:
+            parse_formula(deep(MAX_FORMULA_DEPTH + 1))
+        assert e.value.position == at
 
 
 class TestNormalizeAtoms:

@@ -1,6 +1,7 @@
-"""Fuzzed reading of factorization and matrix files: every text either
-parses or raises ParseError, and whatever parses writes back to an equal
-witness or matrix.
+"""Fuzzed reading of factorization, matrix, polynomial and formula texts:
+every text either parses or raises ParseError, and whatever parses (but a
+formula, which is not written back) writes back to an equal witness,
+matrix or polynomial.
 
 The profile is derandomized with a fixed example count, so every run tries
 the same texts."""
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdrank.factorizations import parse_factorization, write_factorization
+from psdrank.formulas import parse_formula
 from psdrank.matrices import parse_matrix, write_matrix
-from psdrank.polynomials import ParseError
+from psdrank.polynomials import ParseError, format_polynomial, parse_polynomial
 
 PROFILE = settings(derandomize=True, max_examples=400, deadline=None, database=None)
 
@@ -147,3 +149,96 @@ def test_near_format_matrix_texts_parse_or_raise_parse_error(text):
 @given(st.text(alphabet=st.sampled_from("psdrank-matrix v1 0123 /.e?*\nrowcl"), max_size=120))
 def test_arbitrary_matrix_texts_parse_or_raise_parse_error(text):
     _matrix_round_trips(text)
+
+
+# Tokens of the polynomial and formula syntaxes, near misses and garbage:
+# integers up to one past the digit limit int() puts on a token, variable
+# names of every letter (and names no letter takes), every operator of
+# either syntax and stray characters.
+POLY_INTS = st.one_of(st.integers(0, 12).map(str),
+                      st.sampled_from(["007", "10" * 15, "9" * 4300, "9" * 4301]))
+POLY_VARS = st.sampled_from(["x1", "x2", "x0", "x01", "y3", "u1", "v2", "w0", "x", "xx1", "z1",
+                             "x" + "9" * 20, "_1", "x1_"])
+SYMBOLS = st.sampled_from(["+", "-", "*", "(", ")", ">", ">=", "=", "!=", "<", "<=", "&", "|",
+                           "!", "^", "/", ".", "==", "**", "1.5", "é", "\t", "\n"])
+
+
+@st.composite
+def polynomial_texts(draw):
+    """Sums of signed products of integers and variables; a broken text
+    also draws stray tokens into any place."""
+    broken = draw(st.integers(0, 2)) == 0
+    parts = []
+    for n in range(draw(st.integers(1, 5))):
+        signs = draw(st.lists(st.sampled_from("+-"), min_size=n > 0, max_size=2))
+        factors = draw(st.lists(st.one_of(POLY_INTS, POLY_VARS), min_size=1, max_size=3))
+        parts.append(" ".join(signs) + " " + "*".join(factors))
+    if broken:
+        for _ in range(draw(st.integers(1, 3))):
+            parts.insert(draw(st.integers(0, len(parts))), draw(SYMBOLS))
+    return draw(st.sampled_from(["", " ", "\n"])).join(parts)
+
+
+def _polynomial_round_trips(text: str) -> None:
+    try:
+        p = parse_polynomial(text)
+    except ParseError:
+        return
+    assert parse_polynomial(format_polynomial(p)) == p
+    assert parse_polynomial(format_polynomial(p, compact=True)) == p
+
+
+@PROFILE
+@given(polynomial_texts())
+def test_near_format_polynomial_texts_parse_or_raise_parse_error(text):
+    _polynomial_round_trips(text)
+
+
+@PROFILE
+@given(st.text(alphabet=st.sampled_from("x1y2uvw0 9+-*()^/\n"), max_size=60))
+def test_arbitrary_polynomial_texts_parse_or_raise_parse_error(text):
+    _polynomial_round_trips(text)
+
+
+@st.composite
+def formula_texts(draw, depth=0):
+    """Atoms ``poly REL poly`` under '!', '&', '|' and parentheses, now and
+    then nested hundreds or thousands of levels deep; now and then a stray
+    token lands anywhere in a text."""
+    kind = draw(st.sampled_from(["atom"] * (2 + depth) + ["not", "paren", "and", "or"]))
+    if kind == "atom" or depth > 3:
+        rel = draw(st.sampled_from([">", ">=", "=", "!=", "<", "<="]))
+        text = f"{draw(polynomial_texts())} {rel} {draw(polynomial_texts())}"
+    elif kind == "not":
+        text = "!" + draw(formula_texts(depth + 1))
+    elif kind == "paren":
+        text = f"({draw(formula_texts(depth + 1))})"
+    else:
+        op = "&" if kind == "and" else "|"
+        text = f"{draw(formula_texts(depth + 1))} {op} {draw(formula_texts(depth + 1))}"
+    if draw(st.integers(0, 4)) == 0:
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(st.one_of(SYMBOLS, st.just(""))) + text[cut:]
+    if depth == 0 and draw(st.integers(0, 9)) == 0:  # around the nesting limit and far past it
+        n = draw(st.sampled_from([199, 200, 201, 3000]))
+        text = draw(st.sampled_from(["(" * n + text + ")" * n, "!" * n + text]))
+    return text
+
+
+def _parses_or_raises_parse_error(text: str) -> None:
+    try:
+        parse_formula(text)
+    except ParseError:
+        pass
+
+
+@PROFILE
+@given(formula_texts())
+def test_near_format_formula_texts_parse_or_raise_parse_error(text):
+    _parses_or_raises_parse_error(text)
+
+
+@PROFILE
+@given(st.text(alphabet=st.sampled_from("x1 0+-*()<>=!&|^\n"), max_size=80))
+def test_arbitrary_formula_texts_parse_or_raise_parse_error(text):
+    _parses_or_raises_parse_error(text)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -498,3 +499,127 @@ class TestRowMajorTables:
         assert shuffled(m, 4).unknown_positions() == expected
         T = m.transpose()
         assert T.unknown_positions() == reference_unknown_positions(T)
+
+
+# ---------------------------------------------------------------------------
+# Text written and read in blocks
+# ---------------------------------------------------------------------------
+
+def reference_write_matrix(m, header, token, target_rank=None):
+    """The single-list writer: one string per line, data lines sorted into
+    row-major label order, joined once.  The block writer must produce the
+    same bytes."""
+    lines = [f"{header} {m.nrows} {m.ncols}"]
+    if target_rank is not None:
+        lines.append(f"r {target_rank}")
+    lines += [f"row {i} {l}" for i, l in enumerate(m.row_labels)]
+    lines += [f"col {j} {l}" for j, l in enumerate(m.col_labels)]
+    lines += [f"{r} {c} {token(m.data[(r, c)])}" for r, c in row_major(m, m.data)]
+    return "\n".join(lines) + "\n"
+
+
+def polynomial_token(p):
+    return matrices.format_polynomial(p, compact=True)
+
+
+BLOCK = matrices.WRITE_BLOCK_LINES
+EDGE_COUNTS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+
+def edge_matrix(cls, n, values):
+    """A matrix with n row labels, three column labels and n entries, one
+    per row, taking turns over ``values``: label and data lines alike fill
+    whole blocks, miss one line or spill one."""
+    rows = tuple(f"r{i}" for i in range(n))
+    cols = ("c0", "c1", "c2")
+    return cls(rows, cols, {(r, cols[i % 3]): values[i % len(values)]
+                            for i, r in enumerate(rows)})
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("n", EDGE_COUNTS)
+    @pytest.mark.parametrize("order", ["row-major", "shuffled"])
+    @pytest.mark.parametrize("cls", [InstanceMatrix, IncompleteMatrix])
+    def test_matches_the_single_list_writer(self, cls, n, order):
+        values = [Fraction(144), Fraction(1, 3), Fraction(2)]
+        if cls is IncompleteMatrix:
+            values += [UNKNOWN, Fraction(-5, 7), NONZERO_UNKNOWN]
+        m = edge_matrix(cls, n, values)
+        if order == "shuffled":
+            m = shuffled(m, n)
+        for rank in (None, 7):
+            expected = reference_write_matrix(m, matrices.MATRIX_HEADER,
+                                              matrices._entry_token, rank)
+            assert write_matrix(m, rank) == expected
+            assert "".join(matrices.matrix_blocks(m, rank)) == expected
+
+    @pytest.mark.parametrize("n", EDGE_COUNTS)
+    @pytest.mark.parametrize("order", ["row-major", "shuffled"])
+    def test_polynomial_matrix_matches_the_single_list_writer(self, n, order):
+        values = [parse_polynomial(t) for t in ("x1*x1 - 1", "x1", "-x2*x3 + 1")]
+        m = edge_matrix(PolynomialMatrix, n, values)
+        if order == "shuffled":
+            m = shuffled(m, n)
+        expected = reference_write_matrix(m, matrices.POLYMATRIX_HEADER, polynomial_token)
+        assert write_polynomial_matrix(m) == expected
+        assert "".join(matrices.polynomial_matrix_blocks(m)) == expected
+
+    def test_blocks_hold_whole_lines(self):
+        m = edge_matrix(InstanceMatrix, 2 * BLOCK + 1, [Fraction(3)])
+        blocks = list(matrices.matrix_blocks(m, 5))
+        assert all(b.endswith("\n") for b in blocks)
+        assert max(b.count("\n") for b in blocks) == BLOCK
+        # header; 3 blocks of row labels, 1 of col labels; 3 of data lines
+        assert len(blocks) == 1 + 3 + 1 + 3
+
+
+def traced_peak(call):
+    """The result of ``call()``, the traced peak above the memory held
+    before the call, and the memory the call left held."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, held - before
+
+
+class TestTextMemory:
+    """A text layer that holds one string per line of a file (about 5x the
+    file) fails these bounds; one that holds a block at a time passes."""
+
+    @pytest.fixture(scope="class")
+    def reduction(self):
+        return reduce(parse_polynomial("x1 - 1"))
+
+    def test_writer_peak_is_a_small_multiple_of_its_output(self, reduction):
+        text, peak, _ = traced_peak(lambda: write_matrix(reduction.M, reduction.r))
+        assert len(text) > 2_000_000
+        assert peak <= 3 * len(text)
+
+    def test_parser_transient_is_a_small_multiple_of_its_input(self, reduction):
+        text = write_matrix(reduction.M, reduction.r)
+        parsed, peak, held = traced_peak(lambda: parse_matrix(text))
+        assert parsed.instance == reduction.M
+        assert peak - held <= 3.5 * len(text)
+
+
+# Every line break str.splitlines() knows, and characters that are
+# whitespace but break no line.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+BLANKS = [" ", "\t", "\x1f", "\u3000"]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.lists(st.one_of(st.sampled_from(LINE_BREAKS + BLANKS),
+                          st.sampled_from(["a", "b c", "row 0 x"])), max_size=30),
+       st.integers(1, 8))
+def test_nonblank_lines_match_splitlines(pieces, block):
+    text = "".join(pieces)
+    expected = [ln for ln in text.splitlines() if ln.strip()]
+    assert list(matrices.nonblank_lines(text, block)) == expected
+    assert list(matrices.nonblank_lines(text)) == expected
