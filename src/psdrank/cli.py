@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -61,13 +62,23 @@ def _read(path: str) -> str:
 def _write(path: str, blocks: Iterable[str], trace: _Trace, stage: str, in_digest: str,
            **params) -> None:
     """Write text given as blocks, encoding and hashing one block at a time;
-    the trace's output digest is that of the whole file."""
+    the trace's output digest is that of the whole file.  The blocks go to a
+    file beside ``path`` that replaces it only after the last block, so an
+    error or an interrupt while they are made leaves no cut file behind and
+    a file already at ``path`` as it was."""
+    part = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.part")
     sha = hashlib.sha256()
-    with open(path, "wb") as out:
-        for block in blocks:
-            data = block.encode("utf-8")
-            out.write(data)
-            sha.update(data)
+    try:
+        with open(part, "wb") as out:
+            for block in blocks:
+                data = block.encode("utf-8")
+                out.write(data)
+                sha.update(data)
+        os.replace(part, path)
+    except BaseException:
+        if os.path.isfile(part):
+            os.remove(part)
+        raise
     trace.stage(stage, in_digest, sha.hexdigest()[:12], file=path, **params)
 
 
@@ -96,7 +107,10 @@ def _parse_root(text: str) -> Assignment:
 def cmd_normalize(args, trace: _Trace) -> int:
     text = _read(args.formula)
     phi = formulas.parse_formula(text)
-    system = formulas.flatten(formulas.to_equation_system(formulas.normalize_atoms(phi)))
+    try:
+        system = formulas.flatten(formulas.to_equation_system(formulas.normalize_atoms(phi)))
+    except RecursionError:  # the walks over the formula recurse once per connective
+        raise ParseError("formula nests too deep to compile") from None
     poly = formulas.to_single_polynomial(system)
     out = format_polynomial(poly) + "\n"
     _write(args.output, [out], trace, "normalize", _digest(text),

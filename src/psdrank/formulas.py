@@ -88,33 +88,12 @@ class FormulaParseError(ParseError):
 _FORMULA_SYMBOLS = frozenset(RELATIONS + ("+", "-", "*", "(", ")", "&", "|", "!"))
 
 
-# Deepest nesting a formula may have: parentheses and negations open around
-# any token, and connectives stacked in the tree the parser builds (a chain
-# of n conjuncts stacks n - 1).  Every later stage recurses over the tree, so
-# a deeper formula would exhaust the interpreter's stack.
-MAX_FORMULA_DEPTH = 200
-
-
 class _Parser:
     """Recursive descent for: or := and {'|' and}; and := not {'&' not};
     not := '!' not | '(' formula ')' | atom; atom := poly rel poly."""
 
     def __init__(self, text: str):
         self.tokens = Tokens(text, _FORMULA_SYMBOLS, FormulaParseError)
-        self.open = 0  # '(' and '!' open around the current token
-        self.depth: Dict[int, int] = {}  # id of each connective built -> its depth
-
-    def nest(self, at: int) -> FormulaParseError:
-        return FormulaParseError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", at)
-
-    def node(self, cls, at: int, *children: Formula) -> Formula:
-        """The connective ``cls`` over ``children``, built at token ``at``."""
-        depth = 1 + max(self.depth.get(id(c), 0) for c in children)
-        if depth > MAX_FORMULA_DEPTH:
-            raise self.nest(at)
-        f = cls(*children)
-        self.depth[id(f)] = depth
-        return f
 
     def parse(self) -> Formula:
         f = self.parse_or()
@@ -126,33 +105,29 @@ class _Parser:
     def parse_or(self) -> Formula:
         f = self.parse_and()
         while self.tokens.next_is("|"):
-            at = self.tokens.take()[2]
-            f = self.node(Or, at, f, self.parse_and())
+            self.tokens.take()
+            f = Or(f, self.parse_and())
         return f
 
     def parse_and(self) -> Formula:
         f = self.parse_not()
         while self.tokens.next_is("&"):
-            at = self.tokens.take()[2]
-            f = self.node(And, at, f, self.parse_not())
+            self.tokens.take()
+            f = And(f, self.parse_not())
         return f
 
     def parse_not(self) -> Formula:
-        if not self.tokens.next_is("!", "("):
-            return self.parse_atom()
-        _, op, at = self.tokens.take()
-        self.open += 1
-        if self.open > MAX_FORMULA_DEPTH:
-            raise self.nest(at)
-        if op == "!":
-            f = self.node(Not, at, self.parse_not())
-        else:
+        if self.tokens.next_is("!"):
+            self.tokens.take()
+            return Not(self.parse_not())
+        if self.tokens.next_is("("):
+            self.tokens.take()
             f = self.parse_or()
             if not self.tokens.next_is(")"):
                 raise FormulaParseError("expected ')'", self.tokens.peek()[2])
             self.tokens.take()
-        self.open -= 1
-        return f
+            return f
+        return self.parse_atom()
 
     def parse_atom(self) -> Formula:
         lhs = read_terms(self.tokens)
@@ -164,8 +139,13 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     """Parse a formula; atoms are normalized to ``polynomial REL 0``.  A
-    formula nested deeper than ``MAX_FORMULA_DEPTH`` is refused."""
-    return _Parser(text).parse()
+    formula nested deeper than the interpreter's recursion limit lets the
+    parser descend is a FormulaParseError at the token where it stopped."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise FormulaParseError("formula nests too deep", parser.tokens.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +398,27 @@ def flatten(system: EquationSystem) -> EquationSystem:
     defs: List[Tuple[VarId, Expr]] = list(system.definitions)
 
     def name(e: Expr) -> Expr:
-        if not isinstance(e, OpE):
-            return e
-        reduced = OpE(e.op, name(e.left), name(e.right))
-        if reduced in memo:
-            return VarE(memo[reduced])
-        t = VarId(VarKind.GADGET, next(slots))
-        memo[reduced] = t
-        defs.append((t, reduced))
-        out.append(OpE("-", reduced, VarE(t)))
-        return VarE(t)
+        """``e`` reduced to a leaf, naming its compound subexpressions left
+        operand first and bottom-up.  The walk keeps its own stack: an
+        atom's polynomial is a left chain as long as its standard form."""
+        todo: List[Union[Expr, str]] = [e]  # an operator str: its operands are done
+        done: List[Expr] = []
+        while todo:
+            x = todo.pop()
+            if isinstance(x, OpE):
+                todo += (x.op, x.right, x.left)
+            elif isinstance(x, str):
+                right = done.pop()
+                reduced = OpE(x, done.pop(), right)
+                t = memo.get(reduced)
+                if t is None:
+                    t = memo[reduced] = VarId(VarKind.GADGET, next(slots))
+                    defs.append((t, reduced))
+                    out.append(OpE("-", reduced, VarE(t)))
+                done.append(VarE(t))
+            else:
+                done.append(x)
+        return done.pop()
 
     for e in system.equations:
         out.append(OpE(e.op, name(e.left), name(e.right)) if isinstance(e, OpE) else e)

@@ -374,12 +374,12 @@ def _blocks(text: str, size: int) -> Iterator[str]:
         start = cut
 
 
-def nonblank_lines(text: str, block: int = READ_BLOCK_CHARS) -> Iterator[str]:
+def nonblank_lines(text: str) -> Iterator[str]:
     """The lines of ``text`` (as ``str.splitlines`` cuts them) that are not
-    blank, read ``block`` characters at a time: only one block's lines are
-    held at once, and the per-line work stays in C."""
+    blank, read ``READ_BLOCK_CHARS`` characters at a time: only one block's
+    lines are held at once, and the per-line work stays in C."""
     return chain.from_iterable(filter(str.strip, piece.splitlines())
-                               for piece in _blocks(text, block))
+                               for piece in _blocks(text, READ_BLOCK_CHARS))
 
 
 @dataclass

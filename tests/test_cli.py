@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -8,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import psdrank
+from psdrank import matrices
 from psdrank.cli import main
 from psdrank.factorizations import p_alpha_factorization, write_factorization
+from psdrank.formulas import lift_witness, parse_formula
 from psdrank.gadgets import build_P, reduce
 from psdrank.matrices import parse_matrix, write_matrix, InstanceMatrix
-from psdrank.polynomials import parse_polynomial
+from psdrank.polynomials import Assignment, evaluate, parse_polynomial, xvar
 
 
 @pytest.fixture()
@@ -59,13 +62,26 @@ class TestNormalize:
         assert run("normalize", "nope.formula") == 2
         assert "error code=io" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["(" * 3000 + "x1 > 0" + ")" * 3000, "!" * 3000 + "x1 > 0"])
+    @pytest.mark.parametrize("text", [
+        "(" * 3000 + "x1 > 0" + ")" * 3000,
+        "!" * 3000 + "x1 > 0",
+        " & ".join(["x1 > 0"] * 3000),  # parses; the walks after it recurse too deep
+    ], ids=["parens", "negations", "and-chain"])
     def test_deep_formula_is_a_parse_error(self, workdir, capsys, text):
         (workdir / "deep.formula").write_text(text + "\n")
         assert run("normalize", "deep.formula") == 2
         err = capsys.readouterr().err
-        assert "error code=parse" in err and "nests deeper than" in err
+        assert "error code=parse" in err and "nests too deep" in err
         assert "Traceback" not in err
+
+    def test_atom_of_many_terms_compiles(self, workdir, capsys):
+        # x1 - 1000 has 1,001 terms in standard form: a left chain that
+        # flattening walks without recursing.
+        (workdir / "f.formula").write_text("x1 > 1000\n")
+        assert run("normalize", "f.formula", "-o", "out.poly") == 0
+        poly = parse_polynomial((workdir / "out.poly").read_text())
+        phi = parse_formula("x1 > 1000")
+        assert evaluate(poly, lift_witness(phi, Assignment.exact({xvar(1): 1001}))) == 0
 
 
 class TestReduce:
@@ -87,6 +103,24 @@ class TestReduce:
         assert f"output={hashlib.sha256(data).hexdigest()[:12]}" in record
         out = reduce(parse_polynomial("x1 - 1"))
         assert data.decode() == write_matrix(out.M, out.r)
+
+    @pytest.mark.parametrize("exc", [KeyError, KeyboardInterrupt])
+    def test_interrupted_write_leaves_no_cut_file(self, workdir, monkeypatch, exc):
+        (workdir / "f.poly").write_text("x1 - 1\n")
+        assert run("reduce", "f.poly", "-o", "m.mtx") == 0
+        good = (workdir / "m.mtx").read_bytes()
+        blocks = matrices.matrix_blocks
+
+        def failing_blocks(m, target_rank=None):
+            yield from itertools.islice(blocks(m, target_rank), 3)
+            raise exc("stopped midway")
+
+        monkeypatch.setattr(matrices, "matrix_blocks", failing_blocks)
+        for name in ("m.mtx", "n.mtx"):
+            with pytest.raises(exc):
+                run("reduce", "f.poly", "-o", name)
+        assert (workdir / "m.mtx").read_bytes() == good
+        assert sorted(p.name for p in workdir.iterdir()) == ["f.poly", "m.mtx"]
 
     def test_deterministic_output(self, workdir):
         (workdir / "f.poly").write_text("-1\n")

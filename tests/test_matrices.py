@@ -3,6 +3,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -621,5 +622,6 @@ BLANKS = [" ", "\t", "\x1f", "\u3000"]
 def test_nonblank_lines_match_splitlines(pieces, block):
     text = "".join(pieces)
     expected = [ln for ln in text.splitlines() if ln.strip()]
-    assert list(matrices.nonblank_lines(text, block)) == expected
+    with mock.patch.object(matrices, "READ_BLOCK_CHARS", block):
+        assert list(matrices.nonblank_lines(text)) == expected
     assert list(matrices.nonblank_lines(text)) == expected
