@@ -139,7 +139,7 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment) -> PSDFactorization
     # A block depends only on its completion value: its vectors are interned
     # once per value, as template ids and offsets in the block per table
     # slot, memoized per pair of point ids, and placed in each label at 3+2t.
-    points, pids, square = _interned_points(value, B.label_vectors)
+    points, pids, square = _interned_points(value, index_set_H(f))
     pid = dict(zip(B.row_labels, pids))
 
     def placed(T: PieceTable, vectors: Sequence[Vector]) -> Tuple[Tuple[int, ...], ...]:

@@ -41,17 +41,14 @@ Vector = Dict[int, Number]  # sparse coordinate -> value
 Template = Tuple[Tuple[int, Number], ...]  # (coordinate, value) pairs, lowest coordinate 0
 
 
-def _check_vectors(vecs: Iterable[Vector], k: int, exact: bool) -> None:
-    """Raise ValueError naming a label's first offending value in item
-    order: a negative coordinate or a float in an exact witness, else its
-    largest coordinate if that reaches k."""
+def _check_vectors(vecs: Iterable[Vector], k: int) -> None:
+    """Raise ValueError naming a label's offending coordinate: its first
+    negative one in item order, else its largest one if that reaches k."""
     hi = -math.inf
     for vec in vecs:
-        for coord, val in vec.items():
+        for coord in vec:
             if not 0 <= coord:
                 raise ValueError(f"vector coordinate {coord} outside dimension {k}")
-            if exact and isinstance(val, float):
-                raise ValueError("exact factorization holds a float value")
             if coord > hi:
                 hi = coord
     if hi >= k:
@@ -110,7 +107,11 @@ class PieceTable:
 
     def template(self, vec: Mapping[int, Number]) -> Tuple[int, Optional[int]]:
         """The id of ``vec``'s template, interned by content, and its lowest
-        coordinate (None if it has none)."""
+        coordinate (None if it has none).  A coordinate that is not an int
+        raises ValueError: every producer of a witness interns through here."""
+        for c in vec:
+            if not isinstance(c, int):
+                raise ValueError(f"vector coordinate {c} outside dimension {self.k}")
         lo = min(vec) if vec else None
         tmpl = tuple((c - lo, x) for c, x in vec.items()) if vec else ()
         tid = self._ids.get(tmpl)
@@ -137,7 +138,7 @@ class PieceTable:
             lo, hi = 0, -1
         if lo < 0 or hi >= self.k:
             _check_vectors(({c + s: x for c, x in self.templates[t]}
-                            for t, s in zip(tids, shifts)), self.k, False)
+                            for t, s in zip(tids, shifts)), self.k)
         self.tids.extend(tids)
         self.shifts.extend(shifts)
         self.starts.append(len(self.tids))
@@ -234,10 +235,9 @@ class PSDFactorization:
         for labels, table, side in ((row_labels, row_vectors, "row"),
                                     (col_labels, col_vectors, "col")):
             known = set(labels)
-            for label, vecs in table.items():
+            for label in table:
                 if label not in known:
                     raise ValueError(f"{side} vectors for unknown label {label!r}")
-                _check_vectors(vecs, k, mode == "exact")
         rows, cols = (PieceTable.build(k, labels, {l: [(v, 0) for v in vecs]
                                                    for l, vecs in table.items()})
                       for labels, table in ((row_labels, row_vectors), (col_labels, col_vectors)))
@@ -245,18 +245,18 @@ class PSDFactorization:
 
     @classmethod
     def from_tables(cls, rows: PieceTable, cols: PieceTable, mode: str) -> "PSDFactorization":
-        """A witness of size ``rows.k`` over two tables built for it; an
-        exact witness holding a float value raises ValueError naming it."""
+        """A witness of size ``rows.k`` over two tables built for it."""
         _check_size_and_mode(rows.k, mode)
-        for T in (rows, cols):
-            if mode == "exact" and any(isinstance(x, float) for t in T.templates for _, x in t):
-                for i in range(len(T.labels)):
-                    _check_vectors(T.vectors(i), T.k, True)
         self = cls.__new__(cls)
         self._init(rows, cols, mode)
         return self
 
     def _init(self, rows: PieceTable, cols: PieceTable, mode: str) -> None:
+        """Both constructors end here; an exact witness holding a float value
+        raises ValueError."""
+        if mode == "exact" and any(isinstance(x, float) for T in (rows, cols)
+                                   for t in T.templates for _, x in t):
+            raise ValueError("exact factorization holds a float value")
         self.k, self.mode, self.rows, self.cols = rows.k, mode, rows, cols
         self.row_labels, self.col_labels = tuple(rows.labels), tuple(cols.labels)
         self.row_vectors, self.col_vectors = VectorTable(rows), VectorTable(cols)

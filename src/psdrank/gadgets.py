@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
 from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from .matrices import (
@@ -77,8 +76,8 @@ def index_set_size(sigma: Sequence[Polynomial]) -> int:
 
 
 def _gram_table(f: Polynomial, entry: Callable[[Polynomial], Any]) -> Tuple[
-        Tuple[LabelVector, ...], Tuple[str, ...], Dict[Tuple[str, str], Any]]:
-    """H(f), its rendered labels, and the symmetric table {(u, v): entry(u.v)}
+        Tuple[str, ...], Dict[Tuple[str, str], Any]]:
+    """The rendered labels of H(f) and the symmetric table {(u, v): entry(u.v)}
     over H, stored in row-major label order, the order the writer emits;
     pairs whose entry is None stay absent.
 
@@ -124,13 +123,13 @@ def _gram_table(f: Polynomial, entry: Callable[[Polynomial], Any]) -> Tuple[
                 e = resolve(triple)
             if e is not None:
                 data[(u, v)] = e
-    return H, labels, data
+    return labels, data
 
 
 def build_A(f: Polynomial) -> PolynomialMatrix:
     """The symmetric polynomial matrix with entries (u.v)^2 over H(f)."""
-    H, labels, data = _gram_table(f, lambda d: None if d.is_zero else d * d)
-    return PolynomialMatrix(labels, labels, data, label_vectors=H)
+    labels, data = _gram_table(f, lambda d: None if d.is_zero else d * d)
+    return PolynomialMatrix(labels, labels, data)
 
 
 def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatrix:
@@ -152,8 +151,8 @@ def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatr
             return None if is_multiple_of(d * d, f) else UNKNOWN
         return None if is_multiple_of(d, f) else UNKNOWN
 
-    H, labels, data = _gram_table(f, decide)
-    return IncompleteMatrix(labels, labels, data, label_vectors=H)
+    labels, data = _gram_table(f, decide)
+    return IncompleteMatrix(labels, labels, data)
 
 
 def build_C(B: IncompleteMatrix) -> IncompleteMatrix:
@@ -164,7 +163,7 @@ def build_C(B: IncompleteMatrix) -> IncompleteMatrix:
             data[key] = UNKNOWN
         elif isinstance(v, Fraction) and v != 0:
             data[key] = NONZERO_UNKNOWN
-    return IncompleteMatrix(B.row_labels, B.col_labels, data, label_vectors=B.label_vectors)
+    return IncompleteMatrix(B.row_labels, B.col_labels, data)
 
 
 def build_P(alpha: Union[int, Fraction]) -> InstanceMatrix:
@@ -205,7 +204,7 @@ def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
     block K*P(1) on rows {i, e1, e2} x columns {j, e1, e2}; all remaining
     entries are zero.  Labels follow ``instance_labels``, and the entries
     are stored in row-major label order, the order the writer emits, read
-    off S's own row-major order (B is built in it, so its sort is linear).
+    off ``S.entries()``.
     """
     K = Fraction(K)
     if K <= 0:
@@ -220,7 +219,6 @@ def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
             raise ValueError(f"known entry {v} at ({rc[0]!r},{rc[1]!r}) is outside [0, K={K}]")
     E, labels = instance_labels(S)
     k = len(E)
-    pos = {l: p for p, l in enumerate(S.row_labels)}
     data: Dict[Tuple[str, str], Fraction] = {}
     # K * P(1) on rows (i, e1, e2) x cols (j, e1, e2) for unknown t at
     # (i, j); its zeros at (e1, e2) and (e2, e1) stay absent.  Every E1 or
@@ -230,16 +228,14 @@ def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
         data[(e, e)] = K
         data[(e, j)] = K
     t = 0
-    keys = sorted(S.data, key=lambda rc: (pos[rc[0]], pos[rc[1]]))
-    for i, row in groupby(keys, itemgetter(0)):
+    for i, row in groupby(S.entries(), lambda e: e[0][0]):
         end = t
         while end < k and E[end][0] == i:
             end += 1
         for e in labels[t:end] + labels[k + t:k + end]:
             data[(i, e)] = K
         t = end
-        for rc in row:
-            v = S.data[rc]
+        for rc, v in row:
             data[rc] = K if v is UNKNOWN else v
     return InstanceMatrix(labels, labels, data)
 

@@ -11,10 +11,12 @@ absent entry is zero.  Three views of the labelled H x H matrix share it:
 * ``InstanceMatrix``    an incomplete matrix with no marks and no negative
                         entries; the reduction's output M(B, K).
 
-Every table the package builds (A, B, C, the completion B' and M) starts out
-in row-major label order, the order the writer emits.  A matrix checks its labels once and its values once per distinct value
-object, and owns a copy of the caller's dict.  The gadget builders attach the
-label triples behind the labels as ``label_vectors``.
+A matrix holds its labels and its entries, nothing else.  It checks its labels
+once and its values once per distinct value object, and owns a copy of the
+caller's dict.  One method, ``entries``, decides row-major label order: the
+writer, ``unknown_positions`` and the gadget M(S, K) all walk it.  Every table
+the package builds (A, B, C, the completion B' and M) is stored in that order,
+so the walk is the stored order after one check.
 
 Both file formats are line oriented and written by one writer.  Header
 ``psdrank-matrix v1 <nrows> <ncols>`` (``psdrank-polymatrix v1`` for
@@ -111,8 +113,6 @@ class _SparseMatrix:
     row_labels: Tuple[str, ...]
     col_labels: Tuple[str, ...]
     data: Dict[Tuple[str, str], Any] = field(default_factory=dict)
-    # The triples behind the labels; derived from them, so not compared.
-    label_vectors: Optional[Tuple["LabelVector", ...]] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         rows = self.row_labels = _check_labels(self.row_labels)
@@ -137,6 +137,27 @@ class _SparseMatrix:
             if r not in rset or c not in cset:
                 raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
         return dict(self.data)
+
+    def entries(self) -> Iterable[Tuple[Tuple[str, str], Any]]:
+        """The ((row, col), value) pairs in row-major label order, the order
+        the writer emits.  Every table the package builds is stored in that
+        order: one C-level pass over its keys confirms it and the stored
+        items come back as they are.  Only input stored out of order (a
+        parsed file with shuffled lines, a transpose, a caller's dict) is
+        walked through its sorted keys."""
+        rpos = {l: i for i, l in enumerate(self.row_labels)}
+        cpos = (rpos if self.col_labels is self.row_labels
+                else {l: j for j, l in enumerate(self.col_labels)})
+        ncols = self.ncols
+        data = self.data
+        # Flat positions i * ncols + j of the keys, streamed: no int per entry
+        # is held.
+        flat = map(add, map(mul, map(rpos.__getitem__, map(itemgetter(0), data)), repeat(ncols)),
+                   map(cpos.__getitem__, map(itemgetter(1), data)))
+        if all(starmap(lt, pairwise(flat))):
+            return data.items()
+        return ((rc, data[rc])
+                for rc in sorted(data, key=lambda rc: rpos[rc[0]] * ncols + cpos[rc[1]]))
 
     @property
     def nrows(self) -> int:
@@ -200,12 +221,6 @@ class IncompleteMatrix(_SparseMatrix):
     def entry(self, r: str, c: str) -> Entry:
         return self.data.get((r, c), Fraction(0))
 
-    def is_known(self, r: str, c: str) -> bool:
-        return not isinstance(self.entry(r, c), _Mark)
-
-    def max_entry(self) -> Fraction:
-        return max(self.data.values(), default=Fraction(0))
-
     def to_dense(self) -> List[List[Entry]]:
         return [[self.entry(r, c) for c in self.col_labels] for r in self.row_labels]
 
@@ -227,14 +242,8 @@ class IncompleteMatrix(_SparseMatrix):
         return cls(rl, cl, data)
 
     def unknown_positions(self) -> Tuple[Tuple[str, str], ...]:
-        """Unknown coordinates in row-major label order: the stored unknown
-        keys, sorted by (row position, column position).  Every table the
-        package builds is stored in that order, so the sort is one linear
-        pass; only input stored out of order is really reordered."""
-        rpos = {l: i for i, l in enumerate(self.row_labels)}
-        cpos = {l: j for j, l in enumerate(self.col_labels)}
-        return tuple(sorted((rc for rc, v in self.data.items() if v is UNKNOWN),
-                            key=lambda rc: (rpos[rc[0]], cpos[rc[1]])))
+        """Unknown coordinates in row-major label order."""
+        return tuple(rc for rc, v in self.entries() if v is UNKNOWN)
 
     def transpose(self) -> "IncompleteMatrix":
         return IncompleteMatrix(
@@ -297,13 +306,9 @@ def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str
 
     Yields the text in blocks: the header, then label lines and data lines
     ``WRITE_BLOCK_LINES`` at a time, each block one joined string of whole
-    lines.  Data lines come out in row-major label order, so identical
-    matrices serialize byte-identically.  Every table the package builds
-    (A, B, C, B' and M) is stored in that order and is written as it is
-    stored, after one C-level pass over its keys confirms the order; only
-    input stored out of order (a parsed file with shuffled lines, a
-    transpose, a caller's dict) is sorted.  Each distinct value object is
-    rendered once.
+    lines.  Data lines come out in the order of ``entries``, row-major by
+    label, so identical matrices serialize byte-identically.  Each distinct
+    value object is rendered once.
     """
     yield (f"{header} {m.nrows} {m.ncols}\n"
            + ("" if target_rank is None else f"r {target_rank}\n"))
@@ -311,26 +316,14 @@ def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str
         for lo in range(0, len(labels), WRITE_BLOCK_LINES):
             yield "".join([f"{kind} {i} {l}\n"
                            for i, l in enumerate(labels[lo:lo + WRITE_BLOCK_LINES], lo)])
-    rpos = {l: i for i, l in enumerate(m.row_labels)}
-    cpos = (rpos if m.col_labels is m.row_labels
-            else {l: j for j, l in enumerate(m.col_labels)})
-    ncols = m.ncols
-    data = m.data
-    # Flat positions i * ncols + j of the keys, streamed: no int per entry
-    # is held.
-    flat = map(add, map(mul, map(rpos.__getitem__, map(itemgetter(0), data)), repeat(ncols)),
-               map(cpos.__getitem__, map(itemgetter(1), data)))
-    items: Iterator[Tuple[Tuple[str, str], Any]] = iter(data.items())
-    if not all(starmap(lt, pairwise(flat))):
-        items = ((rc, data[rc])
-                 for rc in sorted(data, key=lambda rc: rpos[rc[0]] * ncols + cpos[rc[1]]))
+    items = iter(m.entries())
     # Runs of entries share one value object (M stores K once), so the
     # identity test skips most lookups.  Hashing a Fraction is not cheap, so
     # tokens are keyed by id, unique while ``data`` keeps each value alive.
     tokens: Dict[int, str] = {}
     last: Any = None
     tok = ""
-    for _ in range(0, len(data), WRITE_BLOCK_LINES):
+    for _ in range(0, len(m.data), WRITE_BLOCK_LINES):
         lines = []
         for (r, c), v in islice(items, WRITE_BLOCK_LINES):
             if v is not last:
@@ -444,6 +437,8 @@ def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -
                 if target_rank is not None:
                     raise ParseError(f"repeated r line {ln!r}")
                 target_rank = int(parts[1])
+                if target_rank < 0:
+                    raise ParseError(f"negative target rank in line {ln!r}")
             else:
                 raise ParseError(f"malformed matrix line: {ln!r}")
         except ParseError:

@@ -488,11 +488,11 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def approx_sqrt(x: Fraction, digits: int = 30) -> Fraction:
-    """Rational approximation of sqrt(x) with absolute error below 10^-digits."""
+def approx_sqrt(x: Fraction) -> Fraction:
+    """Rational approximation of sqrt(x) with absolute error below 10^-30."""
     if x < 0:
         raise ValueError("square root of a negative rational")
-    scale = 10 ** digits
+    scale = 10 ** 30
     return Fraction(math.isqrt((x.numerator * scale * scale) // x.denominator), scale)
 
 

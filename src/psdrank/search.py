@@ -88,10 +88,10 @@ def _jacobian(U, V, A):
     return R, J.reshape(m * n, (m + n) * k * k)
 
 
-def _polish(U, V, A, iterations: int):
-    """Levenberg-Marquardt from (U, V); returns the end point and the number
-    of accepted steps.  A trial point is judged by its residual alone; the
-    Jacobian is built only at accepted points."""
+def _polish(U, V, A):
+    """Levenberg-Marquardt from (U, V), at most ``POLISH_ITERATIONS`` steps;
+    returns the end point and the number of accepted steps.  A trial point is
+    judged by its residual alone; the Jacobian is built only at accepted points."""
     import numpy as np
     m, k = U.shape[0], U.shape[1]
     n = V.shape[0]
@@ -105,7 +105,7 @@ def _polish(U, V, A, iterations: int):
     cost = float(R @ R)
     eye = np.eye(J.shape[1])
     steps = 0
-    for _ in range(iterations):
+    for _ in range(POLISH_ITERATIONS):
         if cost < 1e-30:
             break
         JtJ = J.T @ J
@@ -207,7 +207,7 @@ def psd_rank_search(A: InstanceMatrix, k: int,
         rng = np.random.default_rng([config.seed, r])
         U = rng.normal(0.0, scale, size=(m, k, k))
         V = rng.normal(0.0, scale, size=(n, k, k))
-        U, V, steps = _polish(U, V, dense, POLISH_ITERATIONS)
+        U, V, steps = _polish(U, V, dense)
         total_steps += steps
         residual = float(np.max(np.abs(_trace_table(U, V) - dense)))
         if best is None or residual < best[0]:

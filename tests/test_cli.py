@@ -225,6 +225,17 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert "error code=parse" in err and "1 1 1/0" in err
 
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    def test_negative_target_rank(self, workdir, capsys, command):
+        text = write_matrix(build_P(4), target_rank=-5)
+        assert "\nr -5\n" in text
+        (workdir / "bad.mtx").write_text(text)
+        (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(4)))
+        argv = ("bad.mtx", "p.fac") if command == "verify" else ("bad.mtx", "--k", "1")
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert "error code=parse" in err and "'r -5'" in err
+
     def test_non_integer_row_index(self, workdir, capsys):
         text = write_matrix(build_P(4))
         assert "row 0 1\n" in text

@@ -90,6 +90,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             from_pieces(3, ("a",), {"a": pieces})
 
+    @pytest.mark.parametrize("coord", [float("nan"), 0.5])
+    @pytest.mark.parametrize("others", [{}, {0: ONE}])
+    def test_non_integer_coordinate_rejected(self, coord, others):
+        # Both constructors intern through PieceTable.template, which checks.
+        vec = {**others, coord: ONE}
+        with pytest.raises(ValueError, match=f"vector coordinate {coord} outside dimension 3"):
+            PSDFactorization(3, ("a",), ("a",), {"a": (vec,)}, {})
+        with pytest.raises(ValueError, match=f"vector coordinate {coord} outside dimension 3"):
+            from_pieces(3, ("a",), {"a": [(vec, 0)]})
+
     def test_shifted_template_in_range(self):
         F = from_pieces(3, ("a",), {"a": [({0: ONE, 1: ONE}, 1)]})
         assert F.row_vectors == {"a": ({1: ONE, 2: ONE},)}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdrank import matrices
+from psdrank import gadgets, matrices
 from psdrank.matrices import (
     NONZERO_UNKNOWN,
     UNKNOWN,
@@ -23,7 +23,7 @@ from psdrank.matrices import (
     write_polynomial_matrix,
 )
 from psdrank.certificates import completion_from_root
-from psdrank.gadgets import build_A, build_B, build_C, build_P, reduce
+from psdrank.gadgets import build_A, build_B, build_C, build_M, build_P, index_set_H, reduce
 from psdrank.polynomials import Assignment, ParseError, Polynomial, parse_polynomial, xvar
 
 
@@ -50,7 +50,7 @@ class TestInstanceMatrix:
     def test_dense_round_trip(self):
         m = InstanceMatrix.from_dense([[1, 0], [2, Fraction(1, 3)]])
         assert m.to_dense() == [[1, 0], [2, Fraction(1, 3)]]
-        assert m.max_entry() == 2
+        assert max(m.data.values(), default=0) == 2
 
 
 @pytest.mark.parametrize("cls", [InstanceMatrix, IncompleteMatrix])
@@ -112,7 +112,7 @@ class TestIncompleteMatrix:
     def test_nonzero_unknown_is_not_unknown(self):
         m = IncompleteMatrix(("r0",), ("c0",), {("r0", "c0"): NONZERO_UNKNOWN})
         assert m.unknown_positions() == ()
-        assert not m.is_known("r0", "c0")
+        assert m.entry("r0", "c0") is NONZERO_UNKNOWN
 
     def test_transpose(self):
         m = IncompleteMatrix(("r0", "r1"), ("c0",), {("r0", "c0"): Fraction(2)})
@@ -133,6 +133,11 @@ class TestFileFormat:
         m = InstanceMatrix(("a",), ("a",), {})
         parsed = parse_matrix(write_matrix(m, target_rank=5))
         assert parsed.target_rank == 5
+
+    def test_negative_target_rank_names_line(self):
+        assert parse_matrix("psdrank-matrix v1 1 1\nr 0\nrow 0 a\ncol 0 b\n").target_rank == 0
+        with pytest.raises(ParseError, match="negative target rank in line 'r -5'"):
+            parse_matrix("psdrank-matrix v1 1 1\nr -5\nrow 0 a\ncol 0 b\na b 1\n")
 
     def test_incomplete_round_trip(self):
         m = IncompleteMatrix(("a", "b"), ("a", "b"),
@@ -248,9 +253,10 @@ def test_polynomial_matrix_round_trip():
 
 
 def test_polynomial_matrix_squares_dots():
-    A = build_A(parse_polynomial("x1 - 1"))
-    assert A.row_labels == A.col_labels == tuple(h.render() for h in A.label_vectors)
-    vectors = dict(zip(A.row_labels, A.label_vectors))
+    f = parse_polynomial("x1 - 1")
+    A, H = build_A(f), index_set_H(f)
+    assert A.row_labels == A.col_labels == tuple(h.render() for h in H)
+    vectors = dict(zip(A.row_labels, H))
     for u, hu in vectors.items():
         for v, hv in vectors.items():
             d = sum((a * b for a, b in zip(hu.coords, hv.coords)), Polynomial.zero())
@@ -446,6 +452,11 @@ def shuffled(m, seed):
     return type(m)(m.row_labels, m.col_labels, dict(items))
 
 
+def transposed(m):
+    """m's transpose, of m's own type, stored in column-major order."""
+    return type(m)(m.col_labels, m.row_labels, {(c, r): v for (r, c), v in m.data.items()})
+
+
 def write_any(m):
     if isinstance(m, PolynomialMatrix):
         return write_polynomial_matrix(m)
@@ -468,14 +479,43 @@ class TestRowMajorTables:
 
     @pytest.mark.parametrize("name", TABLES)
     def test_written_without_the_sort(self, tables, name, monkeypatch):
+        # The writer, unknown_positions and build_M all walk the stored order.
         m = tables[name]
-        expected = write_any(m)
+        K = max(tables["M"].data.values())  # M stores K, above every entry of B
+        readers = [write_any]
+        if isinstance(m, IncompleteMatrix):
+            readers.append(IncompleteMatrix.unknown_positions)
+        if name in ("B", "B_square"):
+            readers.append(lambda S: build_M(S, K))
+        expected = [read(m) for read in readers]
 
         def no_sort(*args, **kwargs):
             raise AssertionError("sorted() called")
 
-        monkeypatch.setattr(matrices, "sorted", no_sort, raising=False)
-        assert write_any(m) == expected
+        for module in (matrices, gadgets):
+            monkeypatch.setattr(module, "sorted", no_sort, raising=False)
+        assert [read(m) for read in readers] == expected
+        for read in readers:
+            with pytest.raises(AssertionError, match="sorted"):
+                read(shuffled(m, 1))
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_entries_row_major(self, tables, name):
+        m = tables[name]
+        for t in (m, shuffled(m, 1), shuffled(m, 2), transposed(m), shuffled(transposed(m), 3)):
+            assert [rc for rc, _ in t.entries()] == row_major(t, t.data)
+            assert all(t.data[rc] is v for rc, v in t.entries())
+        t = transposed(m)
+        assert list(t.data) != row_major(t, t.data)
+
+    def test_entries_of_a_non_square_matrix(self):
+        m = IncompleteMatrix(("r2", "r0", "r1"), ("c1", "c0"), {
+            ("r1", "c0"): UNKNOWN, ("r0", "c1"): Fraction(2), ("r2", "c0"): UNKNOWN,
+            ("r2", "c1"): Fraction(3)})
+        for t in (m, shuffled(m, 4), transposed(m)):
+            assert [rc for rc, _ in t.entries()] == row_major(t, t.data)
+        assert list(m.entries()) == [(("r2", "c1"), 3), (("r2", "c0"), UNKNOWN),
+                                     (("r0", "c1"), 2), (("r1", "c0"), UNKNOWN)]
 
     @pytest.mark.parametrize("name", ["B", "B_square"])
     def test_unknown_positions_match_the_pair_scan(self, tables, name):
