@@ -92,9 +92,9 @@ def completion_from_root(f: Polynomial, xi: Assignment) -> Completion:
     """Entrywise square of the evaluated label matrix, plus its witness.
 
     B'(u|v) = ((u.v)(xi))^2 agrees with every known entry of B and its
-    entries stay within 9*(length f)^4 because |xi_i| <= 1.  B' is stored in
-    row-major label order, the order the writer emits.  The witness is the
-    rank-one factorization by evaluated label vectors.
+    entries stay within 9*(length f)^4 because |xi_i| <= 1.  B' is stored,
+    and marked, in row-major label order, the order the writer emits.  The
+    witness is the rank-one factorization by evaluated label vectors.
     """
     value = _root_values(f, xi)
     H = index_set_H(f)
@@ -109,7 +109,7 @@ def completion_from_root(f: Polynomial, xi: Assignment) -> Completion:
                 data[(u, v)] = sq
     if not exact:
         data = {k: Fraction(v) for k, v in data.items()}
-    matrix = InstanceMatrix(labels, labels, data)
+    matrix = InstanceMatrix._from_row_major(labels, labels, data)
     vectors = [(dense_vector(p),) for p in points]  # one per distinct point
     rows = {l: vectors[p] for l, p in zip(labels, pid)}
     fact = PSDFactorization(3, labels, labels, rows, rows, "exact" if exact else "float")

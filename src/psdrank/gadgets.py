@@ -23,6 +23,7 @@ from .matrices import (
     InstanceMatrix,
     LabelVector,
     PolynomialMatrix,
+    _distinct,
 )
 from .polynomials import Polynomial, length_of, is_multiple_of
 
@@ -129,7 +130,7 @@ def _gram_table(f: Polynomial, entry: Callable[[Polynomial], Any]) -> Tuple[
 def build_A(f: Polynomial) -> PolynomialMatrix:
     """The symmetric polynomial matrix with entries (u.v)^2 over H(f)."""
     labels, data = _gram_table(f, lambda d: None if d.is_zero else d * d)
-    return PolynomialMatrix(labels, labels, data)
+    return PolynomialMatrix._from_row_major(labels, labels, data)
 
 
 def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatrix:
@@ -152,18 +153,20 @@ def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatr
         return None if is_multiple_of(d, f) else UNKNOWN
 
     labels, data = _gram_table(f, decide)
-    return IncompleteMatrix(labels, labels, data)
+    return IncompleteMatrix._from_row_major(labels, labels, data)
 
 
 def build_C(B: IncompleteMatrix) -> IncompleteMatrix:
-    """Zero / nonzero-unknown / unknown pattern of B."""
+    """Zero / nonzero-unknown / unknown pattern of B, in B's item order (so
+    row-major when B is)."""
     data: Dict[Tuple[str, str], object] = {}
     for key, v in B.data.items():
         if v is UNKNOWN:
             data[key] = UNKNOWN
         elif isinstance(v, Fraction) and v != 0:
             data[key] = NONZERO_UNKNOWN
-    return IncompleteMatrix(B.row_labels, B.col_labels, data)
+    build = IncompleteMatrix._from_row_major if B._row_major else IncompleteMatrix
+    return build(B.row_labels, B.col_labels, data)
 
 
 def build_P(alpha: Union[int, Fraction]) -> InstanceMatrix:
@@ -203,20 +206,26 @@ def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
     entries of S land on the plain part; each unknown e = (i, j) plants the
     block K*P(1) on rows {i, e1, e2} x columns {j, e1, e2}; all remaining
     entries are zero.  Labels follow ``instance_labels``, and the entries
-    are stored in row-major label order, the order the writer emits, read
-    off ``S.entries()``.
+    are stored, and marked, in row-major label order, the order the writer
+    emits, read off ``S.entries()``.
     """
     K = Fraction(K)
     if K <= 0:
         raise ValueError(f"K must be positive, got {K}")
     if S.row_labels != S.col_labels:
         raise ValueError("M(S, K) needs a square S with matching label order")
-    # Checked in item order, so the first bad entry is the one named.
-    for rc, v in S.data.items():
-        if v is NONZERO_UNKNOWN:
-            raise ValueError("M(S, K) accepts known/unknown entries only")
-        if v is not UNKNOWN and (v < 0 or v > K):
-            raise ValueError(f"known entry {v} at ({rc[0]!r},{rc[1]!r}) is outside [0, K={K}]")
+
+    def bad(v: Any) -> bool:
+        return v is NONZERO_UNKNOWN or (v is not UNKNOWN and (v < 0 or v > K))
+
+    # Each distinct value object is checked once; only a failure walks the
+    # entries in item order, so the first bad entry is the one named.
+    if any(map(bad, _distinct(S.data))):
+        for rc, v in S.data.items():
+            if v is NONZERO_UNKNOWN:
+                raise ValueError("M(S, K) accepts known/unknown entries only")
+            if bad(v):
+                raise ValueError(f"known entry {v} at ({rc[0]!r},{rc[1]!r}) is outside [0, K={K}]")
     E, labels = instance_labels(S)
     k = len(E)
     data: Dict[Tuple[str, str], Fraction] = {}
@@ -237,7 +246,7 @@ def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
         t = end
         for rc, v in row:
             data[rc] = K if v is UNKNOWN else v
-    return InstanceMatrix(labels, labels, data)
+    return InstanceMatrix._from_row_major(labels, labels, data)
 
 
 def build_G(S: Sequence[Sequence[Union[int, Fraction]]],

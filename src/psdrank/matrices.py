@@ -11,12 +11,15 @@ absent entry is zero.  Three views of the labelled H x H matrix share it:
 * ``InstanceMatrix``    an incomplete matrix with no marks and no negative
                         entries; the reduction's output M(B, K).
 
-A matrix holds its labels and its entries, nothing else.  It checks its labels
-once and its values once per distinct value object, and owns a copy of the
-caller's dict.  One method, ``entries``, decides row-major label order: the
-writer, ``unknown_positions`` and the gadget M(S, K) all walk it.  Every table
-the package builds (A, B, C, the completion B' and M) is stored in that order,
-so the walk is the stored order after one check.
+A matrix holds its labels, its entries and one private mark.  It checks its
+labels once and its values once per distinct value object, and owns a copy of
+the caller's dict that nothing in the package changes afterwards.  One method,
+``entries``, decides row-major label order: the writer, ``unknown_positions``
+and the gadget M(S, K) all walk it.  Every table the package builds (A, B, C,
+the completion B' and M) is filled in that order, and its builder marks it so
+(``_from_row_major``): ``entries`` hands back its stored items unchecked.  Any
+other matrix (a parsed file, a caller's dict, a transpose) has its order
+confirmed by one C-level pass over its keys, or walked through sorted keys.
 
 Both file formats are line oriented and written by one writer.  Header
 ``psdrank-matrix v1 <nrows> <ncols>`` (``psdrank-polymatrix v1`` for
@@ -108,11 +111,29 @@ class _SparseMatrix:
     some value must be converted, dropped or rejected, or some key lies
     outside the labels, does ``_check_entries`` walk the entries one by one:
     it converts and drops, or rejects the first offending entry.
+
+    ``data`` is the matrix's own copy, and nothing in the package changes it
+    after construction, so a matrix built by ``_from_row_major`` stays in
+    row-major label order.  That mark is no field: it takes no part in
+    equality, and a parsed copy equals the matrix it was written from.
     """
 
     row_labels: Tuple[str, ...]
     col_labels: Tuple[str, ...]
     data: Dict[Tuple[str, str], Any] = field(default_factory=dict)
+
+    _row_major = False  # set by _from_row_major
+
+    @classmethod
+    def _from_row_major(cls, row_labels: Sequence[str], col_labels: Sequence[str],
+                        data: Dict[Tuple[str, str], Any]) -> "_SparseMatrix":
+        """The matrix of a builder that filled ``data`` in row-major label
+        order.  Every check of the constructor runs (one that drops entries
+        keeps the order of the rest); ``entries`` then returns the stored
+        items without confirming their order."""
+        m = cls(row_labels, col_labels, data)
+        m._row_major = True
+        return m
 
     def __post_init__(self) -> None:
         rows = self.row_labels = _check_labels(self.row_labels)
@@ -140,16 +161,18 @@ class _SparseMatrix:
 
     def entries(self) -> Iterable[Tuple[Tuple[str, str], Any]]:
         """The ((row, col), value) pairs in row-major label order, the order
-        the writer emits.  Every table the package builds is stored in that
-        order: one C-level pass over its keys confirms it and the stored
-        items come back as they are.  Only input stored out of order (a
-        parsed file with shuffled lines, a transpose, a caller's dict) is
-        walked through its sorted keys."""
+        the writer emits.  A table the package builds is marked as stored in
+        that order, and its stored items come back as they are.  For any
+        other matrix (a parsed file, a caller's dict, ``from_dense``, a
+        transpose) one C-level pass over the keys confirms the order, and
+        only input stored out of order is walked through its sorted keys."""
+        data = self.data
+        if self._row_major:
+            return data.items()
         rpos = {l: i for i, l in enumerate(self.row_labels)}
         cpos = (rpos if self.col_labels is self.row_labels
                 else {l: j for j, l in enumerate(self.col_labels)})
         ncols = self.ncols
-        data = self.data
         # Flat positions i * ncols + j of the keys, streamed: no int per entry
         # is held.
         flat = map(add, map(mul, map(rpos.__getitem__, map(itemgetter(0), data)), repeat(ncols)),

@@ -97,6 +97,12 @@ class TestCompletionFromRoot:
             "1c99251eb1efc213bc3d2bc1b61f4d3fc131552ca6dd4b4ee7c67f37e05e8b8f",
             "d554b01c25cc7819aa6e5a18d1d3f26f76748bd14ad1b7b86bda06c1b21de14f"]
 
+    def test_fractional_root_round_trips(self):
+        comp = completion_from_root(P("x1 - x2"), exact_point(x1="19/23", x2="19/23"))
+        assert parse_matrix(write_matrix(comp.matrix)).instance == comp.matrix
+        F = comp.factorization
+        assert parse_factorization(write_factorization(F)) == F
+
     def test_rejects_points_outside_cube(self):
         with pytest.raises(ValueError, match="unit cube"):
             completion_from_root(P("x1*x1 - 4"), exact_point(x1=2))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import sys
@@ -425,7 +426,8 @@ def test_constructor_matches_one_pass_reference(cls, args):
 # Every table the package builds is stored in row-major label order
 # ---------------------------------------------------------------------------
 
-ROOTS = {"x1 - 1": {1: 1}, "x1*x1 - 1": {1: 1}, "x1*x2 - x1": {1: 0, 2: 0}}
+ROOTS = {"x1 - 1": {1: 1}, "x1*x1 - 1": {1: 1}, "x1*x2 - x1": {1: 0, 2: 0},
+         "x1 - x2": {1: Fraction(19, 23), 2: Fraction(19, 23)}}
 TABLES = ("A", "B", "B_square", "C", "B'", "M")
 
 
@@ -463,6 +465,29 @@ def write_any(m):
     return write_matrix(m)
 
 
+def parse_any(m):
+    """m written and read back."""
+    if isinstance(m, PolynomialMatrix):
+        return parse_polynomial_matrix(write_polynomial_matrix(m))
+    return parse_matrix(write_matrix(m)).matrix
+
+
+def readers(tables, name):
+    """The readers that walk ``entries()`` of table ``name``: the writer,
+    ``unknown_positions`` and, for B, ``build_M`` (written out)."""
+    K = max(tables["M"].data.values())  # M stores K, above every entry of B
+    out = [write_any]
+    if isinstance(tables[name], IncompleteMatrix):
+        out.append(IncompleteMatrix.unknown_positions)
+    if name in ("B", "B_square"):
+        out.append(lambda S: write_matrix(build_M(S, K)))
+    return out
+
+
+def no_order_check(*args):
+    raise AssertionError("order check reached")
+
+
 def reference_unknown_positions(m):
     """Unknown coordinates found by probing every label pair in row-major
     order: the scan ``unknown_positions`` replaced, kept as its reference."""
@@ -481,23 +506,51 @@ class TestRowMajorTables:
     def test_written_without_the_sort(self, tables, name, monkeypatch):
         # The writer, unknown_positions and build_M all walk the stored order.
         m = tables[name]
-        K = max(tables["M"].data.values())  # M stores K, above every entry of B
-        readers = [write_any]
-        if isinstance(m, IncompleteMatrix):
-            readers.append(IncompleteMatrix.unknown_positions)
-        if name in ("B", "B_square"):
-            readers.append(lambda S: build_M(S, K))
-        expected = [read(m) for read in readers]
+        reads = readers(tables, name)
+        expected = [read(m) for read in reads]
 
         def no_sort(*args, **kwargs):
             raise AssertionError("sorted() called")
 
         for module in (matrices, gadgets):
             monkeypatch.setattr(module, "sorted", no_sort, raising=False)
-        assert [read(m) for read in readers] == expected
-        for read in readers:
+        assert [read(m) for read in reads] == expected
+        for read in reads:
             with pytest.raises(AssertionError, match="sorted"):
                 read(shuffled(m, 1))
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_built_tables_skip_the_order_check(self, tables, name, monkeypatch):
+        # A table the package builds is marked row-major, so no reader runs
+        # the order check.  A copy that carries no mark still runs it and
+        # reads the same: one rebuilt in order, one written and read back,
+        # and the transpose, which reads as its rows sorted into order.
+        m = tables[name]
+        reads = readers(tables, name)
+        expected = [read(m) for read in reads]
+        copies = [type(m)(m.row_labels, m.col_labels, dict(m.data)), parse_any(m)]
+        assert all(c == m for c in copies)
+        assert all([read(c) for read in reads] == expected for c in copies)
+        t = m.transpose() if isinstance(m, IncompleteMatrix) else transposed(m)
+        in_order = type(t)(t.row_labels, t.col_labels,
+                           {rc: t.data[rc] for rc in row_major(t, t.data)})
+        assert list(t.data) != list(in_order.data)
+        assert [read(t) for read in reads] == [read(in_order) for read in reads]
+        monkeypatch.setattr(matrices, "pairwise", no_order_check)
+        assert [read(m) for read in reads] == expected
+        for c in copies + [t]:
+            for read in reads:
+                with pytest.raises(AssertionError, match="order check"):
+                    read(c)
+
+    def test_mark_is_not_a_field(self):
+        B = build_B(parse_polynomial("x1 - 1"))
+        copy = IncompleteMatrix(B.row_labels, B.col_labels, dict(B.data))
+        assert B._row_major and not copy._row_major and copy == B
+        assert [f.name for f in dataclasses.fields(B)] == ["row_labels", "col_labels", "data"]
+        assert build_C(B)._row_major and not build_C(copy)._row_major
+        assert not IncompleteMatrix.from_dense([[1, 0], [0, 1]])._row_major
+        assert not B.transpose()._row_major
 
     @pytest.mark.parametrize("name", TABLES)
     def test_entries_row_major(self, tables, name):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from psdrank.factorizations import verify_factorization
+from psdrank.factorizations import (
+    parse_factorization, verify_factorization, write_factorization)
 from psdrank.gadgets import build_G, build_P
 from psdrank.matrices import InstanceMatrix
 from psdrank.search import (
@@ -130,6 +131,13 @@ class TestNumericSearch:
         assert report.found
         check = verify_factorization(build_P(1), report.witness, tol=1e-7)
         assert check.passed
+
+    def test_witness_round_trips(self):
+        F = psd_rank_search(build_P(2), 2, SearchConfig(seed=1)).witness
+        assert F is not None and F.mode == "float"
+        text = write_factorization(F)
+        assert parse_factorization(text) == F
+        assert write_factorization(parse_factorization(text)) == text
 
 
 def known_rank_target(seed, m, k):
