@@ -196,6 +196,14 @@ class TestAssembleInstanceWitness:
         assert hashlib.sha256(data).hexdigest() == (
             "c544941d01bc6704946344d18687a6d13db42b89a732a8bee73df271c4677343")
 
+    def test_check_workload_witness_bytes_pinned(self):
+        # the instance.fac the benchmark's check workload parses
+        F = assemble_instance_witness(P("x1*x1 - 1"), exact_point(x1=1))
+        data = write_factorization(F).encode("utf-8")
+        assert len(data) == 7_624_899
+        assert hashlib.sha256(data).hexdigest() == (
+            "96e4269c9d369ad8e2d05bd4ea9ba53efe239efaa13830b4fc7a78e3f622fe47")
+
     def test_sampled_report_reproducible_on_large_witness(self):
         f = P("x1")
         F = assemble_instance_witness(f, exact_point(x1=0))
