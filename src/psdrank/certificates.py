@@ -11,8 +11,11 @@ converse argument work.
 from __future__ import annotations
 
 import functools
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .factorizations import (
@@ -166,11 +169,18 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment) -> PSDFactorization
         own[0][i].append(t)
         own[1][j].append(t)
 
+    first = operator.itemgetter(0)
     for side, T in enumerate((rows, cols)):
         for slot in (1, 2):  # every E1 label, then every E2 label
-            for t in range(k):
-                tids, offs = blocks[t][side][slot]
-                T.add(labels[(slot - 1) * k + t], tids, [3 + 2 * t + o for o in offs])
+            names = labels[(slot - 1) * k:slot * k]
+            tids = [b[side][slot][0] for b in blocks]
+            offs = [b[side][slot][1] for b in blocks]
+            if set(map(len, tids)) <= {1}:  # one vector per block: one piece per label
+                T.extend(names, array("q", map(first, tids)),
+                         array("q", map(operator.add, count(3, 2), map(first, offs))))
+                continue
+            for name, base, tid, off in zip(names, count(3, 2), tids, offs):
+                T.add(name, tid, [base + o for o in off])
         for l in B.row_labels:
             tids, shifts = map(list, core[pid[l]][side])
             for t in own[side][l]:

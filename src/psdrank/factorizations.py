@@ -16,6 +16,9 @@ change the certified size, which is the vector dimension k.
 
 Each side of a witness is one `PieceTable`: every Gram vector is a piece, a
 template placed at a shift, and the few distinct templates are stored once.
+Labels are appended one at a time (`PieceTable.add`) or, when each holds a
+single piece, as a run of columns at once (`PieceTable.extend`); both apply
+the same range check.
 
 The four-square expansion is the greedy one `four_squares` documents.  The
 bytes of every written witness depend on that choice, so any faster method
@@ -31,7 +34,7 @@ from array import array
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .matrices import InstanceMatrix, nonblank_lines
@@ -71,9 +74,10 @@ class PieceTable:
     ids and shifts, label by label, and label i owns the slice
     ``starts[i]:starts[i + 1]`` of them.  ``los[i]`` and ``his[i]`` bound
     the label's coordinates ((0, -1) when it has none), so two labels whose
-    spans miss each other share no coordinate.  A table is filled label by
-    label with `template` and `add` (or all at once by `build`) and then
-    only read; every shifted coordinate lies in [0, k).
+    spans miss each other share no coordinate.  A table is filled with
+    `template` and then label by label with `add`, a run of one-piece labels
+    at a time with `extend`, or all at once by `build`; it is then only
+    read, and every shifted coordinate lies in [0, k).
     """
 
     def __init__(self, k: int) -> None:
@@ -144,6 +148,25 @@ class PieceTable:
         self.starts.append(len(self.tids))
         self.los.append(lo)
         self.his.append(hi)
+
+    def extend(self, labels: Sequence[str], tids: Sequence[int], shifts: Sequence[int]) -> None:
+        """Append a run of labels that hold one piece each, label n the
+        piece (tids[n], shifts[n]), as `add` would one by one but with one
+        range check for the run; a run that fails it goes through `add`,
+        which names its first label with a coordinate outside [0, k)."""
+        top = self.tops.__getitem__
+        if shifts and (min(shifts) < 0 or max(map(operator.add, shifts, map(top, tids))) >= self.k):
+            for label, t, s in zip(labels, tids, shifts):
+                self.add(label, (t,), (s,))
+            return
+        n, m = len(self.labels), self.starts[-1]
+        self.index.update(zip(labels, range(n, n + len(labels))))
+        self.labels.extend(labels)
+        self.tids.extend(tids)
+        self.shifts.extend(shifts)
+        self.starts.extend(range(m + 1, m + 1 + len(labels)))
+        self.los.extend(shifts)
+        self.his.extend(map(operator.add, shifts, map(top, tids)))
 
     def pieces(self, i: int) -> range:
         return range(self.starts[i], self.starts[i + 1])
@@ -867,28 +890,37 @@ def write_factorization(F: PSDFactorization) -> str:
             tok = tokens[id(x)] = _num_token(x, F.mode)
         return tok
 
-    def render(tmpl: Template) -> Tuple[str, Tuple[int, ...]]:
-        """A template's text in coordinate order, with a "{n}" field for its
-        n-th coordinate, and those coordinates if it has several (each piece
-        fills in its own; a single coordinate is 0, so it is the shift)."""
+    def render(tmpl: Template, field: int = 0) -> Tuple[str, Tuple[int, ...]]:
+        """A template's text in coordinate order, with a field "{field + n}"
+        for its n-th coordinate, and those coordinates if it has several
+        (each piece fills in its own; a single coordinate is 0, so it is the
+        shift)."""
         items = sorted(tmpl)
-        text = " ".join([str(len(items))] + [f"{{{n}}} {token(x)}" for n, (_, x) in enumerate(items)])
+        text = " ".join([str(len(items))] + [f"{{{field + n}}} {token(x)}"
+                                             for n, (_, x) in enumerate(items)])
         return text, tuple(c for c, _ in items) if len(items) > 1 else ()
 
     for side, T in (("row", F.rows), ("col", F.cols)):
-        starts, tids, shifts = T.starts, T.tids, T.shifts
-        texts = [render(t) for t in T.templates] if sparse else []
-        for i, label in enumerate(T.labels):
-            lo, hi = starts[i], starts[i + 1]
-            if sparse:
-                parts = [side, label, str(hi - lo)]
-                for t, s in zip(tids[lo:hi], shifts[lo:hi]):
-                    text, coords = texts[t]
-                    parts.append(text.format(*[s + c for c in coords]) if coords
-                                 else text.format(s))
-            else:
-                parts = [side, label, *(token(vec.get(c, 0)) for vec in T.vectors(i)
-                                        for c in range(F.k))]
+        if not sparse:
+            for i, label in enumerate(T.labels):
+                lines.append(" ".join([side, label, *(token(vec.get(c, 0)) for vec in T.vectors(i)
+                                                      for c in range(F.k))]))
+            continue
+        tids, shifts = T.tids, T.shifts
+        texts = [render(t) for t in T.templates]
+        # the whole line of a label holding one piece of a template with at
+        # most one coordinate, with fields for the label and the shift
+        ones = [f"{side} {{0}} 1 {render(t, 1)[0]}" if len(t) < 2 else None
+                for t in T.templates]
+        for label, lo, hi in zip(T.labels, T.starts, islice(T.starts, 1, None)):
+            if hi - lo == 1 and ones[tids[lo]] is not None:
+                lines.append(ones[tids[lo]].format(label, shifts[lo]))
+                continue
+            parts = [side, label, str(hi - lo)]
+            for p in range(lo, hi):
+                text, coords = texts[tids[p]]
+                s = shifts[p]
+                parts.append(text.format(*map(s.__add__, coords)) if coords else text.format(s))
             lines.append(" ".join(parts))
     lines.append("")
     return "\n".join(lines)

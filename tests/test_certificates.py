@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from psdrank import certificates
 from psdrank.certificates import (
     ExtractionError,
     assemble_instance_witness,
@@ -140,8 +141,10 @@ def copied_block_witness(f, xi):
 
 
 class TestAssembleInstanceWitness:
-    def test_vectors_match_copied_blocks(self):
-        f, xi = P("x1 - 1"), exact_point(x1=1)
+    # x1 at 0: alpha = 1 blocks dominate; x1*x1 - 1 at -1: a negative root
+    @pytest.mark.parametrize("text,root", [("x1 - 1", 1), ("x1", 0), ("x1*x1 - 1", -1)])
+    def test_vectors_match_copied_blocks(self, text, root):
+        f, xi = P(text), exact_point(x1=root)
         F = assemble_instance_witness(f, xi)
         k, labels, rows, cols = copied_block_witness(f, xi)
         assert (F.k, F.row_labels, F.col_labels) == (k, labels, labels)
@@ -174,13 +177,36 @@ class TestAssembleInstanceWitness:
         i, j = E[0]
         assert F.entry(i, j) == M.entry(i, j) == compute_K(f)
 
-    def test_budget_violation_rejected(self):
-        # K = 9 for a single-term f, but a completion entry can reach 9,
-        # so shrink the budget artificially through a fake unknown matrix
+    def test_several_vectors_per_block_slot(self, monkeypatch):
+        # each column E1 vector v split into 3/5 v and 4/5 v: the same Gram
+        # matrices, but two pieces per E1 column label
+        gram = certificates.p_alpha_gram_vectors
+
+        def split(alpha, scale):
+            rows, cols = gram(alpha, scale=scale)
+            e1 = tuple({c: x * r for c, x in v.items()}
+                       for v in cols[1] for r in (Fraction(3, 5), Fraction(4, 5)))
+            return rows, (cols[0], e1, cols[2])
+
+        monkeypatch.setattr(certificates, "p_alpha_gram_vectors", split)
+        f = P("x1")
+        B = build_B(f)
+        F = assemble_instance_witness(f, exact_point(x1=0))
+        k = len(B.unknown_positions())
+        assert [len(F.col_vectors[l]) for l in F.col_labels[:2 * k]] == [2] * k + [1] * k
+        report = verify_factorization(build_M(B, compute_K(f)), F)
+        assert report.passed and report.max_residual == 0
+
+    def test_budget_violation_rejected(self, monkeypatch):
+        # K = 144 for x1*x1 - 1; with the budget shrunk to 1, the first
+        # completion entry above 1 must be refused
         f = P("x1*x1 - 1")
         xi = exact_point(x1=1)
         F = assemble_instance_witness(f, xi)  # sanity: the real budget passes
         assert F.mode == "exact"
+        monkeypatch.setattr(certificates, "compute_K", lambda f: 1)
+        with pytest.raises(ValueError, match="exceeds the budget K = 1"):
+            assemble_instance_witness(f, xi)
 
     def test_witness_bytes_pinned(self):
         F = assemble_instance_witness(P("x1 - 1"), exact_point(x1=1))

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from array import array
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -10,10 +11,12 @@ import pytest
 from psdrank.certificates import assemble_instance_witness, completion_from_root
 from psdrank.factorizations import (
     _MR_BASES,
+    FACTORIZATION_HEADER,
     PieceTable,
     PSDFactorization,
     VerificationReport,
     _is_prime,
+    _num_token,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     _two_squares,
@@ -574,6 +577,146 @@ class TestPieceTable:
             assert sampled == verify_factorization(M, plain, mode="sampled", seed=4, samples=40)
         assert verify_factorization(A, G).passed
         assert verify_factorization(wrong, G).worst_entry == ("b", "y")
+
+
+    @staticmethod
+    def seeded(k, prefix):
+        """A table of size k, after two multi-piece labels if ``prefix``, and
+        the ids of an empty, a one-coordinate and a two-coordinate template
+        (tops -1, 0 and 2)."""
+        T = PieceTable(k)
+        ids = [T.template(v)[0] for v in ({}, {0: ONE}, {0: ONE, 2: Fraction(1, 2)})]
+        if prefix:
+            T.add("m0", [ids[1], ids[2]], [1, 3])
+            T.add("m1", [ids[2], ids[2], ids[1]], [0, 4, k - 1])
+        return T, ids
+
+    @staticmethod
+    def columns(T):
+        return (T.labels, T.index, *(list(c) for c in (T.tids, T.shifts, T.starts, T.los, T.his)))
+
+    @pytest.mark.parametrize("prefix", [False, True])
+    def test_extend_equals_add(self, prefix):
+        k = 9
+        A, (empty, one, pair) = self.seeded(k, prefix)
+        B, _ = self.seeded(k, prefix)
+        # the pair at k - 3 and the one-coordinate template at k - 1 each
+        # reach coordinate k - 1 exactly
+        labels = ["e0", "e1", "e2", "e3", "e4"]
+        tids, shifts = [empty, one, pair, one, empty], [0, k - 1, k - 3, 0, 4]
+        A.extend(labels, array("q", tids), array("q", shifts))
+        for label, t, s in zip(labels, tids, shifts):
+            B.add(label, (t,), (s,))
+        assert self.columns(A) == self.columns(B) and A == B
+        assert (A.los[-5:], A.his[-5:]) == (array("q", [0, k - 1, k - 3, 0, 4]),
+                                            array("q", [-1, k - 1, k - 1, 0, 3]))
+        A.extend([], [], [])
+        assert self.columns(A) == self.columns(B)
+
+    @pytest.mark.parametrize("run,message", [
+        ([("one", 2), ("one", -1), ("pair", 7)], "vector coordinate -1 outside dimension 9"),
+        ([("one", 2), ("pair", 7), ("one", -1)], "vector coordinate 9 outside dimension 9"),
+        ([("empty", 3), ("one", 9)], "vector coordinate 9 outside dimension 9"),
+    ], ids=["negative shift", "top reaches k", "shift reaches k"])
+    def test_extend_names_the_first_offender_as_add_does(self, run, message):
+        k = 9
+        A, ids = self.seeded(k, True)
+        B, _ = self.seeded(k, True)
+        tid = dict(zip(("empty", "one", "pair"), ids))
+        labels = [f"e{n}" for n in range(len(run))]
+        tids, shifts = [tid[name] for name, _ in run], [s for _, s in run]
+        with pytest.raises(ValueError) as by_add:
+            for label, t, s in zip(labels, tids, shifts):
+                B.add(label, (t,), (s,))
+        with pytest.raises(ValueError) as by_extend:
+            A.extend(labels, tids, shifts)
+        assert str(by_extend.value) == str(by_add.value) == message
+        assert self.columns(A) == self.columns(B)
+
+
+def reference_write_factorization(F):
+    """The writer as it was before one-piece labels had line patterns: every
+    label's line is built from a list of its pieces' texts."""
+    sparse = F.k > 64
+    head = f"{FACTORIZATION_HEADER} {F.k} {len(F.row_labels)} {len(F.col_labels)} {F.mode}"
+    lines = [head + (" sparse" if sparse else "")]
+    tokens = {}
+
+    def token(x):
+        tok = tokens.get(id(x))
+        if tok is None:
+            tok = tokens[id(x)] = _num_token(x, F.mode)
+        return tok
+
+    def render(tmpl):
+        items = sorted(tmpl)
+        text = " ".join([str(len(items))] + [f"{{{n}}} {token(x)}" for n, (_, x) in enumerate(items)])
+        return text, tuple(c for c, _ in items) if len(items) > 1 else ()
+
+    for side, T in (("row", F.rows), ("col", F.cols)):
+        starts, tids, shifts = T.starts, T.tids, T.shifts
+        texts = [render(t) for t in T.templates] if sparse else []
+        for i, label in enumerate(T.labels):
+            lo, hi = starts[i], starts[i + 1]
+            if sparse:
+                parts = [side, label, str(hi - lo)]
+                for t, s in zip(tids[lo:hi], shifts[lo:hi]):
+                    text, coords = texts[t]
+                    parts.append(text.format(*[s + c for c in coords]) if coords
+                                 else text.format(s))
+            else:
+                parts = [side, label, *(token(vec.get(c, 0)) for vec in T.vectors(i)
+                                        for c in range(F.k))]
+            lines.append(" ".join(parts))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _hand_built_sparse():
+    """k = 70: a label with no pieces, the all-zero (empty) vector, a
+    one-piece template with several coordinates, one-piece labels of a
+    one-coordinate template, and multi-piece labels mixing both kinds."""
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    rows = {"none": [], "zero": [({}, 0)], "wide": [({0: half, 3: third, 1: ONE}, 60)],
+            "one": [({0: third}, 69)], "many": [({0: ONE}, 0), ({2: half, 5: ONE}, 10), ({}, 0),
+                                                ({1: third}, 68)]}
+    cols = {"none": [({7: ONE}, 1), ({7: ONE}, 2)], "zero": [], "wide": [({0: ONE}, 0)],
+            "one": [({0: half, 1: half}, 5), ({0: half}, 40)], "many": [({0: ONE}, 12)]}
+    labels = tuple(rows)
+    return PSDFactorization.from_tables(PieceTable.build(70, labels, rows),
+                                        PieceTable.build(70, labels, cols), "exact")
+
+
+def _writer_cases():
+    def assembled(text, **root):
+        return lambda: assemble_instance_witness(parse_polynomial(text), Assignment.exact(
+            {xvar(int(n[1:])): Fraction(v) for n, v in root.items()}))
+
+    return {
+        "x1@0": assembled("x1", x1=0),
+        "x1-1@1": assembled("x1 - 1", x1=1),
+        "x1-1@1.0": lambda: assemble_instance_witness(parse_polynomial("x1 - 1"),
+                                                      Assignment.floating({xvar(1): 1.0})),
+        "dense completion": lambda: completion_from_root(
+            parse_polynomial("x1*x2 - x1"),
+            Assignment.exact({xvar(1): Fraction(1, 2), xvar(2): Fraction(1)})).factorization,
+        "hand-built sparse": _hand_built_sparse,
+    }
+
+
+class TestWriterOracle:
+    @pytest.mark.parametrize("case", sorted(_writer_cases()))
+    def test_bytes_match_reference(self, case):
+        F = _writer_cases()[case]()
+        text = write_factorization(F)
+        assert text == reference_write_factorization(F)
+        G = parse_factorization(text)
+        if F.mode == "exact":
+            assert G == F
+        else:  # float tokens round the exact block values a float witness keeps
+            assert (G.rows.labels, list(G.rows.shifts)) == (F.rows.labels, list(F.rows.shifts))
+            assert write_factorization(G) == text
+        assert text.splitlines()[0].endswith(" sparse") == (F.k > 64)
 
 
 NAN_FAC = """psdrank-factorization v1 2 2 2 float
