@@ -11,11 +11,10 @@ converse argument work.
 from __future__ import annotations
 
 import functools
-import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .factorizations import (
@@ -169,17 +168,15 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment) -> PSDFactorization
         own[0][i].append(t)
         own[1][j].append(t)
 
-    first = operator.itemgetter(0)
     for side, T in enumerate((rows, cols)):
         for slot in (1, 2):  # every E1 label, then every E2 label
-            names = labels[(slot - 1) * k:slot * k]
-            tids = [b[side][slot][0] for b in blocks]
-            offs = [b[side][slot][1] for b in blocks]
+            names, bases = labels[(slot - 1) * k:slot * k], range(3, 2 * k + 3, 2)
+            tids, offs = ([b[side][slot][n] for b in blocks] for n in (0, 1))
             if set(map(len, tids)) <= {1}:  # one vector per block: one piece per label
-                T.extend(names, array("q", map(first, tids)),
-                         array("q", map(operator.add, count(3, 2), map(first, offs))))
+                T.extend(names, array("q", chain.from_iterable(tids)),
+                         array("q", map(int.__add__, bases, chain.from_iterable(offs))))
                 continue
-            for name, base, tid, off in zip(names, count(3, 2), tids, offs):
+            for name, base, tid, off in zip(names, bases, tids, offs):
                 T.add(name, tid, [base + o for o in off])
         for l in B.row_labels:
             tids, shifts = map(list, core[pid[l]][side])

@@ -16,9 +16,7 @@ change the certified size, which is the vector dimension k.
 
 Each side of a witness is one `PieceTable`: every Gram vector is a piece, a
 template placed at a shift, and the few distinct templates are stored once.
-Labels are appended one at a time (`PieceTable.add`) or, when each holds a
-single piece, as a run of columns at once (`PieceTable.extend`); both apply
-the same range check.
+Labels go in one at a time, or as a run of one-piece labels at once.
 
 The four-square expansion is the greedy one `four_squares` documents.  The
 bytes of every written witness depend on that choice, so any faster method
@@ -34,7 +32,7 @@ from array import array
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .matrices import InstanceMatrix, nonblank_lines
@@ -74,10 +72,9 @@ class PieceTable:
     ids and shifts, label by label, and label i owns the slice
     ``starts[i]:starts[i + 1]`` of them.  ``los[i]`` and ``his[i]`` bound
     the label's coordinates ((0, -1) when it has none), so two labels whose
-    spans miss each other share no coordinate.  A table is filled with
-    `template` and then label by label with `add`, a run of one-piece labels
-    at a time with `extend`, or all at once by `build`; it is then only
-    read, and every shifted coordinate lies in [0, k).
+    spans miss each other share no coordinate.  A table is filled label by
+    label with `template` and `add`, by runs of one-piece labels with `extend`
+    or at once by `build`, and then only read; every coordinate is in [0, k).
     """
 
     def __init__(self, k: int) -> None:
@@ -150,21 +147,18 @@ class PieceTable:
         self.his.append(hi)
 
     def extend(self, labels: Sequence[str], tids: Sequence[int], shifts: Sequence[int]) -> None:
-        """Append a run of labels that hold one piece each, label n the
-        piece (tids[n], shifts[n]), as `add` would one by one but with one
-        range check for the run; a run that fails it goes through `add`,
-        which names its first label with a coordinate outside [0, k)."""
+        """`add` each label n with one piece (tids[n], shifts[n]), checking the run's range
+        at once; a run that fails goes through `add`, which names its first offender."""
         top = self.tops.__getitem__
         if shifts and (min(shifts) < 0 or max(map(operator.add, shifts, map(top, tids))) >= self.k):
             for label, t, s in zip(labels, tids, shifts):
                 self.add(label, (t,), (s,))
             return
-        n, m = len(self.labels), self.starts[-1]
-        self.index.update(zip(labels, range(n, n + len(labels))))
+        self.index.update(zip(labels, count(len(self.labels))))
         self.labels.extend(labels)
         self.tids.extend(tids)
         self.shifts.extend(shifts)
-        self.starts.extend(range(m + 1, m + 1 + len(labels)))
+        self.starts.extend(range(self.starts[-1] + 1, len(self.tids) + 1))
         self.los.extend(shifts)
         self.his.extend(map(operator.add, shifts, map(top, tids)))
 
@@ -890,37 +884,34 @@ def write_factorization(F: PSDFactorization) -> str:
             tok = tokens[id(x)] = _num_token(x, F.mode)
         return tok
 
-    def render(tmpl: Template, field: int = 0) -> Tuple[str, Tuple[int, ...]]:
-        """A template's text in coordinate order, with a field "{field + n}"
-        for its n-th coordinate, and those coordinates if it has several
-        (each piece fills in its own; a single coordinate is 0, so it is the
-        shift)."""
+    def render(tmpl: Template) -> Tuple[str, Tuple[int, ...]]:
+        """A template's text in coordinate order, with a "{n}" field for its
+        n-th coordinate, and those coordinates if it has several (each piece
+        fills in its own; a single coordinate is 0, so it is the shift)."""
         items = sorted(tmpl)
-        text = " ".join([str(len(items))] + [f"{{{field + n}}} {token(x)}"
-                                             for n, (_, x) in enumerate(items)])
+        text = " ".join([str(len(items))] + [f"{{{n}}} {token(x)}" for n, (_, x) in enumerate(items)])
         return text, tuple(c for c, _ in items) if len(items) > 1 else ()
 
     for side, T in (("row", F.rows), ("col", F.cols)):
-        if not sparse:
-            for i, label in enumerate(T.labels):
-                lines.append(" ".join([side, label, *(token(vec.get(c, 0)) for vec in T.vectors(i)
-                                                      for c in range(F.k))]))
-            continue
-        tids, shifts = T.tids, T.shifts
-        texts = [render(t) for t in T.templates]
-        # the whole line of a label holding one piece of a template with at
-        # most one coordinate, with fields for the label and the shift
-        ones = [f"{side} {{0}} 1 {render(t, 1)[0]}" if len(t) < 2 else None
-                for t in T.templates]
-        for label, lo, hi in zip(T.labels, T.starts, islice(T.starts, 1, None)):
-            if hi - lo == 1 and ones[tids[lo]] is not None:
+        starts, tids, shifts = T.starts, T.tids, T.shifts
+        texts = [render(t) for t in T.templates] if sparse else []
+        # lines of one-piece labels of templates with at most one coordinate
+        ones = [None if coords else f"{side} {{0}} 1 {text.replace('{0}', '{1}')}"
+                for text, coords in texts]
+        for i, label in enumerate(T.labels):
+            lo, hi = starts[i], starts[i + 1]
+            if sparse and hi - lo == 1 and ones[tids[lo]] is not None:
                 lines.append(ones[tids[lo]].format(label, shifts[lo]))
                 continue
-            parts = [side, label, str(hi - lo)]
-            for p in range(lo, hi):
-                text, coords = texts[tids[p]]
-                s = shifts[p]
-                parts.append(text.format(*map(s.__add__, coords)) if coords else text.format(s))
+            if sparse:
+                parts = [side, label, str(hi - lo)]
+                for t, s in zip(tids[lo:hi], shifts[lo:hi]):
+                    text, coords = texts[t]
+                    parts.append(text.format(*map(s.__add__, coords)) if coords
+                                 else text.format(s))
+            else:
+                parts = [side, label, *(token(vec.get(c, 0)) for vec in T.vectors(i)
+                                        for c in range(F.k))]
             lines.append(" ".join(parts))
     lines.append("")
     return "\n".join(lines)
