@@ -32,7 +32,7 @@ from array import array
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .matrices import InstanceMatrix, nonblank_lines
@@ -893,25 +893,24 @@ def write_factorization(F: PSDFactorization) -> str:
         return text, tuple(c for c, _ in items) if len(items) > 1 else ()
 
     for side, T in (("row", F.rows), ("col", F.cols)):
-        starts, tids, shifts = T.starts, T.tids, T.shifts
-        texts = [render(t) for t in T.templates] if sparse else []
+        if not sparse:
+            for i, label in enumerate(T.labels):
+                lines.append(" ".join([side, label, *(token(vec.get(c, 0)) for vec in T.vectors(i)
+                                                      for c in range(F.k))]))
+            continue
+        tids, shifts = T.tids, T.shifts
+        texts = [render(t) for t in T.templates]
         # lines of one-piece labels of templates with at most one coordinate
         ones = [None if coords else f"{side} {{0}} 1 {text.replace('{0}', '{1}')}"
                 for text, coords in texts]
-        for i, label in enumerate(T.labels):
-            lo, hi = starts[i], starts[i + 1]
-            if sparse and hi - lo == 1 and ones[tids[lo]] is not None:
+        for label, lo, hi in zip(T.labels, T.starts, islice(T.starts, 1, None)):
+            if hi - lo == 1 and ones[tids[lo]] is not None:
                 lines.append(ones[tids[lo]].format(label, shifts[lo]))
                 continue
-            if sparse:
-                parts = [side, label, str(hi - lo)]
-                for t, s in zip(tids[lo:hi], shifts[lo:hi]):
-                    text, coords = texts[t]
-                    parts.append(text.format(*map(s.__add__, coords)) if coords
-                                 else text.format(s))
-            else:
-                parts = [side, label, *(token(vec.get(c, 0)) for vec in T.vectors(i)
-                                        for c in range(F.k))]
+            parts = [side, label, str(hi - lo)]
+            for t, s in zip(tids[lo:hi], shifts[lo:hi]):
+                text, coords = texts[t]
+                parts.append(text.format(*map(s.__add__, coords)) if coords else text.format(s))
             lines.append(" ".join(parts))
     lines.append("")
     return "\n".join(lines)
