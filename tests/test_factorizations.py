@@ -578,7 +578,6 @@ class TestPieceTable:
         assert verify_factorization(A, G).passed
         assert verify_factorization(wrong, G).worst_entry == ("b", "y")
 
-
     @staticmethod
     def seeded(k, prefix):
         """A table of size k, after two multi-piece labels if ``prefix``, and
