@@ -156,6 +156,9 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment) -> PSDFactorization
         if bval > K:
             raise ValueError(f"completion entry {bval} exceeds the budget K = {K}")
         prows, pcols = p_alpha_gram_vectors((K - bval) / K, scale=K)
+        if xi.mode == "float":  # the exact block's correctly rounded values
+            prows, pcols = ([[{c: float(x) for c, x in v.items()} for v in slot] for slot in side]
+                            for side in (prows, pcols))
         return (tuple(placed(rows, slot) for slot in prows),
                 tuple(placed(cols, slot) for slot in pcols))
 

@@ -349,12 +349,17 @@ class PSDFactorization:
     def _sum(self, i: int, j: int) -> Optional[Number]:
         """Row i against column j in scaled units, or None when their vectors
         share no coordinate.  Labels whose spans miss each other are
-        rejected first; column j's coordinate index is built once."""
+        rejected first; column j's coordinate index is built once, when a
+        column piece first meets a coordinate of row i."""
         R, C = self.rows, self.cols
         if R.los[i] > C.his[j] or C.los[j] > R.his[i]:
             return None
         index = self._col_maps.get(j)
         if index is None:
+            mine = {x + R.shifts[p] for p in R.pieces(i) for x, _ in R.templates[R.tids[p]]}
+            if not any(y + C.shifts[q] in mine
+                       for q in C.pieces(j) for y, _ in C.templates[C.tids[q]]):
+                return None
             index = self._col_maps[j] = _coordinate_index(C, C.pieces(j))
         total = None
         for _, value in self._row_pairs(i, index):

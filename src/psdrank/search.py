@@ -2,7 +2,9 @@
 
 The search minimizes sum_ij (tr(U_i U_i^T V_j V_j^T) - A_ij)^2 over k x k
 factor blocks with Levenberg-Marquardt, restarted from seeded random
-initializations, and keeps the best run.  A run that ends with max-abs
+initializations, and keeps the best run.  A restart stops after
+POLISH_ITERATIONS accepted steps, or sooner once an accepted step lowers the
+cost by less than STALL_RTOL of itself.  A run that ends with max-abs
 entry residual at or below the success threshold yields a float witness; a
 failed search is evidence only, never a proof of a rank lower bound.  The
 search builds a dense (m*n) x ((m+n)*k^2) Jacobian, so it refuses targets
@@ -28,6 +30,7 @@ from .factorizations import PSDFactorization, rational_square_sum
 from .matrices import InstanceMatrix
 
 POLISH_ITERATIONS = 80           # Levenberg-Marquardt steps per restart
+STALL_RTOL = 1e-8                # an accepted step lowering the cost by less ends a restart
 MAX_JACOBIAN_ENTRIES = 1 << 24   # float64 entries of the largest Jacobian built
 
 
@@ -63,20 +66,22 @@ class SearchReport:
                 + (" exact" if self.exact else ""))
 
 
-def _trace_table(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _gram(U: np.ndarray, V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """G_ij = U_i^T V_j and the trace table tr(G_ij G_ij^T) = tr(U_i U_i^T V_j V_j^T)."""
     import numpy as np
     G = np.einsum("ica,jcb->ijab", U, V)
-    return np.einsum("ijab,ijab->ij", G, G)
+    return G, np.einsum("ijab,ijab->ij", G, G)
 
 
-def _jacobian(U, V, A):
-    """Analytic Jacobian of the entry residuals in (U, V) parameters."""
+def _trace_table(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    return _gram(U, V)[1]
+
+
+def _gram_jacobian(U, V, G):
+    """Analytic Jacobian of the entry residuals in (U, V) at Gram tensor G."""
     import numpy as np
     m, k = U.shape[0], U.shape[1]
     n = V.shape[0]
-    G = np.einsum("ica,jcb->ijab", U, V)
-    T = np.einsum("ijab,ijab->ij", G, G)
-    R = (T - A).reshape(-1)
     JU = 2.0 * np.einsum("ijab,jcb->ijca", G, V)
     JV = 2.0 * np.einsum("ijab,ica->ijcb", G, U)
     # Residual (i, j) depends only on block U_i (parameter block i) and
@@ -85,13 +90,22 @@ def _jacobian(U, V, A):
     ii, jj = np.arange(m)[:, None], np.arange(n)[None, :]
     J[ii, jj, ii] = JU.reshape(m, n, k * k)
     J[ii, jj, m + jj] = JV.reshape(m, n, k * k)
-    return R, J.reshape(m * n, (m + n) * k * k)
+    return J.reshape(m * n, (m + n) * k * k)
+
+
+def _jacobian(U, V, A):
+    """Entry residuals and their Jacobian at (U, V)."""
+    G, T = _gram(U, V)
+    return (T - A).reshape(-1), _gram_jacobian(U, V, G)
 
 
 def _polish(U, V, A):
-    """Levenberg-Marquardt from (U, V), at most ``POLISH_ITERATIONS`` steps;
-    returns the end point and the number of accepted steps.  A trial point is
-    judged by its residual alone; the Jacobian is built only at accepted points."""
+    """Levenberg-Marquardt from (U, V); returns the end point and the number
+    of accepted steps.  A trial point is judged by its residual alone, and its
+    Gram tensor builds the Jacobian once the step is accepted.  The run stops
+    after ``POLISH_ITERATIONS`` accepted steps, at cost below 1e-30, when no
+    damping helps, or after an accepted step (still counted) that lowers the
+    cost by less than ``STALL_RTOL`` of itself."""
     import numpy as np
     m, k = U.shape[0], U.shape[1]
     n = V.shape[0]
@@ -101,13 +115,13 @@ def _polish(U, V, A):
     def unpack(th):
         return th[:m * k * k].reshape(m, k, k), th[m * k * k:].reshape(n, k, k)
 
-    R, J = _jacobian(U, V, A)
+    G, T = _gram(U, V)
+    R = (T - A).reshape(-1)
     cost = float(R @ R)
-    eye = np.eye(J.shape[1])
-    steps = 0
-    for _ in range(POLISH_ITERATIONS):
-        if cost < 1e-30:
-            break
+    eye = np.eye(theta.size)
+    steps, stalled = 0, False
+    while steps < POLISH_ITERATIONS and cost >= 1e-30 and not stalled:
+        J = _gram_jacobian(*unpack(theta), G)
         JtJ = J.T @ J
         g = J.T @ R
         for _ in range(25):
@@ -117,12 +131,12 @@ def _polish(U, V, A):
                 lam *= 10
                 continue
             th2 = theta + delta
-            U2, V2 = unpack(th2)
-            R2 = (_trace_table(U2, V2) - A).reshape(-1)
+            G2, T2 = _gram(*unpack(th2))
+            R2 = (T2 - A).reshape(-1)
             cost2 = float(R2 @ R2)
             if cost2 < cost:
-                theta, cost = th2, cost2
-                R, J = _jacobian(U2, V2, A)
+                stalled = cost - cost2 < STALL_RTOL * cost
+                theta, G, R, cost = th2, G2, R2, cost2
                 lam = max(lam * 0.3, 1e-12)
                 break
             lam *= 10

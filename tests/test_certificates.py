@@ -238,6 +238,16 @@ class TestAssembleInstanceWitness:
         r2 = verify_factorization(M, F, mode="sampled", seed=17, samples=20_000)
         assert r1 == r2 and r1.passed
 
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_sampled_verify_indexes_only_joined_columns(self, seed):
+        # a column's coordinate index is built only for a sample that joins
+        f = P("x1 - 1")
+        F = assemble_instance_witness(f, exact_point(x1=1))
+        report = verify_factorization(build_M(build_B(f), compute_K(f)), F, mode="sampled",
+                                      seed=seed, samples=100_000)
+        assert report.passed and report.joined > 0
+        assert len(F._col_maps) <= report.joined
+
 
 class TestExtractRoot:
     def test_round_trip_positive(self):

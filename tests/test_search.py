@@ -11,6 +11,7 @@ from psdrank.matrices import InstanceMatrix
 from psdrank.search import (
     MAX_JACOBIAN_ENTRIES,
     POLISH_ITERATIONS,
+    STALL_RTOL,
     SearchConfig,
     _jacobian,
     _polish,
@@ -188,10 +189,11 @@ def test_jacobian_layout():
     assert np.array_equal(J, loop)
 
 
-def reference_polish(U, V, A, iterations):
+def reference_polish(U, V, A, iterations, stall_rtol=STALL_RTOL):
     """Levenberg-Marquardt that builds the full Jacobian at every trial
-    point; _polish, which builds it only at accepted points, must take the
-    same steps."""
+    point; _polish, which builds it only at accepted points from the trial's
+    Gram tensor, must take the same steps.  stall_rtol=0 turns the stall
+    stop off."""
     m, k = U.shape[0], U.shape[1]
     n = V.shape[0]
     lam = 1e-6
@@ -219,6 +221,7 @@ def reference_polish(U, V, A, iterations):
             R2, J2 = _jacobian(U2, V2, A)
             cost2 = float(R2 @ R2)
             if cost2 < cost:
+                stalled = cost - cost2 < stall_rtol * cost
                 theta, R, J, cost = th2, R2, J2, cost2
                 lam = max(lam * 0.3, 1e-12)
                 break
@@ -226,6 +229,8 @@ def reference_polish(U, V, A, iterations):
         else:
             break
         steps += 1
+        if stalled:
+            break
     U, V = unpack(theta)
     return U, V, steps
 
@@ -248,6 +253,31 @@ def test_polish_matches_reference(name, k):
         U0, V0, ref_steps = reference_polish(U, V, A, POLISH_ITERATIONS)
         assert steps == ref_steps > 0
         assert np.array_equal(U1, U0) and np.array_equal(V1, V0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", POLISH_TARGETS)
+def test_stall_stop_keeps_every_outcome(name, k):
+    # Restarts 0-31 of seed 1, with the stall stop and without it: each
+    # restart succeeds or fails alike, and a failing one ends at nearly the
+    # same max-abs residual.  On the rank-3 targets at size 2 the stop cuts
+    # every restart short.
+    A = np.array(POLISH_TARGETS[name].to_dense(), dtype=float)
+    scale = float(np.sqrt(A.mean())) / k
+    tol = SearchConfig().success_tol
+    for r in range(32):
+        rng = np.random.default_rng([1, r])
+        U = rng.normal(0.0, scale, size=(A.shape[0], k, k))
+        V = rng.normal(0.0, scale, size=(A.shape[1], k, k))
+        U1, V1, steps = _polish(U, V, A)
+        U0, V0, _ = reference_polish(U, V, A, POLISH_ITERATIONS, stall_rtol=0.0)
+        stopped = float(np.max(np.abs(_trace_table(U1, V1) - A)))
+        uncapped = float(np.max(np.abs(_trace_table(U0, V0) - A)))
+        assert (stopped <= tol) == (uncapped <= tol), r
+        if uncapped > tol:
+            assert abs(stopped - uncapped) <= 1e-4 * uncapped, r
+        if name in ("I3", "G") and k == 2:
+            assert steps < POLISH_ITERATIONS, r
 
 
 class TestValidation:
