@@ -14,7 +14,6 @@ absolute constant, so completeness outside 2^(2^m) is not guaranteed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple
@@ -25,8 +24,7 @@ from .polynomials import (
     Polynomial,
     VarId,
     VarKind,
-    approx_sqrt,
-    rational_sqrt,
+    sqrt_binding,
 )
 
 DEFAULT_TOWER_HEIGHT = 4
@@ -132,17 +130,8 @@ def scale_root(xi: Assignment, m: int) -> Assignment:
         xval = (Fraction(raw) * scale) if not isinstance(raw, float) else raw * float(scale)
         values[v] = xval
         z = VarId(VarKind.SLACK, i)
-        if isinstance(xval, float):
-            values[z] = math.sqrt(1.0 - xval * xval)
-            exact = False
-        else:
-            target = 1 - Fraction(xval) ** 2
-            root = rational_sqrt(target)
-            if root is None:
-                values[z] = approx_sqrt(target)
-                exact = False
-            else:
-                values[z] = root
+        values[z], z_exact = sqrt_binding(1 - xval * xval)
+        exact = exact and z_exact
     for j in range(m + 1):
         values[VarId(VarKind.HOMOGENIZATION, j)] = Fraction(2) ** -(2 ** j)
     return Assignment(values, "exact" if exact else "float")

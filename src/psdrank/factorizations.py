@@ -91,18 +91,16 @@ class PieceTable:
     @classmethod
     def build(cls, k: int, labels: Sequence[str],
               pieces: Mapping[str, Iterable[Tuple[Vector, int]]]) -> "PieceTable":
-        """The table of (vector, shift) pairs per label; a label missing from
-        ``pieces`` has none.  Raises ValueError for a coordinate outside
-        [0, k)."""
-        T, seen = cls(k), {}  # id(vector) -> (vector, template id, lowest coordinate)
+        """The table of (vector, shift) pairs per label, a label missing from
+        ``pieces`` having none; each vector is interned through `template`.
+        Raises ValueError for a coordinate outside [0, k)."""
+        T = cls(k)
         for label in labels:
             tids, shifts = [], []
             for vec, shift in pieces.get(label, ()):
-                hit = seen.get(id(vec))
-                if hit is None:  # the vector stays referenced, so its id stays unique
-                    hit = seen[id(vec)] = (vec, *T.template(vec))
-                tids.append(hit[1])
-                shifts.append(shift if hit[2] is None else shift + hit[2])
+                tid, lo = T.template(vec)
+                tids.append(tid)
+                shifts.append(shift if lo is None else shift + lo)
             T.add(label, tids, shifts)
         return T
 
@@ -277,7 +275,6 @@ class PSDFactorization:
         self.k, self.mode, self.rows, self.cols = rows.k, mode, rows, cols
         self.row_labels, self.col_labels = tuple(rows.labels), tuple(cols.labels)
         self.row_vectors, self.col_vectors = VectorTable(rows), VectorTable(cols)
-        self._col_maps: Dict[int, Dict[int, List[int]]] = {}
         self._kernel: Dict[Tuple[int, int, int], Tuple[int, Number]] = {}
         self._scaled: Optional[tuple] = None
 
@@ -349,20 +346,13 @@ class PSDFactorization:
     def _sum(self, i: int, j: int) -> Optional[Number]:
         """Row i against column j in scaled units, or None when their vectors
         share no coordinate.  Labels whose spans miss each other are
-        rejected first; column j's coordinate index is built once, when a
-        column piece first meets a coordinate of row i."""
+        rejected first; otherwise column j's pieces are indexed by
+        coordinate for this call alone and joined with row i's."""
         R, C = self.rows, self.cols
         if R.los[i] > C.his[j] or C.los[j] > R.his[i]:
             return None
-        index = self._col_maps.get(j)
-        if index is None:
-            mine = {x + R.shifts[p] for p in R.pieces(i) for x, _ in R.templates[R.tids[p]]}
-            if not any(y + C.shifts[q] in mine
-                       for q in C.pieces(j) for y, _ in C.templates[C.tids[q]]):
-                return None
-            index = self._col_maps[j] = _coordinate_index(C, C.pieces(j))
         total = None
-        for _, value in self._row_pairs(i, index):
+        for _, value in self._row_pairs(i, _coordinate_index(C, C.pieces(j))):
             total = value if total is None else total + value
         return total
 
@@ -935,7 +925,7 @@ def parse_factorization(text: str) -> PSDFactorization:
     Each vector is interned while it is read: its tokens, with coordinates
     taken relative to its first one, key its template and its offset from
     that first coordinate, so each distinct vector's values are converted
-    and checked once.  Zero values are dropped."""
+    and checked once, when its key is new.  Zero values are dropped."""
     lines = nonblank_lines(text)
     first = next(lines, "")
     head = first.split()
@@ -955,21 +945,15 @@ def parse_factorization(text: str) -> PSDFactorization:
     mode = head[5]
     sparse = len(head) == 7
     conv = parse_fraction if mode == "exact" else _finite_float
-    values: Dict[str, Number] = {}  # token -> number, converted once
     sides = {"row": PieceTable(k), "col": PieceTable(k)}
     # per side: vector key -> (template id, lowest coordinate relative to the first)
     placed: Dict[str, Dict[object, Tuple[int, Optional[int]]]] = {"row": {}, "col": {}}
     errors: Dict[str, str] = {}  # side -> its first label with a coordinate outside [0, k)
 
-    def place(T: PieceTable, key) -> Tuple[int, Optional[int]]:
-        """Intern the vector of a key: a lone value token, or a tuple of
-        alternating relative coordinates and value tokens."""
-        vec: Vector = {}
-        for c, tok in ((0, key),) if isinstance(key, str) else zip(key[::2], key[1::2]):
-            x = values[tok]
-            if x:
-                vec[c] = x
-        return T.template(vec)
+    def place(T: PieceTable, pairs: Iterable[Tuple[int, str]]) -> Tuple[int, Optional[int]]:
+        """Intern the vector of a new key from its (relative coordinate,
+        value token) pairs; only here are value tokens converted."""
+        return T.template({c: x for c, tok in pairs if (x := conv(tok))})
 
     for ln in lines:
         parts = ln.split()
@@ -988,42 +972,35 @@ def parse_factorization(text: str) -> PSDFactorization:
                     nnz = int(parts[pos])
                     pos += 1
                     first = 0
-                    if nnz == 1:  # a known key was converted and checked before
+                    if nnz == 1:
                         first, key = int(parts[pos]), parts[pos + 1]
                         pos += 2
-                        if key not in known and key not in values:
-                            values[key] = conv(key)
                     else:
                         pairs: List[object] = []
                         for n in range(nnz):
                             c, tok = int(parts[pos]), parts[pos + 1]
                             pos += 2
-                            if tok not in values:
-                                values[tok] = conv(tok)
                             if not n:
                                 first = c
                             pairs += (c - first, tok)
                         key = tuple(pairs)
                     hit = known.get(key)
                     if hit is None:
-                        hit = known[key] = place(T, key)
+                        hit = known[key] = place(T, ((0, key),) if nnz == 1
+                                                 else zip(key[::2], key[1::2]))
                     tids.append(hit[0])
                     shifts.append(0 if hit[1] is None else first + hit[1])
                 if pos != len(parts):
                     raise ValueError("trailing tokens")
             else:
                 tokens = parts[2:]
-                for tok in tokens:
-                    if tok not in values:
-                        values[tok] = conv(tok)
                 if len(tokens) % k:
                     raise ValueError(f"dense vector data is not a multiple of k={k}")
                 for off in range(0, len(tokens), k):
                     key = tuple(tokens[off:off + k])
                     hit = known.get(key)
                     if hit is None:
-                        hit = known[key] = T.template(
-                            {i: values[t] for i, t in enumerate(key) if values[t]})
+                        hit = known[key] = place(T, enumerate(key))
                     tids.append(hit[0])
                     shifts.append(hit[1] or 0)
         except IndexError:

@@ -12,7 +12,6 @@ point into an explicit zero.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -25,10 +24,9 @@ from .polynomials import (
     Tokens,
     VarId,
     VarKind,
-    approx_sqrt,
     evaluate,
-    rational_sqrt,
     read_terms,
+    sqrt_binding,
 )
 
 RELATIONS = (">", ">=", "=", "!=", "<", "<=")
@@ -309,18 +307,6 @@ def _atom_gadget_expr(g: Polynomial, u: VarId, v: VarId, w: VarId) -> Expr:
     return OpE("*", left, right)
 
 
-def _sqrt_binding(x: Number) -> Tuple[Number, bool]:
-    """Square root binding: exact when rational, else a high-precision
-    rational approximation (so the lifted point still nearly zeroes the
-    squared gadget terms); flags exactness."""
-    if isinstance(x, float):
-        return math.sqrt(x), False
-    r = rational_sqrt(Fraction(x))
-    if r is not None:
-        return r, True
-    return approx_sqrt(Fraction(x)), False
-
-
 def _walk(f: Formula, point: Optional[Assignment] = None
           ) -> Tuple[EquationSystem, Dict[VarId, Number], bool]:
     """Emit the equations of an atom-normalized formula and, given a
@@ -347,7 +333,7 @@ def _walk(f: Formula, point: Optional[Assignment] = None
             equations.append(_atom_gadget_expr(node.lhs, u, v, w))
             if point is not None:
                 g = evaluate(node.lhs, point)
-                root, root_exact = _sqrt_binding(g if g > 0 else -g)
+                root, root_exact = sqrt_binding(g if g > 0 else -g)
                 values[u], values[v], values[w] = (
                     (1 / root, Fraction(0), Fraction(1)) if g > 0
                     else (Fraction(0), root, Fraction(0)))

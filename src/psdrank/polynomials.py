@@ -496,6 +496,16 @@ def approx_sqrt(x: Fraction) -> Fraction:
     return Fraction(math.isqrt((x.numerator * scale * scale) // x.denominator), scale)
 
 
+def sqrt_binding(x: Number) -> Tuple[Number, bool]:
+    """sqrt(x) for x >= 0 and whether it is exact: `math.sqrt` for a float,
+    else the rational root when one exists and otherwise the `approx_sqrt`
+    approximation, which keeps a lifted point close to a true zero."""
+    if isinstance(x, float):
+        return math.sqrt(x), False
+    root = rational_sqrt(Fraction(x))
+    return (root, True) if root is not None else (approx_sqrt(Fraction(x)), False)
+
+
 # Bound on a decimal literal: its mantissa's length plus its exponent's
 # magnitude.  Fraction expands the exponent exactly, so '1e10000000' alone
 # would build a 33M-bit integer.  The bound is the digit limit int() puts on

@@ -150,18 +150,16 @@ def _polish(U, V, A):
 def _rank_one_exact(A: InstanceMatrix) -> Optional[PSDFactorization]:
     """Exact witness when A is a nonnegative outer product, else None.
 
-    The pivot is the first stored entry in row-major label order; u is its
-    column over the pivot and v its row.  A equals u v^T exactly when every
-    stored entry matches u[r] v[c] and there are as many stored entries as
-    pairs of nonzero u[r] and v[c]; the test costs O(nnz + m + n).
+    The pivot is the first entry of `InstanceMatrix.entries` (row-major
+    label order); u is its column over the pivot and v its row.  A equals
+    u v^T exactly when every stored entry matches u[r] v[c] and there are
+    as many stored entries as pairs of nonzero u[r] and v[c]; the test
+    costs O(nnz + m + n), and one sort for a target stored out of order.
     """
     if not A.data:
         # the zero matrix: empty Gram lists certify every entry
         return PSDFactorization(1, A.row_labels, A.col_labels, {}, {}, "exact")
-    rpos = {r: i for i, r in enumerate(A.row_labels)}
-    cpos = {c: j for j, c in enumerate(A.col_labels)}
-    r0, c0 = min(A.data, key=lambda rc: (rpos[rc[0]], cpos[rc[1]]))
-    base = A.entry(r0, c0)
+    (r0, c0), base = next(iter(A.entries()))
     u = {r: A.entry(r, c0) / base for r in A.row_labels}
     v = {c: A.entry(r0, c) for c in A.col_labels}
     if (any(x != u[r] * v[c] for (r, c), x in A.data.items())

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from psdrank.certificates import (
 )
 from psdrank.factorizations import (
     PSDFactorization,
+    VerificationReport,
     dense_vector,
     p_alpha_gram_vectors,
     parse_factorization,
@@ -44,6 +46,13 @@ def L(*coords):
 
 def exact_point(**kw):
     return Assignment.exact({xvar(int(k[1:])): Fraction(v) for k, v in kw.items()})
+
+
+@functools.lru_cache(maxsize=1)
+def _instance_and_witness(text):
+    """M(B, K) of a polynomial with a root at x1 = 1, and its witness."""
+    f = P(text)
+    return build_M(build_B(f), compute_K(f)), assemble_instance_witness(f, exact_point(x1=1))
 
 
 class TestCompletionFromRoot:
@@ -238,15 +247,18 @@ class TestAssembleInstanceWitness:
         r2 = verify_factorization(M, F, mode="sampled", seed=17, samples=20_000)
         assert r1 == r2 and r1.passed
 
-    @pytest.mark.parametrize("seed", [1, 2, 7])
-    def test_sampled_verify_indexes_only_joined_columns(self, seed):
-        # a column's coordinate index is built only for a sample that joins
-        f = P("x1 - 1")
-        F = assemble_instance_witness(f, exact_point(x1=1))
-        report = verify_factorization(build_M(build_B(f), compute_K(f)), F, mode="sampled",
-                                      seed=seed, samples=100_000)
-        assert report.passed and report.joined > 0
-        assert len(F._col_maps) <= report.joined
+    @pytest.mark.parametrize("text,seed,joined,nonzero,zero_by_support", [
+        ("x1 - 1", 1, 30, 29, 99_970), ("x1 - 1", 2, 19, 19, 99_981),
+        ("x1 - 1", 7, 20, 19, 99_980), ("x1*x1 - 1", 1, 6, 6, 99_994),
+        ("x1*x1 - 1", 2, 3, 3, 99_997), ("x1*x1 - 1", 7, 4, 4, 99_996)])
+    def test_sampled_report_pinned(self, text, seed, joined, nonzero, zero_by_support):
+        # the whole report, and a second verify of the same witness agrees
+        M, F = _instance_and_witness(text)
+        report = verify_factorization(M, F, mode="sampled", seed=seed, samples=100_000)
+        assert report == VerificationReport(
+            "sampled", 100_000, Fraction(0), None, Fraction(0), True, seed,
+            joined, nonzero, zero_by_support)
+        assert verify_factorization(M, F, mode="sampled", seed=seed, samples=100_000) == report
 
 
 class TestExtractRoot:

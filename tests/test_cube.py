@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from psdrank.polynomials import (
     Polynomial,
     VarId,
     VarKind,
+    approx_sqrt,
     evaluate,
     parse_polynomial,
     xvar,
@@ -128,6 +130,7 @@ class TestScaleRoot:
         assert a.values[xvar(1)] == Fraction(1, 4)
         # z pairs x1 and approximates sqrt(15)/4
         z = a.values[VarId(VarKind.SLACK, 0)]
+        assert z == approx_sqrt(Fraction(15, 16))
         assert abs(float(z) - 15 ** 0.5 / 4) < 1e-12
         assert abs(evaluate(inst.phi, a)) <= 1e-12
         assert phi_residual(inst, Assignment.exact({xvar(1): 1})) == 0
@@ -139,7 +142,12 @@ class TestScaleRoot:
         a = inst.scale_root(Assignment.exact({xvar(1): Fraction(12, 5)}))
         assert a.mode == "exact"
         assert a.values[VarId(VarKind.SLACK, 0)] == Fraction(4, 5)
+        assert type(a.values[VarId(VarKind.SLACK, 0)]) is Fraction
         assert evaluate(inst.phi, a) == 0
+
+    def test_float_root_binds_float_slack(self):
+        a = scale_root(Assignment.floating({xvar(1): 1.0}), 1)
+        assert a.mode == "float" and a.values[VarId(VarKind.SLACK, 0)] == math.sqrt(15 / 16)
 
     def test_scaled_point_lands_in_cube(self):
         inst = build_phi(P("x1*x1 - 1"), 1)

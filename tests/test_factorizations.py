@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from array import array
 from fractions import Fraction
@@ -1028,6 +1029,20 @@ class TestFileFormat:
         head = text.splitlines()[0]
         with pytest.raises(ParseError, match="unknown layout 'bogus'"):
             parse_factorization(text.replace(head, head + " bogus", 1))
+
+    @pytest.mark.parametrize("bad", ["row 3 2 2 0 1/1 1 1/1 2 0 1/1 1 1/x",
+                                     "row 3 1 2 0 1/2 1 1/x"])
+    def test_malformed_token_of_later_template_rejected(self, bad):
+        # a multi-coordinate template after another: its tokens are still checked
+        head = write_factorization(widened(p_alpha_factorization(1))).splitlines()[0]
+        lines = [head, "row 1 1 2 0 1/1 1 1/1", "row 2 1 1 0 1/1", bad]
+        with pytest.raises(ParseError, match=re.escape(f"malformed factorization line: {bad!r}")):
+            parse_factorization("\n".join(lines) + "\n")
+
+    def test_short_dense_line_rejected(self):
+        head = write_factorization(p_alpha_factorization(1)).splitlines()[0]
+        with pytest.raises(ParseError, match="not a multiple of k=2"):
+            parse_factorization(head + "\nrow 1 1/1 1/1\nrow 2 1/1\n")
 
     def test_truncated_sparse_line_rejected(self):
         head = write_factorization(widened(p_alpha_factorization(1))).splitlines()[0]

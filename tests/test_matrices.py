@@ -554,12 +554,19 @@ class TestRowMajorTables:
 
     @pytest.mark.parametrize("name", TABLES)
     def test_entries_row_major(self, tables, name):
-        m = tables[name]
-        for t in (m, shuffled(m, 1), shuffled(m, 2), transposed(m), shuffled(transposed(m), 3)):
-            assert [rc for rc, _ in t.entries()] == row_major(t, t.data)
-            assert all(t.data[rc] is v for rc, v in t.entries())
-        t = transposed(m)
-        assert list(t.data) != row_major(t, t.data)
+        # m and its shuffles share one reference order, the transposes another;
+        # each copy's entries() is walked once, holding no list of its pairs
+        m, t = tables[name], transposed(tables[name])
+        t_order = row_major(t, t.data)
+        assert list(t.data) != t_order
+        for copies, order in (((m, shuffled(m, 1), shuffled(m, 2)), row_major(m, m.data)),
+                              ((t, shuffled(t, 3)), t_order)):
+            for c in copies:
+                keys = []
+                for rc, v in c.entries():
+                    assert c.data[rc] is v
+                    keys.append(rc)
+                assert keys == order
 
     def test_entries_of_a_non_square_matrix(self):
         m = IncompleteMatrix(("r2", "r0", "r1"), ("c1", "c0"), {

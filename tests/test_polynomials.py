@@ -19,6 +19,7 @@ from psdrank.polynomials import (
     parse_fraction,
     parse_polynomial,
     rational_sqrt,
+    sqrt_binding,
     var,
     xvar,
 )
@@ -293,6 +294,15 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(0)) == 0
     with pytest.raises(ValueError):
         rational_sqrt(Fraction(-1))
+
+
+@pytest.mark.parametrize("x,root,exact", [
+    (0.25, 0.5, False),
+    (Fraction(9, 16), Fraction(3, 4), True),
+    (Fraction(1, 2), Fraction(707106781186547524400844362104, 10 ** 30), False)])
+def test_sqrt_binding(x, root, exact):
+    assert sqrt_binding(x) == (root, exact)
+    assert type(sqrt_binding(x)[0]) is type(root)
 
 
 def test_parse_fraction_zero_denominator():

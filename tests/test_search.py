@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from psdrank.search import (
     SearchConfig,
     _jacobian,
     _polish,
+    _rank_one_exact,
     _trace_table,
     psd_rank_search,
 )
@@ -46,6 +48,18 @@ class TestExactSizeOne:
         report = psd_rank_search(A, 1)
         assert report.found
         assert verify_factorization(A, report.witness).max_residual == 0
+
+    @pytest.mark.parametrize("seed", [5, 0])
+    def test_pivot_ignores_stored_order(self, seed):
+        # seed 5 stores (r0,c0), (r0,c2), (r2,c2), (r2,c0); seed 0 starts at (r2,c0)
+        labels = (("r0", "r1", "r2"), ("c0", "c1", "c2"))
+        ordered = {("r0", "c0"): Fraction(2), ("r0", "c2"): Fraction(4),
+                   ("r2", "c0"): Fraction(1), ("r2", "c2"): Fraction(2)}
+        items = list(ordered.items())
+        random.Random(seed).shuffle(items)
+        W = _rank_one_exact(InstanceMatrix(*labels, dict(items)))
+        assert write_factorization(W) == write_factorization(
+            _rank_one_exact(InstanceMatrix(*labels, ordered)))
 
 
 class TestSizeOneScale:
