@@ -16,7 +16,8 @@ change the certified size, which is the vector dimension k.
 
 Each side of a witness is one `PieceTable`: every Gram vector is a piece, a
 template placed at a shift, and the few distinct templates are stored once.
-Labels go in one at a time, or as a run of one-piece labels at once.
+Labels go in as runs, each label with its count of pieces, and the table is
+its side's label -> vectors mapping.
 
 The four-square expansion is the greedy one `four_squares` documents.  The
 bytes of every written witness depend on that choice, so any faster method
@@ -26,13 +27,13 @@ must return the same tuples; the oracle tests compare against trial division.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from array import array
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate, count, islice
+from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .matrices import InstanceMatrix, nonblank_lines
@@ -62,8 +63,8 @@ def _column(k: int):
     return array("q") if k < 1 << 63 else []
 
 
-class PieceTable:
-    """One side of a witness: each label's Gram vectors as pieces.
+class PieceTable(Mapping):
+    """One side of a witness: label -> `LabelVectors`, each vector a piece.
 
     A piece is a template placed at a shift and stands for the template with
     every coordinate raised by the shift.  ``templates`` lists the distinct
@@ -72,9 +73,9 @@ class PieceTable:
     ids and shifts, label by label, and label i owns the slice
     ``starts[i]:starts[i + 1]`` of them.  ``los[i]`` and ``his[i]`` bound
     the label's coordinates ((0, -1) when it has none), so two labels whose
-    spans miss each other share no coordinate.  A table is filled label by
-    label with `template` and `add`, by runs of one-piece labels with `extend`
-    or at once by `build`, and then only read; every coordinate is in [0, k).
+    spans miss each other share no coordinate.  Vectors are interned with
+    `template` and labels go in as runs through `extend` (`build` does both),
+    and then the table is only read; every coordinate is in [0, k).
     """
 
     def __init__(self, k: int) -> None:
@@ -84,8 +85,7 @@ class PieceTable:
         self.templates: List[Template] = []
         self.tops: List[int] = []  # each template's largest coordinate, -1 if empty
         self._ids: Dict[Template, int] = {}
-        self.tids, self.shifts, self.los, self.his = (_column(k) for _ in range(4))
-        self.starts = _column(k)
+        self.tids, self.shifts, self.los, self.his, self.starts = (_column(k) for _ in range(5))
         self.starts.append(0)
 
     @classmethod
@@ -95,13 +95,15 @@ class PieceTable:
         ``pieces`` having none; each vector is interned through `template`.
         Raises ValueError for a coordinate outside [0, k)."""
         T = cls(k)
+        counts, tids, shifts = [], [], []
         for label in labels:
-            tids, shifts = [], []
+            n = len(tids)
             for vec, shift in pieces.get(label, ()):
                 tid, lo = T.template(vec)
                 tids.append(tid)
                 shifts.append(shift if lo is None else shift + lo)
-            T.add(label, tids, shifts)
+            counts.append(len(tids) - n)
+        T.extend(labels, counts, tids, shifts)
         return T
 
     def template(self, vec: Mapping[int, Number]) -> Tuple[int, Optional[int]]:
@@ -120,45 +122,31 @@ class PieceTable:
             self.tops.append(max((c for c, _ in tmpl), default=-1))
         return tid, lo
 
-    def add(self, label: str, tids: Sequence[int], shifts: Sequence[int]) -> None:
-        """Append a label's pieces.  A label with a coordinate outside
-        [0, k) raises ValueError naming it and leaves the table unusable,
-        but it is still counted in ``labels``."""
-        self.index[label] = len(self.labels)
-        self.labels.append(label)
-        # an empty vector, at shift 0 with top -1, keeps these bounds
-        if len(shifts) == 1:
-            lo = shifts[0]
-            hi = lo + self.tops[tids[0]]
-        elif shifts:
-            lo = min(shifts)
-            hi = max(map(operator.add, shifts, map(self.tops.__getitem__, tids)))
-        else:
-            lo, hi = 0, -1
-        if lo < 0 or hi >= self.k:
-            _check_vectors(({c + s: x for c, x in self.templates[t]}
-                            for t, s in zip(tids, shifts)), self.k)
-        self.tids.extend(tids)
-        self.shifts.extend(shifts)
-        self.starts.append(len(self.tids))
-        self.los.append(lo)
-        self.his.append(hi)
-
-    def extend(self, labels: Sequence[str], tids: Sequence[int], shifts: Sequence[int]) -> None:
-        """`add` each label n with one piece (tids[n], shifts[n]), checking the run's range
-        at once; a run that fails goes through `add`, which names its first offender."""
-        top = self.tops.__getitem__
-        if shifts and (min(shifts) < 0 or max(map(operator.add, shifts, map(top, tids))) >= self.k):
-            for label, t, s in zip(labels, tids, shifts):
-                self.add(label, (t,), (s,))
-            return
+    def extend(self, labels: Sequence[str], counts: Sequence[int],
+               tids: Sequence[int], shifts: Sequence[int]) -> None:
+        """Append label n with the next ``counts[n]`` pieces of the flat
+        ``tids`` and ``shifts`` columns.  A run that leaves [0, k) raises
+        ValueError with `_check_vectors`' message for its first offending
+        label and appends nothing."""
+        k, top = self.k, self.tops.__getitem__
+        if shifts and (min(shifts) < 0 or max(map(add, shifts, map(top, tids))) >= k):
+            for a, b in zip(accumulate(counts, initial=0), accumulate(counts)):
+                _check_vectors(({c + s: x for c, x in self.templates[t]}
+                                for t, s in zip(tids[a:b], shifts[a:b])), k)
         self.index.update(zip(labels, count(len(self.labels))))
         self.labels.extend(labels)
+        if counts.count(1) == len(counts):  # a one-piece label spans its piece
+            self.los.extend(shifts)
+            self.his.extend(map(add, shifts, map(top, tids)))
+        else:
+            for a, b in zip(accumulate(counts, initial=0), accumulate(counts)):
+                one = b - a == 1  # and a label without pieces spans (0, -1)
+                self.los.append(shifts[a] if one else min(shifts[a:b], default=0))
+                self.his.append(shifts[a] + top(tids[a]) if one else
+                                max(map(add, shifts[a:b], map(top, tids[a:b])), default=-1))
         self.tids.extend(tids)
         self.shifts.extend(shifts)
-        self.starts.extend(range(self.starts[-1] + 1, len(self.tids) + 1))
-        self.los.extend(shifts)
-        self.his.extend(map(operator.add, shifts, map(top, tids)))
+        self.starts.extend(accumulate(counts, initial=self.starts.pop()))
 
     def pieces(self, i: int) -> range:
         return range(self.starts[i], self.starts[i + 1])
@@ -169,10 +157,23 @@ class PieceTable:
             s = self.shifts[p]
             yield {c + s: x for c, x in self.templates[self.tids[p]]}
 
+    def __getitem__(self, label: str) -> "LabelVectors":
+        return LabelVectors(self, self.index[label])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def values(self) -> List["LabelVectors"]:
+        """Every label's vectors in label order, without label lookups."""
+        return [LabelVectors(self, i) for i in range(len(self.labels))]
+
     def __eq__(self, other) -> bool:
-        """Piece for piece, templates compared by content."""
+        """Piece for piece, templates by content; label by label against a plain mapping."""
         if not isinstance(other, PieceTable):
-            return NotImplemented
+            return super().__eq__(other)
         if (self.k, self.labels) != (other.k, other.labels) or not (
                 list(self.starts) == list(other.starts)
                 and list(self.shifts) == list(other.shifts)):
@@ -210,28 +211,6 @@ class LabelVectors(SequenceABC):
     __hash__ = None
 
 
-class VectorTable(Mapping):
-    """Label -> `LabelVectors`, a read-only view of a `PieceTable`."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: PieceTable) -> None:
-        self._table = table
-
-    def __getitem__(self, label: str) -> LabelVectors:
-        return LabelVectors(self._table, self._table.index[label])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._table.labels)
-
-    def __len__(self) -> int:
-        return len(self._table.labels)
-
-    def values(self) -> List[LabelVectors]:
-        """Every label's vectors in label order, without label lookups."""
-        return [LabelVectors(self._table, i) for i in range(len(self._table.labels))]
-
-
 _MODES = ("exact", "float")
 
 
@@ -240,8 +219,8 @@ class PSDFactorization:
 
     The constructor takes label -> vector sequences; `parse_factorization`
     and `assemble_instance_witness` fill the tables directly through
-    `from_tables`.  ``row_vectors`` and ``col_vectors`` are read-only
-    label -> vectors views."""
+    `from_tables`.  ``row_vectors`` and ``col_vectors`` are the tables
+    themselves, read as label -> vectors mappings."""
 
     def __init__(self, k: int, row_labels: Sequence[str], col_labels: Sequence[str],
                  row_vectors: Mapping[str, Sequence[Vector]],
@@ -274,7 +253,7 @@ class PSDFactorization:
             raise ValueError("exact factorization holds a float value")
         self.k, self.mode, self.rows, self.cols = rows.k, mode, rows, cols
         self.row_labels, self.col_labels = tuple(rows.labels), tuple(cols.labels)
-        self.row_vectors, self.col_vectors = VectorTable(rows), VectorTable(cols)
+        self.row_vectors, self.col_vectors = rows, cols
         self._kernel: Dict[Tuple[int, int, int], Tuple[int, Number]] = {}
         self._scaled: Optional[tuple] = None
 
@@ -447,14 +426,17 @@ def verify_factorization(
     Full mode certifies every entry by joining each row's pieces with the
     column pieces indexed by coordinate; sampled mode checks ``samples``
     (row, column) index pairs of the splitmix64 stream of ``seed``, testing
-    label spans before pieces.  ``worst_entry`` is the first
-    largest residual in row-major label order; a NaN residual fails.  The
-    default tolerance is exact zero for exact witnesses and 1e-9 otherwise."""
+    label spans before pieces.  ``worst_entry`` is the first largest residual
+    in row-major label order (full) or stream order (sampled); a NaN residual
+    fails.  The default tolerance is exact zero for exact witnesses and 1e-9
+    otherwise; a negative or NaN one raises ValueError."""
     if set(A.row_labels) != set(F.row_labels) or set(A.col_labels) != set(F.col_labels):
         raise ValueError("matrix and factorization label sets differ")
     exact = F.mode == "exact"
     if tol is None:
         tol = Fraction(0) if exact else 1e-9
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
     if mode not in ("full", "sampled"):
         raise ValueError(f"unknown verification mode {mode!r}")
     if mode == "sampled" and samples < 1:
@@ -868,30 +850,21 @@ def write_factorization(F: PSDFactorization) -> str:
     sparse = F.k > 64
     head = f"{FACTORIZATION_HEADER} {F.k} {len(F.row_labels)} {len(F.col_labels)} {F.mode}"
     lines = [head + (" sparse" if sparse else "")]
-    # A witness repeats few value objects many times: render each object
-    # once.  Keys are ids, which stay unique while F keeps every value alive;
-    # hashing a Fraction would cost as much as rendering it.
-    tokens: Dict[int, str] = {}
-
-    def token(x: Number) -> str:
-        tok = tokens.get(id(x))
-        if tok is None:
-            tok = tokens[id(x)] = _num_token(x, F.mode)
-        return tok
 
     def render(tmpl: Template) -> Tuple[str, Tuple[int, ...]]:
         """A template's text in coordinate order, with a "{n}" field for its
         n-th coordinate, and those coordinates if it has several (each piece
         fills in its own; a single coordinate is 0, so it is the shift)."""
         items = sorted(tmpl)
-        text = " ".join([str(len(items))] + [f"{{{n}}} {token(x)}" for n, (_, x) in enumerate(items)])
+        text = " ".join([str(len(items))] + [f"{{{n}}} {_num_token(x, F.mode)}"
+                                             for n, (_, x) in enumerate(items)])
         return text, tuple(c for c, _ in items) if len(items) > 1 else ()
 
     for side, T in (("row", F.rows), ("col", F.cols)):
         if not sparse:
             for i, label in enumerate(T.labels):
-                lines.append(" ".join([side, label, *(token(vec.get(c, 0)) for vec in T.vectors(i)
-                                                      for c in range(F.k))]))
+                lines.append(" ".join([side, label, *(_num_token(vec.get(c, 0), F.mode)
+                                                      for vec in T.vectors(i) for c in range(F.k))]))
             continue
         tids, shifts = T.tids, T.shifts
         texts = [render(t) for t in T.templates]
@@ -948,7 +921,8 @@ def parse_factorization(text: str) -> PSDFactorization:
     sides = {"row": PieceTable(k), "col": PieceTable(k)}
     # per side: vector key -> (template id, lowest coordinate relative to the first)
     placed: Dict[str, Dict[object, Tuple[int, Optional[int]]]] = {"row": {}, "col": {}}
-    errors: Dict[str, str] = {}  # side -> its first label with a coordinate outside [0, k)
+    # per side, the run for `extend`: labels (a dict, to find repeats), counts, tids, shifts
+    runs = {side: [{}, _column(k), _column(k), _column(k)] for side in sides}
 
     def place(T: PieceTable, pairs: Iterable[Tuple[int, str]]) -> Tuple[int, Optional[int]]:
         """Intern the vector of a new key from its (relative coordinate,
@@ -960,11 +934,10 @@ def parse_factorization(text: str) -> PSDFactorization:
         if len(parts) < 2 or parts[0] not in sides:
             raise ParseError(f"malformed factorization line: {ln!r}")
         side, label = parts[0], parts[1]
-        T, known = sides[side], placed[side]
-        if label in T.index:
+        T, known, (labels, counts, tids, shifts) = sides[side], placed[side], runs[side]
+        if label in labels:
             raise ParseError(f"repeated {side} label in line {ln!r}")
-        tids: List[int] = []
-        shifts: List[int] = []
+        start = len(tids)
         try:
             if sparse:
                 pos = 3
@@ -989,7 +962,11 @@ def parse_factorization(text: str) -> PSDFactorization:
                         hit = known[key] = place(T, ((0, key),) if nnz == 1
                                                  else zip(key[::2], key[1::2]))
                     tids.append(hit[0])
-                    shifts.append(0 if hit[1] is None else first + hit[1])
+                    shift = 0 if hit[1] is None else first + hit[1]
+                    try:
+                        shifts.append(shift)
+                    except OverflowError:  # far outside [0, k): kept whole for `extend` to name
+                        shifts = runs[side][3] = [*shifts, shift]
                 if pos != len(parts):
                     raise ValueError("trailing tokens")
             else:
@@ -1007,16 +984,15 @@ def parse_factorization(text: str) -> PSDFactorization:
             raise ParseError(f"truncated sparse line: {ln!r}") from None
         except ValueError as e:
             raise ParseError(f"malformed factorization line: {ln!r} ({e})") from None
-        try:
-            T.add(label, tids, shifts)
-        except ValueError as e:
-            errors.setdefault(side, str(e))
-    rows, cols = sides["row"], sides["col"]
-    if len(rows.labels) != nrows or len(cols.labels) != ncols:
+        labels[label] = None
+        counts.append(len(tids) - start)
+    if len(runs["row"][0]) != nrows or len(runs["col"][0]) != ncols:
         raise ParseError("factorization label lines do not match the header counts")
     if mode not in _MODES:
         raise ParseError(f"unknown mode {mode!r}")
     for side in ("row", "col"):
-        if side in errors:
-            raise ParseError(errors[side])
-    return PSDFactorization.from_tables(rows, cols, mode)
+        try:
+            sides[side].extend(*runs.pop(side))
+        except ValueError as e:
+            raise ParseError(str(e)) from None
+    return PSDFactorization.from_tables(sides["row"], sides["col"], mode)

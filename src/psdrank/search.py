@@ -43,6 +43,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
+        if not self.success_tol >= 0:
+            raise ValueError(f"success tolerance must be nonnegative, got {self.success_tol}")
 
 
 @dataclass(frozen=True)

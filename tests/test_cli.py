@@ -196,6 +196,15 @@ class TestVerify:
         assert "entries=1000" in sampled and not any(
             kv.startswith(("joined=", "nonzero=", "zero_by_support=")) for kv in sampled)
 
+    @pytest.mark.parametrize("tol", ["-1", "-1/1000000"])
+    def test_negative_tolerance_refused(self, workdir, capsys, tol):
+        (workdir / "p.mtx").write_text(write_matrix(build_P(4)))
+        (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(4)))
+        assert run("verify", "p.mtx", "p.fac", f"--tol={tol}") == 2
+        captured = capsys.readouterr()
+        assert "error code=usage" in captured.err and "passed=" not in captured.out
+        assert run("verify", "p.mtx", "p.fac", "--tol", "0") == 0
+
     def test_sampled_deterministic_stdout(self, workdir, capsys):
         (workdir / "p.mtx").write_text(write_matrix(build_P(1)))
         (workdir / "p.fac").write_text(write_factorization(p_alpha_factorization(1)))
@@ -356,6 +365,14 @@ class TestSearch:
             write_matrix(InstanceMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])))
         assert run("search", "i3.mtx", "--k", "2", "--restarts", "0") == 2
         assert "error code=usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_negative_or_nan_tolerance_refused(self, workdir, capsys, tol):
+        (workdir / "i3.mtx").write_text(
+            write_matrix(InstanceMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])))
+        assert run("search", "i3.mtx", "--k", "3", "--tol", tol) == 2
+        captured = capsys.readouterr()
+        assert "error code=usage" in captured.err and "verdict=" not in captured.out
 
     def test_oversized_target_refused(self, workdir, capsys):
         labels = tuple(f"l{i}" for i in range(3000))

@@ -268,6 +268,28 @@ class TestVerify:
         with pytest.raises(ValueError, match="label"):
             verify_factorization(A, identity_factorization(3))
 
+    @pytest.mark.parametrize("tol", [Fraction(-1), -1e-12, float("nan")])
+    @pytest.mark.parametrize("mode", ["full", "sampled"])
+    def test_negative_or_nan_tolerance_refused(self, tol, mode):
+        A, F = build_P(1), p_alpha_factorization(1)
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            verify_factorization(A, F, mode=mode, tol=tol)
+        for zero in (Fraction(0), 0.0):
+            assert verify_factorization(A, F, mode=mode, tol=zero, samples=50).passed
+
+    def test_worst_entry_order_per_mode(self):
+        # three residuals of 1 on the diagonal: full mode reports the first in
+        # row-major label order, sampled mode the first one its stream draws
+        labels = ("a", "b", "c")
+        A = InstanceMatrix.from_dense([[1, 0, 0], [0, 2, 0], [0, 0, 2]], labels, labels)
+        F = PSDFactorization(3, labels, labels, *({l: ({n: ONE},) for n, l in enumerate(labels)}
+                                                  for _ in range(2)))
+        full = verify_factorization(A, F)
+        sampled = verify_factorization(A, F, mode="sampled", seed=2, samples=200)
+        assert (full.worst_entry, full.max_residual) == (("b", "b"), 1)
+        assert (sampled.worst_entry, sampled.max_residual) == (("c", "c"), 1)
+        assert sampled == oracle_report(A, F, sampled_pairs(A, 2, 200), "sampled", 2)
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_sampled_needs_a_sample(self, samples):
         with pytest.raises(ValueError, match="at least one sample"):
@@ -587,30 +609,47 @@ class TestPieceTable:
         T = PieceTable(k)
         ids = [T.template(v)[0] for v in ({}, {0: ONE}, {0: ONE, 2: Fraction(1, 2)})]
         if prefix:
-            T.add("m0", [ids[1], ids[2]], [1, 3])
-            T.add("m1", [ids[2], ids[2], ids[1]], [0, 4, k - 1])
+            T.extend(["m0", "m1"], [2, 3], [ids[1], ids[2], ids[2], ids[2], ids[1]],
+                     [1, 3, 0, 4, k - 1])
         return T, ids
 
     @staticmethod
     def columns(T):
-        return (T.labels, T.index, *(list(c) for c in (T.tids, T.shifts, T.starts, T.los, T.his)))
+        return (list(T.labels), dict(T.index),
+                *(list(c) for c in (T.tids, T.shifts, T.starts, T.los, T.his)))
+
+    def test_mixed_run_columns(self):
+        k = 9
+        T, (empty, one, pair) = self.seeded(k, True)
+        # "m" holds three pieces, "none" none, and e0..e4 one each; the pair
+        # at k - 3 and the one-coordinate template at k - 1 each reach
+        # coordinate k - 1 exactly
+        labels = ["m", "none", "e0", "e1", "e2", "e3", "e4"]
+        tids = [pair, empty, one, empty, one, pair, one, empty]
+        shifts = [2, 0, 5, 0, k - 1, k - 3, 0, 4]
+        T.extend(labels, array("q", [3, 0, 1, 1, 1, 1, 1]), array("q", tids), array("q", shifts))
+        assert self.columns(T) == (
+            ["m0", "m1", *labels], {l: i for i, l in enumerate(["m0", "m1", *labels])},
+            [one, pair, pair, pair, one, *tids], [1, 3, 0, 4, k - 1, *shifts],
+            [0, 2, 5, 8, 8, 9, 10, 11, 12, 13],
+            [1, 0, 0, 0, 0, k - 1, k - 3, 0, 4],
+            [5, k - 1, 5, -1, -1, k - 1, k - 1, 0, 3])
+        assert T["m"] == ({2: ONE, 4: Fraction(1, 2)}, {}, {5: ONE}) and T["none"] == ()
 
     @pytest.mark.parametrize("prefix", [False, True])
-    def test_extend_equals_add(self, prefix):
+    def test_one_piece_run_equals_one_call_per_label(self, prefix):
         k = 9
         A, (empty, one, pair) = self.seeded(k, prefix)
         B, _ = self.seeded(k, prefix)
-        # the pair at k - 3 and the one-coordinate template at k - 1 each
-        # reach coordinate k - 1 exactly
         labels = ["e0", "e1", "e2", "e3", "e4"]
         tids, shifts = [empty, one, pair, one, empty], [0, k - 1, k - 3, 0, 4]
-        A.extend(labels, array("q", tids), array("q", shifts))
+        A.extend(labels, array("q", [1] * 5), array("q", tids), array("q", shifts))
         for label, t, s in zip(labels, tids, shifts):
-            B.add(label, (t,), (s,))
+            B.extend([label], [1], [t], [s])
         assert self.columns(A) == self.columns(B) and A == B
         assert (A.los[-5:], A.his[-5:]) == (array("q", [0, k - 1, k - 3, 0, 4]),
                                             array("q", [-1, k - 1, k - 1, 0, 3]))
-        A.extend([], [], [])
+        A.extend([], [], [], [])
         assert self.columns(A) == self.columns(B)
 
     @pytest.mark.parametrize("run,message", [
@@ -618,20 +657,45 @@ class TestPieceTable:
         ([("one", 2), ("pair", 7), ("one", -1)], "vector coordinate 9 outside dimension 9"),
         ([("empty", 3), ("one", 9)], "vector coordinate 9 outside dimension 9"),
     ], ids=["negative shift", "top reaches k", "shift reaches k"])
-    def test_extend_names_the_first_offender_as_add_does(self, run, message):
+    def test_refused_run_names_its_first_offender_and_appends_nothing(self, run, message):
         k = 9
-        A, ids = self.seeded(k, True)
-        B, _ = self.seeded(k, True)
+        T, ids = self.seeded(k, True)
+        before = self.columns(T)
         tid = dict(zip(("empty", "one", "pair"), ids))
         labels = [f"e{n}" for n in range(len(run))]
-        tids, shifts = [tid[name] for name, _ in run], [s for _, s in run]
-        with pytest.raises(ValueError) as by_add:
-            for label, t, s in zip(labels, tids, shifts):
-                B.add(label, (t,), (s,))
-        with pytest.raises(ValueError) as by_extend:
-            A.extend(labels, tids, shifts)
-        assert str(by_extend.value) == str(by_add.value) == message
-        assert self.columns(A) == self.columns(B)
+        with pytest.raises(ValueError) as refused:
+            T.extend(labels, [1] * len(run), [tid[name] for name, _ in run], [s for _, s in run])
+        assert str(refused.value) == message
+        assert self.columns(T) == before
+
+    def test_size_beyond_a_machine_word_round_trips(self):
+        text = ("psdrank-factorization v1 18446744073709551616 1 0 exact sparse\n"
+                "row e1[1] 1 1 18446744073709551615 1/1\n")
+        F = parse_factorization(text)
+        assert F.k == 2 ** 64 and F.row_vectors == {"e1[1]": ({2 ** 64 - 1: ONE},)}
+        assert write_factorization(F) == text and parse_factorization(text) == F
+
+    @pytest.mark.parametrize("coord", [2 ** 64, -2 ** 64])
+    def test_coordinate_beyond_a_machine_word_named(self, coord):
+        head = "psdrank-factorization v1 5 1 0 exact sparse\n"
+        line = f"row a 2 1 0 1/1 1 {coord} 1/1\n"
+        with pytest.raises(ParseError, match=f"^vector coordinate {coord} outside dimension 5$"):
+            parse_factorization(head + line)
+        with pytest.raises(ParseError, match="do not match the header counts"):
+            parse_factorization(head + line + "row b 0\n")
+
+    def test_tables_are_the_vector_mappings(self):
+        F = p_alpha_factorization(1)
+        assert F.row_vectors is F.rows and F.col_vectors is F.cols
+        rows = {"1": ({0: ONE, 1: ONE},), "2": ({0: ONE},), "3": ({1: ONE},)}
+        assert dict(F.row_vectors) == rows and list(F.row_vectors) == ["1", "2", "3"]
+        assert F.row_vectors == rows and rows == F.row_vectors
+        assert F.row_vectors != {**rows, "3": ()} and F.row_vectors != {"1": rows["1"]}
+        # against another table, label order and k count too
+        pieces = {l: [(v, 0) for v in vecs] for l, vecs in rows.items()}
+        assert F.row_vectors == PieceTable.build(2, ["1", "2", "3"], pieces)
+        assert F.row_vectors != PieceTable.build(2, ["3", "2", "1"], pieces)
+        assert F.row_vectors != PieceTable.build(3, ["1", "2", "3"], pieces)
 
 
 def reference_write_factorization(F):

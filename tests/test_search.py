@@ -304,6 +304,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="restarts"):
             SearchConfig(restarts=restarts)
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan")])
+    def test_success_tol_must_be_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="success tolerance"):
+            SearchConfig(success_tol=tol)
+        assert SearchConfig(success_tol=0.0).success_tol == 0
+
     def test_oversized_target_refused_before_building(self, monkeypatch):
         labels = tuple(f"l{i}" for i in range(3000))
         A = InstanceMatrix(labels, labels, {})
