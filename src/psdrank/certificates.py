@@ -94,24 +94,27 @@ def completion_from_root(f: Polynomial, xi: Assignment) -> Completion:
     """Entrywise square of the evaluated label matrix, plus its witness.
 
     B'(u|v) = ((u.v)(xi))^2 agrees with every known entry of B and its
-    entries stay within 9*(length f)^4 because |xi_i| <= 1.  B' is stored,
-    and marked, in row-major label order, the order the writer emits.  The
-    witness is the rank-one factorization by evaluated label vectors.
+    entries stay within 9*(length f)^4 because |xi_i| <= 1.  B' is filled
+    row by row into columns; a float square that underflows to 0 stays
+    absent, as the constructor would drop it.  The witness is the rank-one
+    factorization by evaluated label vectors.
     """
     value = _root_values(f, xi)
     H = index_set_H(f)
     exact = xi.mode == "exact"
     labels = tuple(h.render() for h in H)
     points, pid, square = _interned_points(value, H)
-    data: Dict[Tuple[str, str], Fraction] = {}
-    for u, p in zip(labels, pid):
-        for v, q in zip(labels, pid):
+    starts, cols, values = array("q", [0]), array("q"), []
+    for p in pid:
+        for j, q in enumerate(pid):
             sq = square(p, q)
-            if sq is not None:
-                data[(u, v)] = sq
+            if sq:
+                cols.append(j)
+                values.append(sq)
+        starts.append(len(values))
     if not exact:
-        data = {k: Fraction(v) for k, v in data.items()}
-    matrix = InstanceMatrix._from_row_major(labels, labels, data)
+        values = list(map(Fraction, values))
+    matrix = InstanceMatrix._from_columns(labels, labels, starts, cols, values)
     vectors = [(dense_vector(p),) for p in points]  # one per distinct point
     rows = {l: vectors[p] for l, p in zip(labels, pid)}
     fact = PSDFactorization(3, labels, labels, rows, rows, "exact" if exact else "float")
@@ -175,7 +178,9 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment) -> PSDFactorization
         for slot in (1, 2):  # every E1 label, then every E2 label
             tids, offs = ([b[side][slot][n] for b in blocks] for n in (0, 1))
             counts = array("q", map(len, tids))
-            bases = chain.from_iterable(map(repeat, range(3, 2 * k + 3, 2), counts))
+            bases = range(3, 2 * k + 3, 2)  # block t's base, once per piece
+            if counts.count(1) != k:
+                bases = chain.from_iterable(map(repeat, bases, counts))
             T.extend(labels[(slot - 1) * k:slot * k], counts, array("q", chain.from_iterable(tids)),
                      array("q", map(int.__add__, bases, chain.from_iterable(offs))))
         # one run per label of B: a run of them all would first copy their pieces
@@ -329,17 +334,10 @@ def _column_witness(rows0: Sequence[str], ones: Mapping[str, set], zeros: Mappin
     return None
 
 
-def _is_symmetric(S: IncompleteMatrix) -> bool:
-    if S.row_labels != S.col_labels:
-        return False
-    for (r, c), v in S.data.items():
-        w = S.data.get((c, r))
-        if w is None:
-            if not (isinstance(v, Fraction) and v == 0):
-                return False
-        elif w is not v and w != v:
-            return False
-    return True
+def _is_symmetric(S: IncompleteMatrix, T: IncompleteMatrix) -> bool:
+    """Whether S equals its transpose T entry by entry."""
+    return (S.row_labels == S.col_labels and S.starts == T.starts and S.cols == T.cols
+            and S.values == T.values)
 
 
 def sqrt_condition_check(S: IncompleteMatrix) -> Tuple[bool, Optional[SqrtWitness]]:
@@ -355,7 +353,7 @@ def sqrt_condition_check(S: IncompleteMatrix) -> Tuple[bool, Optional[SqrtWitnes
         # stored, so a row's known zeros are the columns it stores nothing in
         ones: Dict[str, set] = {i: set() for i in T.row_labels}
         zeros: Dict[str, set] = {i: set(T.col_labels) for i in T.row_labels}
-        for (r, c), v in T.data.items():
+        for (r, c), v in T.entries():
             zeros[r].discard(c)
             if isinstance(v, Fraction) and v == 1:
                 ones[r].add(c)
@@ -375,9 +373,10 @@ def sqrt_condition_check(S: IncompleteMatrix) -> Tuple[bool, Optional[SqrtWitnes
     primal = one_side(S)
     if primal is None:
         return (False, None)
-    if _is_symmetric(S):
+    T = S.transpose()
+    if _is_symmetric(S, T):
         return (True, SqrtWitness(primal, dict(primal)))
-    dual = one_side(S.transpose())
+    dual = one_side(T)
     if dual is None:
         return (False, None)
     return (True, SqrtWitness(primal, dual))

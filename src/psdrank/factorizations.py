@@ -129,21 +129,29 @@ class PieceTable(Mapping):
         ValueError with `_check_vectors`' message for its first offending
         label and appends nothing."""
         k, top = self.k, self.tops.__getitem__
-        if shifts and (min(shifts) < 0 or max(map(add, shifts, map(top, tids))) >= k):
+        los, his = shifts, _column(k)
+        try:
+            if counts.count(1) == len(counts):  # a one-piece label spans its piece
+                his.extend(map(add, shifts, map(top, tids)))
+            else:
+                los = _column(k)
+                for a, b in zip(accumulate(counts, initial=0), accumulate(counts)):
+                    one = b - a == 1  # and a label without pieces spans (0, -1)
+                    los.append(shifts[a] if one else min(shifts[a:b], default=0))
+                    his.append(shifts[a] + top(tids[a]) if one else
+                               max(map(add, shifts[a:b], map(top, tids[a:b])), default=-1))
+            # a label's span bounds its pieces, so the spans bound the run
+            outside = bool(shifts) and (min(shifts) < 0 or max(his) >= k)
+        except OverflowError:  # a span past a machine word lies past k
+            outside = True
+        if outside:
             for a, b in zip(accumulate(counts, initial=0), accumulate(counts)):
                 _check_vectors(({c + s: x for c, x in self.templates[t]}
                                 for t, s in zip(tids[a:b], shifts[a:b])), k)
         self.index.update(zip(labels, count(len(self.labels))))
         self.labels.extend(labels)
-        if counts.count(1) == len(counts):  # a one-piece label spans its piece
-            self.los.extend(shifts)
-            self.his.extend(map(add, shifts, map(top, tids)))
-        else:
-            for a, b in zip(accumulate(counts, initial=0), accumulate(counts)):
-                one = b - a == 1  # and a label without pieces spans (0, -1)
-                self.los.append(shifts[a] if one else min(shifts[a:b], default=0))
-                self.his.append(shifts[a] + top(tids[a]) if one else
-                                max(map(add, shifts[a:b], map(top, tids[a:b])), default=-1))
+        self.los.extend(los)
+        self.his.extend(his)
         self.tids.extend(tids)
         self.shifts.extend(shifts)
         self.starts.extend(accumulate(counts, initial=self.starts.pop()))
@@ -444,16 +452,17 @@ def verify_factorization(
     if mode == "sampled" and not (A.nrows and A.ncols):
         raise ValueError(f"cannot sample entries of a {A.nrows}x{A.ncols} matrix")
 
-    worst: Optional[Tuple[str, str]] = None
+    worst: Optional[Tuple[int, int]] = None  # positions in A
     max_res: Union[Fraction, float] = Fraction(0) if exact else 0.0
     joined = nonzero = visited = 0
-    DD, data = F._denominator(), A.data
+    DD = F._denominator()
 
-    def visit(r: str, c: str, total: Number) -> None:
-        """Compare the scaled sum ``total`` of entry (r, c) with A."""
+    def visit(i: int, j: int, a: Number, total: Number, first: bool) -> None:
+        """Compare the scaled sum ``total`` of entry (i, j) with its value
+        ``a`` in A.  ``first``: a tie with the worst entry so far goes to
+        the earlier position."""
         nonlocal worst, max_res, visited
         visited += 1
-        a = data.get((r, c), 0)
         if exact:
             if total * a.denominator == a.numerator * DD:
                 return
@@ -463,45 +472,51 @@ def verify_factorization(
             if value == a:
                 return
             res = abs(value - a)
-        if res > max_res or (res != res and max_res == max_res):  # the first NaN stays
-            max_res, worst = res, (r, c)
+        nan = res != res
+        if (res > max_res or (nan and max_res == max_res)  # the first NaN stays
+                or first and (res == max_res or nan) and (i, j) < worst):
+            max_res, worst = res, (i, j)
 
     R, C = F.rows, F.cols
+    values = A.values
     if mode == "full":
-        cols = A.col_labels
         owner = [0] * len(C.tids)  # column piece -> its column's position in A
-        for j, c in enumerate(cols):
+        for j, c in enumerate(A.col_labels):
             lo, hi = C.starts[C.index[c]], C.starts[C.index[c] + 1]
             owner[lo:hi] = [j] * (hi - lo)
         index = _coordinate_index(C, range(len(C.tids)))
-        cpos = {c: j for j, c in enumerate(cols)}
-        nonzero_cols: Dict[str, List[int]] = {}
-        for r, c in data:
-            nonzero_cols.setdefault(r, []).append(cpos[c])
-        for r in A.row_labels:
+        # Row by row in order: the row's nonzero entries from its slice of
+        # the columns, then its other joined ones, whose ties with the
+        # worst entry so far are decided by position.
+        for i, (r, lo, hi) in enumerate(zip(A.row_labels, A.starts, islice(A.starts, 1, None))):
             sums: Dict[int, Number] = {}  # column position -> scaled entry
             for q, value in F._row_pairs(R.index[r], index):
                 sums[owner[q]] = sums.get(owner[q], 0) + value
             joined += len(sums)
-            for j in sorted(sums.keys() | set(nonzero_cols.get(r, ()))):
-                visit(r, cols[j], sums.get(j, 0))
-        nonzero, checked = len(data), A.nrows * A.ncols
+            for j, a in zip(A.cols[lo:hi], values[lo:hi]):
+                visit(i, j, a, sums.pop(j, 0), False)
+            for j, total in sums.items():
+                visit(i, j, 0, total, True)
+        nonzero, checked = A.nnz, A.nrows * A.ncols
     else:
-        rows, cols, nrows, ncols = A.row_labels, A.col_labels, A.nrows, A.ncols
-        rpos = [R.index[r] for r in rows]
-        cpos = [C.index[c] for c in cols]
+        nrows, ncols = A.nrows, A.ncols
+        rpos = [R.index[r] for r in A.row_labels]
+        cpos = [C.index[c] for c in A.col_labels]
         rlo, rhi, clo, chi = R.los, R.his, C.los, C.his
         gen = splitmix64(seed)
         for _ in range(samples):
             ai, aj = next(gen) % nrows, next(gen) % ncols
-            r, c, i, j = rows[ai], cols[aj], rpos[ai], cpos[aj]
+            i, j = rpos[ai], cpos[aj]
             # most pairs are rejected by their spans, without a call
             total = F._sum(i, j) if rlo[i] <= chi[j] and clo[j] <= rhi[i] else None
-            meet, hit = total is not None, (r, c) in data
+            p = A._at(ai, aj)
+            meet, hit = total is not None, p >= 0
             joined, nonzero = joined + meet, nonzero + hit
             if meet or hit:
-                visit(r, c, total or 0)
+                visit(ai, aj, values[p] if hit else 0, total or 0, False)
         checked = samples
+    if worst is not None:
+        worst = (A.row_labels[worst[0]], A.col_labels[worst[1]])
     return VerificationReport(mode, checked, max_res, worst, tol, max_res <= tol,
                               None if mode == "full" else seed, joined, nonzero, checked - visited)
 

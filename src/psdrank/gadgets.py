@@ -11,9 +11,11 @@ into the final instance (M, 2k+3).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, compress, pairwise, repeat
+from operator import is_
 from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from .matrices import (
@@ -77,9 +79,9 @@ def index_set_size(sigma: Sequence[Polynomial]) -> int:
 
 
 def _gram_table(f: Polynomial, entry: Callable[[Polynomial], Any]) -> Tuple[
-        Tuple[str, ...], Dict[Tuple[str, str], Any]]:
-    """The rendered labels of H(f) and the symmetric table {(u, v): entry(u.v)}
-    over H, stored in row-major label order, the order the writer emits;
+        Tuple[str, ...], array, array, List[Any]]:
+    """The rendered labels of H(f) and the columns (starts, cols, values) of
+    the symmetric table (u, v) -> entry(u.v) over H, filled row by row;
     pairs whose entry is None stay absent.
 
     Every coordinate of an H label lies in sigma(f), so u.v is a sum of three
@@ -113,24 +115,26 @@ def _gram_table(f: Polynomial, entry: Callable[[Polynomial], Any]) -> Tuple[
         by_triple[triple] = by_key[key]
         return by_key[key]
 
-    data: Dict[Tuple[str, str], Any] = {}
-    for u, (s0, s1, s2) in zip(labels, index):
+    starts, cols, values = array("q", [0]), array("q"), []
+    for s0, s1, s2 in index:
         p0, p1, p2 = product[s0], product[s1], product[s2]
-        for v, (a, b, c) in zip(labels, index):
+        for v, (a, b, c) in enumerate(index):
             triple = (p0[a], p1[b], p2[c])
             try:
                 e = by_triple[triple]
             except KeyError:
                 e = resolve(triple)
             if e is not None:
-                data[(u, v)] = e
-    return labels, data
+                cols.append(v)
+                values.append(e)
+        starts.append(len(values))
+    return labels, starts, cols, values
 
 
 def build_A(f: Polynomial) -> PolynomialMatrix:
     """The symmetric polynomial matrix with entries (u.v)^2 over H(f)."""
-    labels, data = _gram_table(f, lambda d: None if d.is_zero else d * d)
-    return PolynomialMatrix._from_row_major(labels, labels, data)
+    labels, *columns = _gram_table(f, lambda d: None if d.is_zero else d * d)
+    return PolynomialMatrix._from_columns(labels, labels, *columns)
 
 
 def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatrix:
@@ -152,21 +156,17 @@ def build_B(f: Polynomial, square_multiple_test: bool = False) -> IncompleteMatr
             return None if is_multiple_of(d * d, f) else UNKNOWN
         return None if is_multiple_of(d, f) else UNKNOWN
 
-    labels, data = _gram_table(f, decide)
-    return IncompleteMatrix._from_row_major(labels, labels, data)
+    labels, *columns = _gram_table(f, decide)
+    return IncompleteMatrix._from_columns(labels, labels, *columns)
 
 
 def build_C(B: IncompleteMatrix) -> IncompleteMatrix:
-    """Zero / nonzero-unknown / unknown pattern of B, in B's item order (so
-    row-major when B is)."""
-    data: Dict[Tuple[str, str], object] = {}
-    for key, v in B.data.items():
-        if v is UNKNOWN:
-            data[key] = UNKNOWN
-        elif isinstance(v, Fraction) and v != 0:
-            data[key] = NONZERO_UNKNOWN
-    build = IncompleteMatrix._from_row_major if B._row_major else IncompleteMatrix
-    return build(B.row_labels, B.col_labels, data)
+    """Zero / nonzero-unknown / unknown pattern of B: B's own ``starts`` and
+    ``cols``, every unknown kept and every other stored entry (nonzero, as
+    every stored entry is) a nonzero unknown."""
+    return IncompleteMatrix._from_columns(
+        B.row_labels, B.col_labels, B.starts, B.cols,
+        [v if v is UNKNOWN else NONZERO_UNKNOWN for v in B.values])
 
 
 def build_P(alpha: Union[int, Fraction]) -> InstanceMatrix:
@@ -205,9 +205,8 @@ def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
     k is the number of unknown entries of S (row-major order).  Known
     entries of S land on the plain part; each unknown e = (i, j) plants the
     block K*P(1) on rows {i, e1, e2} x columns {j, e1, e2}; all remaining
-    entries are zero.  Labels follow ``instance_labels``, and the entries
-    are stored, and marked, in row-major label order, the order the writer
-    emits, read off ``S.entries()``.
+    entries are zero.  Labels follow ``instance_labels``, and the columns
+    are filled row by row from the columns of S.
     """
     K = Fraction(K)
     if K <= 0:
@@ -219,34 +218,38 @@ def build_M(S: IncompleteMatrix, K: Union[int, Fraction]) -> InstanceMatrix:
         return v is NONZERO_UNKNOWN or (v is not UNKNOWN and (v < 0 or v > K))
 
     # Each distinct value object is checked once; only a failure walks the
-    # entries in item order, so the first bad entry is the one named.
-    if any(map(bad, _distinct(S.data))):
-        for rc, v in S.data.items():
+    # entries in row-major order, so the first bad entry is the one named.
+    if any(map(bad, _distinct(S.values))):
+        for rc, v in S.entries():
             if v is NONZERO_UNKNOWN:
                 raise ValueError("M(S, K) accepts known/unknown entries only")
             if bad(v):
                 raise ValueError(f"known entry {v} at ({rc[0]!r},{rc[1]!r}) is outside [0, K={K}]")
     E, labels = instance_labels(S)
-    k = len(E)
-    data: Dict[Tuple[str, str], Fraction] = {}
+    k, off = len(E), 2 * len(E)
+    unknown = list(map(is_, S.values, repeat(UNKNOWN)))
+    # Positions in M: e1 of unknown t is t, its e2 is k + t, and S's label
+    # at position i is off + i.
+    ejs = [off + j for j in compress(S.cols, unknown)]
+    per_row = [sum(unknown[lo:hi]) for lo, hi in pairwise(S.starts)]
     # K * P(1) on rows (i, e1, e2) x cols (j, e1, e2) for unknown t at
-    # (i, j); its zeros at (e1, e2) and (e2, e1) stay absent.  Every E1 or
-    # E2 label precedes the labels of S, and E is in row-major order, so
-    # row i takes the E1, then the E2 labels of its run of E, then S's row.
-    for e, (_, j) in zip(labels[:2 * k], E + E):
-        data[(e, e)] = K
-        data[(e, j)] = K
+    # (i, j); its zeros at (e1, e2) and (e2, e1) stay absent.  Row e holds
+    # (e, e) and (e, j); row i holds the E1, then the E2 labels of its run
+    # of E, then S's row.
+    starts = array("q", range(0, 2 * off + 1, 2))
+    cols = array("q", chain.from_iterable(zip(range(off), ejs + ejs)))
+    values = [K] * (2 * off)
+    known = [K if u else v for u, v in zip(unknown, S.values)]
     t = 0
-    for i, row in groupby(S.entries(), lambda e: e[0][0]):
-        end = t
-        while end < k and E[end][0] == i:
-            end += 1
-        for e in labels[t:end] + labels[k + t:k + end]:
-            data[(i, e)] = K
-        t = end
-        for rc, v in row:
-            data[rc] = K if v is UNKNOWN else v
-    return InstanceMatrix._from_row_major(labels, labels, data)
+    for (lo, hi), n in zip(pairwise(S.starts), per_row):
+        cols.extend(range(t, t + n))
+        cols.extend(range(k + t, k + t + n))
+        cols.extend([off + j for j in S.cols[lo:hi]])
+        values += repeat(K, 2 * n)
+        values += known[lo:hi]
+        starts.append(len(values))
+        t += n
+    return InstanceMatrix._from_columns(labels, labels, starts, cols, values)
 
 
 def build_G(S: Sequence[Sequence[Union[int, Fraction]]],

@@ -1,8 +1,14 @@
 """Matrix containers and their text file formats.
 
-Every matrix of the reduction is one sparse table over string labels:
-``data`` holds the nonzero entries keyed by (row, col) label pairs, and an
-absent entry is zero.  Three views of the labelled H x H matrix share it:
+Every matrix of the reduction is one sparse matrix over string labels, held
+as three row-major integer columns (CSR, compressed sparse row): ``starts``
+holds nrows + 1 offsets, row i's entries fill the slice
+``starts[i]:starts[i + 1]`` of ``cols``, the column positions, strictly
+increasing within the row, and of ``values``, the list of the entries'
+value objects.  An absent entry is zero.  Each entry costs a column
+position and a pointer to a shared value object, not a key tuple of two
+labels in a dict.  Three views of the labelled H x H matrix share the
+layout:
 
 * ``PolynomialMatrix``  polynomial entries; ``build_A`` fills it with
                         A(u|v) = (u.v)^2.
@@ -11,15 +17,17 @@ absent entry is zero.  Three views of the labelled H x H matrix share it:
 * ``InstanceMatrix``    an incomplete matrix with no marks and no negative
                         entries; the reduction's output M(B, K).
 
-A matrix holds its labels, its entries and one private mark.  It checks its
-labels once and its values once per distinct value object, and owns a copy of
-the caller's dict that nothing in the package changes afterwards.  One method,
-``entries``, decides row-major label order: the writer, ``unknown_positions``
-and the gadget M(S, K) all walk it.  Every table the package builds (A, B, C,
-the completion B' and M) is filled in that order, and its builder marks it so
-(``_from_row_major``): ``entries`` hands back its stored items unchecked.  Any
-other matrix (a parsed file, a caller's dict, a transpose) has its order
-confirmed by one C-level pass over its keys, or walked through sorted keys.
+The columns are row-major label order itself, so every reader (the writer,
+``unknown_positions``, ``entries``, the gadget M(S, K), the sqrt check, the
+search and full verification) walks them as stored, and none sorts.  A
+caller's dict goes through the constructor, which checks its labels once,
+every key by set containment and each distinct value object once, converts
+or rejects entry by entry only when some value needs it, and sorts only
+keys given out of row-major order.  Builders that fill rows in order (A,
+B, C, the completion B' and M) and the parser hand their columns to
+``_from_columns``, which checks the labels and not the entries.  ``data``
+is a read-only (row, col) -> value ``Mapping`` over the columns, for
+callers outside the package; nothing in the package reads it.
 
 Both file formats are line oriented and written by one writer.  Header
 ``psdrank-matrix v1 <nrows> <ncols>`` (``psdrank-polymatrix v1`` for
@@ -30,15 +38,22 @@ value is ``p/q``, ``?`` (unknown), ``*`` (nonzero unknown) or a compact
 polynomial.  Labels contain no whitespace.  The writer yields the text in
 blocks of lines (``matrix_blocks``), so a caller can stream it to a file,
 and the readers take it one block of lines at a time (``nonblank_lines``).
+A reader maps each block's labels to positions in C-level passes; a file
+that pass does not take whole (any rejected line among them) is read again
+line by line, which names its first error in file order.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, pairwise, repeat, starmap
-from operator import add, itemgetter, lt, mul
+from itertools import accumulate, chain, compress, islice, pairwise, repeat, takewhile
+from operator import add, is_, itemgetter, lt, mul, sub
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -92,95 +107,122 @@ def _check_labels(labels: Sequence[str]) -> Tuple[str, ...]:
     return out
 
 
-def _distinct(data: Dict[Any, Any]) -> Iterable[Any]:
-    """The distinct value objects of ``data``, by identity.  Matrices share
-    value objects (M stores K once; B and a parsed file convert each value
-    once), so this is far shorter than ``data``."""
-    values = data.values()
+def _label_pair(row_labels: Sequence[str],
+                col_labels: Sequence[str]) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """Checked row and column label tuples; equal ones are checked once and
+    become one tuple."""
+    rows = _check_labels(row_labels)
+    cols = tuple(col_labels)
+    return rows, (rows if cols == rows else _check_labels(cols))
+
+
+def _distinct(values: Iterable[Any]) -> Iterable[Any]:
+    """The distinct objects of the collection ``values``, by identity.
+    Matrices share value objects (M stores K once; B and a parsed file
+    convert each value once), so this is far shorter than ``values``."""
     return dict(zip(map(id, values), values)).values()
 
 
-@dataclass
+def _starts(positions: Iterable[int], n: int) -> array:
+    """CSR offsets of ``n`` rows from the row position of every entry, in
+    any order."""
+    counts = Counter(positions)
+    return array("q", accumulate(map(counts.get, range(n), repeat(0)), initial=0))
+
+
+def _increasing(flat: array) -> bool:
+    return all(map(lt, flat, islice(flat, 1, None)))
+
+
+def _csr(nrows: int, ncols: int, ri: array, ci: array,
+         values: List[Any]) -> Optional[Tuple[array, array, List[Any]]]:
+    """The columns (starts, cols, values) of entries given by their row and
+    column positions in any order, or None if a position pair repeats.
+    Entries already in row-major order are confirmed by one C-level pass
+    over their flat positions i * ncols + j and kept as they are; only
+    others are sorted."""
+    flat = array("q", map(add, map(mul, ri, repeat(ncols)), ci))
+    if not _increasing(flat):
+        order = sorted(range(len(flat)), key=flat.__getitem__)
+        if not _increasing(array("q", map(flat.__getitem__, order))):
+            return None
+        ci = array("q", map(ci.__getitem__, order))
+        values = list(map(values.__getitem__, order))
+    return _starts(ri, nrows), ci, values
+
+
 class _SparseMatrix:
-    """Labels plus the nonzero entries keyed by (row, col) label pairs.
+    """Labels plus the nonzero entries as row-major columns.
 
-    Construction checks each label once (once in all when rows and columns
-    are equal tuples), every key by set containment over its column of
-    the keys and, through ``_clean``, each distinct value object once.  The
-    matrix stores a copy of ``data`` in the caller's item order.  Only when
-    some value must be converted, dropped or rejected, or some key lies
-    outside the labels, does ``_check_entries`` walk the entries one by one:
-    it converts and drops, or rejects the first offending entry.
+    ``starts``, ``cols`` and ``values`` are described in the module
+    docstring; nothing changes them after construction, and matrices may
+    share them (C shares B's ``starts`` and ``cols``).
 
-    ``data`` is the matrix's own copy, and nothing in the package changes it
-    after construction, so a matrix built by ``_from_row_major`` stays in
-    row-major label order.  That mark is no field: it takes no part in
-    equality, and a parsed copy equals the matrix it was written from.
+    The constructor takes a dict keyed by (row, col) label pairs.  It checks
+    each label once (once in all when rows and columns are equal tuples),
+    every key by set containment over its column of the keys and, through
+    ``_clean``, each distinct value object once.  Only when some value must
+    be converted, dropped or rejected, or some key lies outside the labels,
+    does ``_check_entries`` walk the entries one by one in the dict's item
+    order: it converts and drops, or rejects the first offending entry.
+    Equality compares labels and columns, so a parsed copy equals the
+    matrix it was written from however either was built.
     """
 
-    row_labels: Tuple[str, ...]
-    col_labels: Tuple[str, ...]
-    data: Dict[Tuple[str, str], Any] = field(default_factory=dict)
-
-    _row_major = False  # set by _from_row_major
-
-    @classmethod
-    def _from_row_major(cls, row_labels: Sequence[str], col_labels: Sequence[str],
-                        data: Dict[Tuple[str, str], Any]) -> "_SparseMatrix":
-        """The matrix of a builder that filled ``data`` in row-major label
-        order.  Every check of the constructor runs (one that drops entries
-        keeps the order of the rest); ``entries`` then returns the stored
-        items without confirming their order."""
-        m = cls(row_labels, col_labels, data)
-        m._row_major = True
-        return m
-
-    def __post_init__(self) -> None:
-        rows = self.row_labels = _check_labels(self.row_labels)
-        cols = tuple(self.col_labels)
-        cols = self.col_labels = rows if cols == rows else _check_labels(cols)
+    def __init__(self, row_labels: Sequence[str], col_labels: Sequence[str],
+                 data: Optional[Mapping[Tuple[str, str], Any]] = None) -> None:
+        rows, cols = _label_pair(row_labels, col_labels)
+        data = {} if data is None else data
         rset = set(rows)
         cset = rset if cols is rows else set(cols)
-        data = self.data
-        if (rset.issuperset(map(itemgetter(0), data))
+        if not (rset.issuperset(map(itemgetter(0), data))
                 and cset.issuperset(map(itemgetter(1), data))
-                and self._clean(_distinct(data))):
-            self.data = dict(data)
-        else:
-            self.data = self._check_entries(rset, cset)
+                and self._clean(_distinct(data.values()))):
+            data = self._check_entries(rset, cset, data)
+        rpos = {l: i for i, l in enumerate(rows)}
+        cpos = rpos if cols is rows else {l: j for j, l in enumerate(cols)}
+        ri = array("q", map(rpos.__getitem__, map(itemgetter(0), data)))
+        ci = array("q", map(cpos.__getitem__, map(itemgetter(1), data)))
+        # keys of a dict are distinct, so _csr always succeeds
+        self._set(rows, cols, *_csr(len(rows), len(cols), ri, ci, list(data.values())))
 
-    def _clean(self, values: Iterable[Any]) -> bool:
+    @classmethod
+    def _from_columns(cls, row_labels: Sequence[str], col_labels: Sequence[str],
+                      starts: array, cols: array, values: List[Any]) -> "_SparseMatrix":
+        """The matrix over columns its builder filled in row-major label
+        order.  The labels are checked; the entries are taken as they are."""
+        m = cls.__new__(cls)
+        m._set(*_label_pair(row_labels, col_labels), starts, cols, values)
+        return m
+
+    def _set(self, rows: Tuple[str, ...], cols: Tuple[str, ...], starts: array,
+             colpos: array, values: List[Any]) -> None:
+        self.row_labels, self.col_labels = rows, cols
+        self.starts, self.cols, self.values = starts, colpos, values
+
+    @classmethod
+    def _clean(cls, values: Iterable[Any]) -> bool:
         """Whether every value may be stored as it is."""
         return True
 
-    def _check_entries(self, rset: set, cset: set) -> Dict[Tuple[str, str], Any]:
-        for r, c in self.data:
+    def _check_entries(self, rset: set, cset: set,
+                       data: Mapping[Tuple[str, str], Any]) -> Dict[Tuple[str, str], Any]:
+        for r, c in data:
             if r not in rset or c not in cset:
                 raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
-        return dict(self.data)
+        return dict(data)
 
-    def entries(self) -> Iterable[Tuple[Tuple[str, str], Any]]:
-        """The ((row, col), value) pairs in row-major label order, the order
-        the writer emits.  A table the package builds is marked as stored in
-        that order, and its stored items come back as they are.  For any
-        other matrix (a parsed file, a caller's dict, ``from_dense``, a
-        transpose) one C-level pass over the keys confirms the order, and
-        only input stored out of order is walked through its sorted keys."""
-        data = self.data
-        if self._row_major:
-            return data.items()
-        rpos = {l: i for i, l in enumerate(self.row_labels)}
-        cpos = (rpos if self.col_labels is self.row_labels
-                else {l: j for j, l in enumerate(self.col_labels)})
-        ncols = self.ncols
-        # Flat positions i * ncols + j of the keys, streamed: no int per entry
-        # is held.
-        flat = map(add, map(mul, map(rpos.__getitem__, map(itemgetter(0), data)), repeat(ncols)),
-                   map(cpos.__getitem__, map(itemgetter(1), data)))
-        if all(starmap(lt, pairwise(flat))):
-            return data.items()
-        return ((rc, data[rc])
-                for rc in sorted(data, key=lambda rc: rpos[rc[0]] * ncols + cpos[rc[1]]))
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.row_labels == other.row_labels and self.col_labels == other.col_labels
+                and self.starts == other.starts and self.cols == other.cols
+                and self.values == other.values)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.nrows}x{self.ncols}, {self.nnz} entries>"
 
     @property
     def nrows(self) -> int:
@@ -190,12 +232,108 @@ class _SparseMatrix:
     def ncols(self) -> int:
         return len(self.col_labels)
 
+    @property
+    def nnz(self) -> int:
+        return len(self.values)
+
+    @property
+    def data(self) -> "_EntryView":
+        """A read-only (row, col) -> value mapping over the columns."""
+        return _EntryView(self)
+
+    def _row_counts(self) -> Iterator[int]:
+        return map(sub, islice(self.starts, 1, None), self.starts)
+
+    def _keys(self) -> Iterator[Tuple[str, str]]:
+        """The (row, col) label pair of every entry, in stored order."""
+        return zip(chain.from_iterable(map(repeat, self.row_labels, self._row_counts())),
+                   map(self.col_labels.__getitem__, self.cols))
+
+    def entries(self) -> Iterator[Tuple[Tuple[str, str], Any]]:
+        """The ((row, col), value) pairs in row-major label order, the order
+        the columns store and the writer emits."""
+        return zip(self._keys(), self.values)
+
+    def _at(self, i: int, j: int) -> int:
+        """The index into ``cols`` and ``values`` of entry (i, j) by
+        position, or -1 where the entry is zero."""
+        lo, hi = self.starts[i], self.starts[i + 1]
+        p = bisect_left(self.cols, j, lo, hi)
+        return p if p < hi and self.cols[p] == j else -1
+
+    @functools.cached_property
+    def _positions(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """Label -> position maps of the rows and the columns, built on the
+        first lookup by label."""
+        rpos = {l: i for i, l in enumerate(self.row_labels)}
+        return rpos, (rpos if self.col_labels is self.row_labels
+                      else {l: j for j, l in enumerate(self.col_labels)})
+
+    def _find(self, rc: Any) -> int:
+        """``_at`` by (row, col) labels; -1 for anything else."""
+        rpos, cpos = self._positions
+        try:
+            r, c = rc
+            return self._at(rpos[r], cpos[c])
+        except (KeyError, TypeError, ValueError):
+            return -1
+
+    def _get(self, r: str, c: str, default: Any) -> Any:
+        p = self._find((r, c))
+        return default if p < 0 else self.values[p]
+
+
+class _EntryView(Mapping):
+    """The (row, col) -> value mapping of a matrix, read off its columns:
+    ``items``, ``values``, ``len`` and iteration are one pass over them, a
+    lookup is a search of one row's slice, and there is no way to write."""
+
+    __slots__ = ("_m",)
+
+    def __init__(self, m: _SparseMatrix) -> None:
+        self._m = m
+
+    def __len__(self) -> int:
+        return len(self._m.values)
+
+    def __iter__(self) -> Iterator[Tuple[str, str]]:
+        return self._m._keys()
+
+    def __getitem__(self, rc: Tuple[str, str]) -> Any:
+        p = self._m._find(rc)
+        if p < 0:
+            raise KeyError(rc)
+        return self._m.values[p]
+
+    def __contains__(self, rc: object) -> bool:
+        return self._m._find(rc) >= 0
+
+    def items(self) -> "_Items":
+        return _Items(self)
+
+    def values(self) -> "_Values":
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._m.entries()
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._m.values)
+
 
 class PolynomialMatrix(_SparseMatrix):
     """Polynomial-valued matrix; entries not stored are zero."""
 
     def entry(self, r: str, c: str) -> Polynomial:
-        return self.data.get((r, c), Polynomial.zero())
+        return self._get(r, c, Polynomial.zero())
 
 
 class IncompleteMatrix(_SparseMatrix):
@@ -207,10 +345,11 @@ class IncompleteMatrix(_SparseMatrix):
 
     _instance = False  # InstanceMatrix: no marks, no negative entries
 
-    def _clean(self, values: Iterable[Any]) -> bool:
+    @classmethod
+    def _clean(cls, values: Iterable[Any]) -> bool:
         # Stored as is: a nonzero Fraction (positive in an instance), or a
         # mark outside an instance.
-        instance = self._instance
+        instance = cls._instance
         for v in values:
             if type(v) is Fraction:
                 if v.numerator > 0 or (v.numerator and not instance):
@@ -220,11 +359,12 @@ class IncompleteMatrix(_SparseMatrix):
             return False
         return True
 
-    def _check_entries(self, rset: set, cset: set) -> Dict[Tuple[str, str], Entry]:
+    def _check_entries(self, rset: set, cset: set,
+                       data: Mapping[Tuple[str, str], Any]) -> Dict[Tuple[str, str], Entry]:
         # One pass over the entries in item order: membership, marks and values.
         instance = self._instance
         clean: Dict[Tuple[str, str], Entry] = {}
-        for (r, c), v in self.data.items():
+        for (r, c), v in data.items():
             if r not in rset or c not in cset:
                 raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
             if type(v) is _Mark:
@@ -242,10 +382,16 @@ class IncompleteMatrix(_SparseMatrix):
         return clean
 
     def entry(self, r: str, c: str) -> Entry:
-        return self.data.get((r, c), Fraction(0))
+        return self._get(r, c, Fraction(0))
 
     def to_dense(self) -> List[List[Entry]]:
-        return [[self.entry(r, c) for c in self.col_labels] for r in self.row_labels]
+        zero, out = Fraction(0), []
+        for lo, hi in pairwise(self.starts):
+            row: List[Entry] = [zero] * self.ncols
+            for j, v in zip(self.cols[lo:hi], self.values[lo:hi]):
+                row[j] = v
+            out.append(row)
+        return out
 
     @classmethod
     def from_dense(cls, rows: Sequence[Sequence[Union[int, Fraction, _Mark]]],
@@ -266,12 +412,16 @@ class IncompleteMatrix(_SparseMatrix):
 
     def unknown_positions(self) -> Tuple[Tuple[str, str], ...]:
         """Unknown coordinates in row-major label order."""
-        return tuple(rc for rc, v in self.entries() if v is UNKNOWN)
+        return tuple(compress(self._keys(), map(is_, self.values, repeat(UNKNOWN))))
 
     def transpose(self) -> "IncompleteMatrix":
-        return IncompleteMatrix(
-            self.col_labels, self.row_labels,
-            {(c, r): v for (r, c), v in self.data.items()})
+        """The transpose, an ``IncompleteMatrix``: the entries in a stable
+        sort by column position, so each column's rows stay in order."""
+        order = sorted(range(self.nnz), key=self.cols.__getitem__)
+        rows = array("q", chain.from_iterable(map(repeat, range(self.nrows), self._row_counts())))
+        return IncompleteMatrix._from_columns(
+            self.col_labels, self.row_labels, _starts(self.cols, self.ncols),
+            array("q", map(rows.__getitem__, order)), list(map(self.values.__getitem__, order)))
 
 
 class InstanceMatrix(IncompleteMatrix):
@@ -342,11 +492,11 @@ def _write_matrix_text(m: _SparseMatrix, header: str, token: Callable[[Any], str
     items = iter(m.entries())
     # Runs of entries share one value object (M stores K once), so the
     # identity test skips most lookups.  Hashing a Fraction is not cheap, so
-    # tokens are keyed by id, unique while ``data`` keeps each value alive.
+    # tokens are keyed by id, unique while the matrix keeps each value alive.
     tokens: Dict[int, str] = {}
     last: Any = None
     tok = ""
-    for _ in range(0, len(m.data), WRITE_BLOCK_LINES):
+    for _ in range(0, m.nnz, WRITE_BLOCK_LINES):
         lines = []
         for (r, c), v in islice(items, WRITE_BLOCK_LINES):
             if v is not last:
@@ -414,12 +564,101 @@ class ParsedMatrix:
         return self.matrix
 
 
+def _read_labels(indices: List[str], names: List[str], n: int) -> Tuple[str, ...]:
+    """The labels of ``n`` label lines by index; ValueError unless the
+    indices are 0..n-1 once each."""
+    at = list(map(int, indices))
+    if len(at) != n:
+        raise ValueError("label lines do not cover the dimension")
+    if at != list(range(n)):
+        if sorted(at) != list(range(n)):
+            raise ValueError("label lines do not cover the dimension")
+        names = [name for _, name in sorted(zip(at, names))]
+    return tuple(names)
+
+
+def _read_columns(text: str, header: str, entry: Callable[[str], object]) -> Tuple[
+        Optional[int], Tuple[str, ...], Tuple[str, ...], array, array, List[object]]:
+    """The column pass of both readers: the ``r`` target, the labels and
+    the columns of a file whose label lines all precede its coordinate
+    lines.  A block of text whose every nonblank line has three tokens is
+    split once, as a whole, and its three token columns are read off by
+    slices and mapped to positions by C-level passes; only a block with
+    another line (the header's block) is walked line by line.  Raises
+    ValueError, KeyError (an undeclared label) or OverflowError for every
+    file it does not take whole, rejected or not; the per-line reader then
+    reads that file again."""
+    target_rank: Optional[int] = None
+    indices: Dict[str, List[str]] = {"row": [], "col": []}
+    names: Dict[str, List[str]] = {"row": [], "col": []}
+    dims: Optional[Tuple[int, int]] = None
+    labels: Optional[List[Tuple[str, ...]]] = None  # set by the first coordinate line
+    ri, ci, values = array("q"), array("q"), []
+    convert = functools.cache(entry)
+    for piece in _blocks(text, READ_BLOCK_CHARS):
+        lines = piece.splitlines()
+        if dims is not None and set(map(len, map(str.split, lines))) <= {0, 3}:
+            tokens = piece.split()
+            a, b, c = tokens[0::3], tokens[1::3], tokens[2::3]
+        else:
+            a, b, c = [], [], []
+            for p in filter(None, map(str.split, lines)):
+                if dims is None:
+                    if p[:2] != header.split() or len(p) != 4:
+                        raise ValueError("header")
+                    dims = int(p[2]), int(p[3])
+                    if min(dims) < 0:
+                        raise ValueError("header")
+                elif len(p) == 3:
+                    a.append(p[0])
+                    b.append(p[1])
+                    c.append(p[2])
+                elif (len(p) == 2 and p[0] == "r" and header == MATRIX_HEADER
+                      and target_rank is None):
+                    target_rank = int(p[1])
+                    if target_rank < 0:
+                        raise ValueError("r line")
+                else:
+                    raise ValueError("line")
+        if not indices.keys().isdisjoint(a):
+            if labels is not None:
+                raise ValueError("label line after a coordinate line")
+            n = (len(a) if indices.keys() >= set(a)  # the block's label lines
+                 else sum(1 for _ in takewhile(indices.__contains__, a)))
+            for kind, ix in indices.items():
+                mine = list(map(kind.__eq__, a[:n]))
+                ix += compress(b, mine)
+                names[kind] += compress(c, mine)
+            a, b, c = a[n:], b[n:], c[n:]
+            if not indices.keys().isdisjoint(a):
+                raise ValueError("label line after a coordinate line")
+        if not a:
+            continue
+        if labels is None:
+            labels = [_read_labels(indices[kind], names[kind], n)
+                      for kind, n in zip(indices, dims)]
+            rpos = {l: i for i, l in enumerate(labels[0])}
+            cpos = rpos if labels[1] == labels[0] else {l: j for j, l in enumerate(labels[1])}
+        ri.extend(map(rpos.__getitem__, a))
+        ci.extend(map(cpos.__getitem__, b))
+        values += map(convert, c)
+    if dims is None:
+        raise ValueError("header")
+    if labels is None:
+        labels = [_read_labels(indices[kind], names[kind], n) for kind, n in zip(indices, dims)]
+    columns = _csr(dims[0], dims[1], ri, ci, values)
+    if columns is None:
+        raise ValueError("repeated coordinate")
+    return (target_rank, *labels, *columns)
+
+
 def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -> Tuple[
         Optional[int], Tuple[str, ...], Tuple[str, ...], Dict[Tuple[str, str], object]]:
-    """Shared reader of both matrix formats: returns the ``r`` target (only
-    ``MATRIX_HEADER`` files may carry one), the row and column labels and the
-    coordinate entries converted by ``entry``.  Every rejected line, including
-    a repeated label index or coordinate, raises ParseError naming it."""
+    """The per-line reader of both matrix formats, for files the column
+    pass does not take: returns the ``r`` target (only ``MATRIX_HEADER``
+    files may carry one), the row and column labels and the coordinate
+    entries converted by ``entry``.  Every rejected line, including a
+    repeated label index or coordinate, raises ParseError naming it."""
     lines = nonblank_lines(text)
     first = next(lines, "")
     head = first.split()
@@ -469,31 +708,51 @@ def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -
         except ValueError as e:
             raise ParseError(f"malformed matrix line: {ln!r} ({e})") from None
     rows, cols = labels["row"], labels["col"]
-    if sorted(rows) != list(range(nrows)) or sorted(cols) != list(range(ncols)):
+    # the lengths first: a declared dimension alone builds no list
+    if (len(rows) != nrows or len(cols) != ncols
+            or sorted(rows) != list(range(nrows)) or sorted(cols) != list(range(ncols))):
         raise ParseError("row/col label lines do not cover the declared dimensions")
     return (target_rank, tuple(rows[i] for i in range(nrows)),
             tuple(cols[j] for j in range(ncols)), data)
 
 
+def _parse(text: str, header: str, entry: Callable[[str], object],
+           kind: Callable[[List[object]], type]) -> Tuple[Optional[int], _SparseMatrix]:
+    """The ``r`` target and the matrix of a file, of class ``kind(values)``.
+    The column pass reads every file it takes whole whose values the class
+    stores as they are; any other file goes through the per-line reader
+    and the constructor, which raise the ParseError the file earns."""
+    try:
+        target_rank, rows, cols, starts, colpos, values = _read_columns(text, header, entry)
+        cls = kind(values)
+        if cls._clean(_distinct(values)):
+            return target_rank, cls._from_columns(rows, cols, starts, colpos, values)
+    except (ValueError, KeyError, OverflowError):
+        pass  # the per-line reader below names the first error in file order
+    target_rank, rows, cols, data = _parse_matrix_text(text, header, entry)
+    try:
+        return target_rank, kind(data.values())(rows, cols, data)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
+
+
 _MARKS = {"?": UNKNOWN, "*": NONZERO_UNKNOWN}
 
 
-def parse_matrix(text: str) -> ParsedMatrix:
-    target_rank, row_labels, col_labels, data = _parse_matrix_text(
-        text, MATRIX_HEADER, lambda tok: _MARKS.get(tok) or parse_fraction(tok))
-    kind = (IncompleteMatrix if any(type(v) is _Mark for v in _distinct(data))
+def _matrix_token(tok: str) -> Entry:
+    return _MARKS.get(tok) or parse_fraction(tok)
+
+
+def _matrix_kind(values: Iterable[object]) -> type:
+    return (IncompleteMatrix if any(type(v) is _Mark for v in _distinct(values))
             else InstanceMatrix)
-    try:
-        return ParsedMatrix(kind(row_labels, col_labels, data), target_rank)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+
+
+def parse_matrix(text: str) -> ParsedMatrix:
+    target_rank, matrix = _parse(text, MATRIX_HEADER, _matrix_token, _matrix_kind)
+    return ParsedMatrix(matrix, target_rank)
 
 
 def parse_polynomial_matrix(text: str) -> PolynomialMatrix:
     """Read back a polynomial matrix file; absent entries are zero."""
-    _, row_labels, col_labels, data = _parse_matrix_text(
-        text, POLYMATRIX_HEADER, parse_polynomial)
-    try:
-        return PolynomialMatrix(row_labels, col_labels, data)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    return _parse(text, POLYMATRIX_HEADER, parse_polynomial, lambda values: PolynomialMatrix)[1]

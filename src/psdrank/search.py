@@ -79,19 +79,26 @@ def _trace_table(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return _gram(U, V)[1]
 
 
-def _gram_jacobian(U, V, G):
-    """Analytic Jacobian of the entry residuals in (U, V) at Gram tensor G."""
+def _jacobian_buffer(m: int, n: int, k: int):
+    """A zero Jacobian for an m x n target at size k, shaped by blocks, and
+    the index arrays of the two k^2-blocks each residual row depends on."""
+    import numpy as np
+    return np.zeros((m, n, m + n, k * k)), np.arange(m)[:, None], np.arange(n)[None, :]
+
+
+def _gram_jacobian(U, V, G, buffer=None):
+    """Analytic Jacobian of the entry residuals in (U, V) at Gram tensor G.
+    Written into ``buffer`` (from `_jacobian_buffer`, reused from call to
+    call) when one is given: only the two k^2-blocks per row change, and
+    every other entry stays zero."""
     import numpy as np
     m, k = U.shape[0], U.shape[1]
     n = V.shape[0]
-    JU = 2.0 * np.einsum("ijab,jcb->ijca", G, V)
-    JV = 2.0 * np.einsum("ijab,ica->ijcb", G, U)
     # Residual (i, j) depends only on block U_i (parameter block i) and
     # block V_j (parameter block m + j).
-    J = np.zeros((m, n, m + n, k * k))
-    ii, jj = np.arange(m)[:, None], np.arange(n)[None, :]
-    J[ii, jj, ii] = JU.reshape(m, n, k * k)
-    J[ii, jj, m + jj] = JV.reshape(m, n, k * k)
+    J, ii, jj = _jacobian_buffer(m, n, k) if buffer is None else buffer
+    J[ii, jj, ii] = (2.0 * np.einsum("ijab,jcb->ijca", G, V)).reshape(m, n, k * k)
+    J[ii, jj, m + jj] = (2.0 * np.einsum("ijab,ica->ijcb", G, U)).reshape(m, n, k * k)
     return J.reshape(m * n, (m + n) * k * k)
 
 
@@ -121,9 +128,10 @@ def _polish(U, V, A):
     R = (T - A).reshape(-1)
     cost = float(R @ R)
     eye = np.eye(theta.size)
+    buffer = _jacobian_buffer(m, n, k)
     steps, stalled = 0, False
     while steps < POLISH_ITERATIONS and cost >= 1e-30 and not stalled:
-        J = _gram_jacobian(*unpack(theta), G)
+        J = _gram_jacobian(*unpack(theta), G, buffer)
         JtJ = J.T @ J
         g = J.T @ R
         for _ in range(25):
@@ -152,20 +160,19 @@ def _polish(U, V, A):
 def _rank_one_exact(A: InstanceMatrix) -> Optional[PSDFactorization]:
     """Exact witness when A is a nonnegative outer product, else None.
 
-    The pivot is the first entry of `InstanceMatrix.entries` (row-major
-    label order); u is its column over the pivot and v its row.  A equals
-    u v^T exactly when every stored entry matches u[r] v[c] and there are
-    as many stored entries as pairs of nonzero u[r] and v[c]; the test
-    costs O(nnz + m + n), and one sort for a target stored out of order.
+    The pivot is the first stored entry (row-major label order); u is its
+    column over the pivot and v its row.  A equals u v^T exactly when every
+    stored entry matches u[r] v[c] and there are as many stored entries as
+    pairs of nonzero u[r] and v[c]; the test costs O(nnz + m log n).
     """
-    if not A.data:
+    if not A.nnz:
         # the zero matrix: empty Gram lists certify every entry
         return PSDFactorization(1, A.row_labels, A.col_labels, {}, {}, "exact")
-    (r0, c0), base = next(iter(A.entries()))
+    (r0, c0), base = next(A.entries())
     u = {r: A.entry(r, c0) / base for r in A.row_labels}
     v = {c: A.entry(r0, c) for c in A.col_labels}
-    if (any(x != u[r] * v[c] for (r, c), x in A.data.items())
-            or sum(map(bool, u.values())) * sum(map(bool, v.values())) != len(A.data)):
+    if (any(x != u[r] * v[c] for (r, c), x in A.entries())
+            or sum(map(bool, u.values())) * sum(map(bool, v.values())) != A.nnz):
         return None
     rows = {r: tuple({0: s} for s in rational_square_sum(u[r])) for r in A.row_labels}
     cols = {c: tuple({0: s} for s in rational_square_sum(v[c])) for c in A.col_labels}
@@ -196,7 +203,7 @@ def psd_rank_search(A: InstanceMatrix, k: int,
     """
     if k < 1:
         raise ValueError(f"target size must be positive, got {k}")
-    for v in A.data.values():
+    for v in A.values:
         if v < 0:
             raise ValueError("search target must be nonnegative")
 

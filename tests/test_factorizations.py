@@ -387,11 +387,28 @@ def _wrong_hadamard():
     Qm = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
     A = hadamard_square_target(Pm, Qm)
     assert A.to_dense() == [[9, 4, 0], [1, 1, 0], [0, 0, 9]]
-    A.data[("r0", "c1")] += 5
-    A.data[("r0", "c2")] = Fraction(5)
-    A.data[("r1", "c0")] += 5
-    A.data[("r2", "c2")] += 2
+    data = dict(A.data.items())
+    data[("r0", "c1")] += 5
+    data[("r0", "c2")] = Fraction(5)
+    data[("r1", "c0")] += 5
+    data[("r2", "c2")] += 2
+    A = InstanceMatrix(A.row_labels, A.col_labels, data)
+    assert A.to_dense() == [[9, 9, 5], [6, 1, 0], [0, 0, 11]]
     return A, hadamard_square_factorization(Pm, Qm)
+
+
+def _tied_hadamard():
+    """A Hadamard square whose row r0 misses its first entry (9) and holds a
+    9 where the witness is zero: the two residuals tie, and the missing
+    entry, which only the witness's support reaches, comes first."""
+    Pm = [[1, 2, 0], [0, 1, 0], [0, 0, 3]]
+    Qm = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
+    A = hadamard_square_target(Pm, Qm)
+    data = dict(A.data.items())
+    del data[("r0", "c0")]
+    data[("r0", "c2")] = Fraction(9)
+    return (InstanceMatrix(A.row_labels, A.col_labels, data),
+            hadamard_square_factorization(Pm, Qm))
 
 
 def _oracle_cases():
@@ -410,6 +427,7 @@ def _oracle_cases():
     comp = completion_from_root(f, Assignment.exact({xvar(1): Fraction(1)}))
     cases["completion(x1-1)"] = (comp.matrix, comp.factorization)
     cases["wrong-A"] = _wrong_hadamard()
+    cases["tied-A"] = _tied_hadamard()
     return cases
 
 
@@ -444,6 +462,11 @@ class TestSupportJoinOracle:
         assert (report.max_residual, report.worst_entry) == (5, ("r0", "c1"))
         assert report.nonzero == len(A.data) == 6
         assert report.joined + report.zero_by_support + 1 == report.entries_checked == 9
+
+    def test_tie_goes_to_the_first_entry_in_row_major_order(self):
+        A, F = ORACLE_CASES["tied-A"]
+        report = verify_factorization(A, F)
+        assert (report.max_residual, report.worst_entry) == (9, ("r0", "c0"))
 
     @pytest.mark.parametrize("seed", [1, 5, 9])
     def test_sampled_instance_witness(self, seed):
@@ -888,10 +911,9 @@ class TestDirectSum:
         bad = PSDFactorization(
             1, F1.row_labels, F1.col_labels,
             {"1": ({0: Fraction(1)},)}, {"1": ({0: Fraction(1)},)})
-        target = InstanceMatrix(
-            ("1", "2", "3"), ("1", "2", "3"),
-            {k: v for k, v in build_P(1).data.items()})
-        target.data[("1", "1")] = target.data[("1", "1")] + 1 - delta
+        data = dict(build_P(1).data.items())
+        data[("1", "1")] = data[("1", "1")] + 1 - delta
+        target = InstanceMatrix(("1", "2", "3"), ("1", "2", "3"), data)
         S = direct_sum(F1, bad)
         report = verify_factorization(target, S, tol=Fraction(1))
         assert report.max_residual == delta

@@ -26,7 +26,9 @@ from psdrank.matrices import (
     write_matrix,
     write_polynomial_matrix,
 )
-from psdrank.polynomials import Polynomial, is_multiple_of, parse_polynomial
+from psdrank.certificates import completion_from_root
+from psdrank.polynomials import (Assignment, Polynomial, evaluate, is_multiple_of,
+                                 parse_polynomial, xvar)
 
 ONE = Polynomial.constant(1)
 ZERO = Polynomial.zero()
@@ -282,7 +284,8 @@ class TestBuildMOrder:
         assert M.data == reference_build_M(S, K)
 
     def test_first_bad_entry_named(self):
-        S = IncompleteMatrix(("a", "b"), ("a", "b"), {
+        # with the labels in this order the known 7 comes first in row-major order
+        S = IncompleteMatrix(("b", "a"), ("b", "a"), {
             ("b", "a"): UNKNOWN, ("b", "b"): Fraction(7), ("a", "a"): NONZERO_UNKNOWN,
             ("a", "b"): Fraction(9)})
         with pytest.raises(ValueError) as expected:
@@ -428,3 +431,55 @@ class TestReduce:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             reduce(ZERO)
+
+
+# ---------------------------------------------------------------------------
+# The data view of every table on every pinned rung
+# ---------------------------------------------------------------------------
+
+# The pinned rungs, each with a root (B' of x1 - x2 is pinned at 19/23).
+RUNG_ROOTS = {"x1 - 1": {1: 1}, "x1*x1 - 1": {1: 1}, "x1*x2 - x1": {1: 0, 2: 0},
+              "x1 - x2": {1: Fraction(19, 23), 2: Fraction(19, 23)}}
+
+
+def reference_completion(f, xi):
+    """B' pair by pair: the square of each evaluated dot product, where it
+    is nonzero."""
+    value = {p: evaluate(p, xi) for p in sigma_set(f)}
+    H = index_set_H(f)
+    points = {h.render(): [value[c] for c in h.coords] for h in H}
+    data = {}
+    for u, a in points.items():
+        for v, b in points.items():
+            d = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+            if d:
+                data[(u, v)] = d * d
+    return data
+
+
+@pytest.mark.parametrize("text", list(RUNG_ROOTS))
+def test_data_view_equals_the_dict_it_replaced(text):
+    # ``dict(m.data)`` goes through the view's keys and lookups; the
+    # references build the dicts the tables held before they became columns.
+    f = P(text)
+    xi = Assignment.exact({xvar(i): Fraction(x) for i, x in RUNG_ROOTS[text].items()})
+    B, K = build_B(f), compute_K(f)
+    reference_B = reference_build_B(f)
+    tables = [
+        (build_A(f), reference_build_A(f)),
+        (B, reference_B),
+        (build_C(B), {rc: UNKNOWN if v is UNKNOWN else NONZERO_UNKNOWN
+                      for rc, v in reference_B.items()}),
+        (build_M(B, K), reference_build_M(B, K)),
+        (completion_from_root(f, xi).matrix, reference_completion(f, xi)),
+    ]
+    for m, expected in tables:
+        assert dict(m.data) == expected
+        assert dict(m.data.items()) == expected and len(m.data) == len(expected)
+        rc = next(iter(expected))
+        assert rc in m.data and ("zz", rc[1]) not in m.data and "zz" not in m.data
+        with pytest.raises(TypeError):
+            m.data[rc] = expected[rc]
+        with pytest.raises(TypeError):
+            del m.data[rc]
+        assert m.data[rc] == expected[rc]

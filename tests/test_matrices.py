@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import sys
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdrank import gadgets, matrices
+from psdrank.cli import main
 from psdrank.matrices import (
     NONZERO_UNKNOWN,
     UNKNOWN,
@@ -171,7 +171,8 @@ class TestFileFormat:
         items = list(M.data.items())
         random.Random(3).shuffle(items)
         shuffled = InstanceMatrix(M.row_labels, M.col_labels, dict(items))
-        assert list(shuffled.data) != list(M.data)
+        assert [rc for rc, _ in items] != list(M.data)
+        assert list(shuffled.data) == list(M.data) and shuffled == M
         assert write_matrix(shuffled, target_rank=5) == write_matrix(M, target_rank=5)
 
     def test_row_major_entries_skip_the_sort(self, monkeypatch):
@@ -217,6 +218,12 @@ class TestFileFormat:
         parse(f"{name} v1 {body}")
         with pytest.raises(ParseError, match=f"missing '{name} v1' header"):
             parse(f"{name} {version} {body}")
+
+    @pytest.mark.parametrize("body", ["", "row 0 a\ncol 0 b\na b 1\n"])
+    def test_huge_declared_dimension_builds_no_list(self, body):
+        # 10**18 labels would not fit in memory: the label count decides first
+        with pytest.raises(ParseError, match="do not cover the declared dimensions"):
+            parse_matrix(f"psdrank-matrix v1 {10 ** 18} 1\n{body}")
 
     def test_repeated_target_rank_rejected(self):
         text = write_matrix(InstanceMatrix(("a",), ("a",), {}), target_rank=5)
@@ -401,13 +408,20 @@ def outcome(build):
     return "stored", [(key, type(v), v) for key, v in data.items()]
 
 
+def in_row_major(rows, cols, data):
+    """``data`` with its keys in row-major label order, the order a matrix
+    stores whatever order it was given."""
+    return {rc: data[rc] for rc in row_major(IncompleteMatrix(rows, cols), data)}
+
+
 @pytest.mark.parametrize("cls", [IncompleteMatrix, InstanceMatrix])
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(constructor_inputs())
 def test_constructor_matches_one_pass_reference(cls, args):
     rows, cols, data = args
     before = dict(data)
-    expected = outcome(lambda: reference_check(cls._instance, rows, cols, data))
+    expected = outcome(
+        lambda: in_row_major(rows, cols, reference_check(cls._instance, rows, cols, data)))
     matrix = None
 
     def build():
@@ -448,15 +462,20 @@ def row_major(m, keys):
 
 
 def shuffled(m, seed):
-    """A copy of m with its entries stored in a seeded random order."""
+    """A copy of m built from a dict of its entries in a seeded random order."""
     items = list(m.data.items())
     random.Random(seed).shuffle(items)
     return type(m)(m.row_labels, m.col_labels, dict(items))
 
 
+def transposed_items(m):
+    """The entries of m's transpose, in column-major order."""
+    return {(c, r): v for (r, c), v in m.data.items()}
+
+
 def transposed(m):
-    """m's transpose, of m's own type, stored in column-major order."""
-    return type(m)(m.col_labels, m.row_labels, {(c, r): v for (r, c), v in m.data.items()})
+    """m's transpose, of m's own type, built from a dict in column-major order."""
+    return type(m)(m.col_labels, m.row_labels, transposed_items(m))
 
 
 def write_any(m):
@@ -465,11 +484,16 @@ def write_any(m):
     return write_matrix(m)
 
 
+def parse_text(m, text):
+    """``text`` read back by the reader of m's format."""
+    if isinstance(m, PolynomialMatrix):
+        return parse_polynomial_matrix(text)
+    return parse_matrix(text).matrix
+
+
 def parse_any(m):
     """m written and read back."""
-    if isinstance(m, PolynomialMatrix):
-        return parse_polynomial_matrix(write_polynomial_matrix(m))
-    return parse_matrix(write_matrix(m)).matrix
+    return parse_text(m, write_any(m))
 
 
 def readers(tables, name):
@@ -521,10 +545,10 @@ class TestRowMajorTables:
 
     @pytest.mark.parametrize("name", TABLES)
     def test_built_tables_skip_the_order_check(self, tables, name, monkeypatch):
-        # A table the package builds is marked row-major, so no reader runs
-        # the order check.  A copy that carries no mark still runs it and
-        # reads the same: one rebuilt in order, one written and read back,
-        # and the transpose, which reads as its rows sorted into order.
+        # No reader checks or sorts the order of any matrix: a table the
+        # package builds, a copy rebuilt from a dict in order, one written and
+        # read back, and the transpose, whose dict comes in column-major
+        # order, all read as their rows in order.
         m = tables[name]
         reads = readers(tables, name)
         expected = [read(m) for read in reads]
@@ -532,25 +556,30 @@ class TestRowMajorTables:
         assert all(c == m for c in copies)
         assert all([read(c) for read in reads] == expected for c in copies)
         t = m.transpose() if isinstance(m, IncompleteMatrix) else transposed(m)
+        t_items = transposed_items(m)
         in_order = type(t)(t.row_labels, t.col_labels,
-                           {rc: t.data[rc] for rc in row_major(t, t.data)})
-        assert list(t.data) != list(in_order.data)
-        assert [read(t) for read in reads] == [read(in_order) for read in reads]
+                           {rc: t_items[rc] for rc in row_major(t, t_items)})
+        assert list(t_items) != list(in_order.data)
+        t_reads = [read(t) for read in reads]
+        assert t_reads == [read(in_order) for read in reads]
         monkeypatch.setattr(matrices, "pairwise", no_order_check)
+        for module in (matrices, gadgets):
+            monkeypatch.setattr(module, "sorted", no_order_check, raising=False)
         assert [read(m) for read in reads] == expected
-        for c in copies + [t]:
-            for read in reads:
-                with pytest.raises(AssertionError, match="order check"):
-                    read(c)
+        for c in copies:
+            assert [read(c) for read in reads] == expected
+        assert [read(t) for read in reads] == t_reads
 
-    def test_mark_is_not_a_field(self):
+    def test_equality_ignores_how_a_table_was_built(self):
         B = build_B(parse_polynomial("x1 - 1"))
         copy = IncompleteMatrix(B.row_labels, B.col_labels, dict(B.data))
-        assert B._row_major and not copy._row_major and copy == B
-        assert [f.name for f in dataclasses.fields(B)] == ["row_labels", "col_labels", "data"]
-        assert build_C(B)._row_major and not build_C(copy)._row_major
-        assert not IncompleteMatrix.from_dense([[1, 0], [0, 1]])._row_major
-        assert not B.transpose()._row_major
+        assert copy == B and copy is not B
+        assert parse_matrix(write_matrix(B)).matrix == B
+        assert build_C(copy) == build_C(B)
+        assert B.transpose() == IncompleteMatrix(B.col_labels, B.row_labels, transposed_items(B))
+        dense = IncompleteMatrix.from_dense([[1, 0], [0, 1]])
+        assert dense == IncompleteMatrix(("r0", "r1"), ("c0", "c1"),
+                                         {("r1", "c1"): 1, ("r0", "c0"): 1})
 
     @pytest.mark.parametrize("name", TABLES)
     def test_entries_row_major(self, tables, name):
@@ -558,7 +587,7 @@ class TestRowMajorTables:
         # each copy's entries() is walked once, holding no list of its pairs
         m, t = tables[name], transposed(tables[name])
         t_order = row_major(t, t.data)
-        assert list(t.data) != t_order
+        assert list(transposed_items(m)) != t_order
         for copies, order in (((m, shuffled(m, 1), shuffled(m, 2)), row_major(m, m.data)),
                               ((t, shuffled(t, 3)), t_order)):
             for c in copies:
@@ -567,6 +596,28 @@ class TestRowMajorTables:
                     assert c.data[rc] is v
                     keys.append(rc)
                 assert keys == order
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_reordered_files_parse_to_the_table(self, tables, name, monkeypatch):
+        # A file whose data lines are shuffled, or in column-major order,
+        # parses in the column pass (the per-line reader is never reached)
+        # to a matrix equal to the table, which writes back the same bytes.
+        m = tables[name]
+        text = write_any(m)
+        lines = text.splitlines(keepends=True)
+        head = 1 + m.nrows + m.ncols  # the header and the label lines
+        body = lines[head:]
+        rpos = {l: i for i, l in enumerate(m.row_labels)}
+        cpos = {l: j for j, l in enumerate(m.col_labels)}
+        shuffled_body = body[:]
+        random.Random(5).shuffle(shuffled_body)
+        column_major = sorted(body, key=lambda ln: (cpos[ln.split()[1]], rpos[ln.split()[0]]))
+        monkeypatch.setattr(matrices, "_parse_matrix_text", no_order_check)
+        for reordered in (shuffled_body, column_major):
+            assert reordered != body
+            got = parse_text(m, "".join(lines[:head] + reordered))
+            assert got == m
+            assert write_any(got) == text
 
     def test_entries_of_a_non_square_matrix(self):
         m = IncompleteMatrix(("r2", "r0", "r1"), ("c1", "c0"), {
@@ -586,7 +637,7 @@ class TestRowMajorTables:
         for seed in (1, 2, 3):
             assert shuffled(B, seed).unknown_positions() == expected
         T = B.transpose()
-        assert list(T.data) != row_major(T, T.data)
+        assert list(B.cols) != sorted(B.cols)  # the transpose reorders B's entries
         assert T.unknown_positions() == reference_unknown_positions(T)
 
     def test_unknown_positions_of_a_non_square_matrix(self):
@@ -600,6 +651,71 @@ class TestRowMajorTables:
         assert shuffled(m, 4).unknown_positions() == expected
         T = m.transpose()
         assert T.unknown_positions() == reference_unknown_positions(T)
+
+
+# ---------------------------------------------------------------------------
+# A rejected file reports its first error in file order
+# ---------------------------------------------------------------------------
+
+def corrupt(text, how):
+    """``text`` with its middle data line broken in the way ``how`` names."""
+    lines = text.splitlines(keepends=True)
+    data = [i for i, ln in enumerate(lines)
+            if len(ln.split()) == 3 and ln.split()[0] not in ("row", "col")]
+    mid = data[len(data) // 2]
+    r, c, v = lines[mid].split()
+    if how in ("repeated", "repeated-then-malformed"):
+        lines.insert(data[-1] + 1, lines[mid])
+    if how == "repeated-then-malformed":
+        lines.append("a b c d\n")
+    if how == "undeclared":
+        lines[mid] = f"zz {c} {v}\n"
+    if how == "negative":
+        lines[mid] = f"{r} {c} -1/2\n"
+    if how == "mark":
+        lines[mid] = f"{r} {c} ?\n"
+    return "".join(lines)
+
+
+# The error code and message of each case, as the per-line reader gave them
+# before the column pass existed.  P(1) fits one block of text; M of x1 - 1
+# spans many, and its middle line lies deep inside the column pass.
+PARITY_CASES = {
+    ("P(1)", "repeated"): ("parse", "repeated coordinate in line '2 1 1/1'"),
+    ("P(1)", "undeclared"): ("parse", "entry ('zz', '1') is outside the label sets"),
+    ("P(1)", "negative"): ("parse", "negative entry -1/2 at ('2', '1')"),
+    ("P(1)", "mark"): ("usage", "file holds an incomplete matrix, not an instance"),
+    ("P(1)", "repeated-then-malformed"): ("parse", "repeated coordinate in line '2 1 1/1'"),
+    ("M[x1-1]", "repeated"): (
+        "parse", "repeated coordinate in line 'e2[7635] e2[7635] 144/1'"),
+    ("M[x1-1]", "undeclared"): (
+        "parse", "entry ('zz', 'e2[7635]') is outside the label sets"),
+    ("M[x1-1]", "negative"): ("parse", "negative entry -1/2 at ('e2[7635]', 'e2[7635]')"),
+    ("M[x1-1]", "mark"): ("usage", "file holds an incomplete matrix, not an instance"),
+    ("M[x1-1]", "repeated-then-malformed"): (
+        "parse", "repeated coordinate in line 'e2[7635] e2[7635] 144/1'"),
+}
+
+
+@pytest.fixture(scope="module")
+def parity_sources():
+    return {"P(1)": write_matrix(build_P(1)),
+            "M[x1-1]": write_matrix(reduce(parse_polynomial("x1 - 1")).M, target_rank=5)}
+
+
+@pytest.mark.parametrize("source, how", list(PARITY_CASES))
+def test_rejected_file_reports_as_the_per_line_reader(parity_sources, source, how,
+                                                      tmp_path, capsys):
+    code, message = PARITY_CASES[(source, how)]
+    text = corrupt(parity_sources[source], how)
+    with pytest.raises(ValueError) as got:
+        parse_matrix(text).instance
+    assert str(got.value) == message
+    assert isinstance(got.value, ParseError) == (code == "parse")
+    (tmp_path / "A.mtx").write_text(text)
+    (tmp_path / "F.fac").write_text("")
+    assert main(["verify", str(tmp_path / "A.mtx"), str(tmp_path / "F.fac")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f'error code={code} msg="{message}"'
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import time
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -320,7 +321,8 @@ class TestValidation:
 
     def test_negative_entries_cannot_occur_but_guarded(self):
         # InstanceMatrix already rejects negatives; the guard is for raw dicts
-        m = InstanceMatrix(("a",), ("a",), {})
-        m.data[("a", "a")] = Fraction(-1)  # bypass the constructor on purpose
+        # built through the columns, which bypass the constructor on purpose
+        m = InstanceMatrix._from_columns(("a",), ("a",), array("q", [0, 1]), array("q", [0]),
+                                         [Fraction(-1)])
         with pytest.raises(ValueError, match="nonnegative"):
             psd_rank_search(m, 2)
