@@ -37,22 +37,20 @@ trip) and then coordinate lines ``<row-label> <col-label> <value>`` where a
 value is ``p/q``, ``?`` (unknown), ``*`` (nonzero unknown) or a compact
 polynomial.  Labels contain no whitespace.  The writer yields the text in
 blocks of lines (``matrix_blocks``), so a caller can stream it to a file,
-and the readers take it one block of lines at a time (``nonblank_lines``).
-A reader maps each block's labels to positions in C-level passes; a file
-that pass does not take whole (any rejected line among them) is read again
-line by line, which names its first error in file order.
+and the readers walk it once, a block of lines at a time; the matrix reader
+(``_MatrixReader``) names a rejected file's first faulty line in file order.
 """
 
 from __future__ import annotations
 
 import functools
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, pairwise, repeat, takewhile
+from itertools import accumulate, chain, compress, count, islice, pairwise, repeat, takewhile
 from operator import add, is_, itemgetter, lt, mul, sub
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
@@ -564,176 +562,176 @@ class ParsedMatrix:
         return self.matrix
 
 
-def _read_labels(indices: List[str], names: List[str], n: int) -> Tuple[str, ...]:
-    """The labels of ``n`` label lines by index; ValueError unless the
-    indices are 0..n-1 once each."""
-    at = list(map(int, indices))
-    if len(at) != n:
-        raise ValueError("label lines do not cover the dimension")
-    if at != list(range(n)):
-        if sorted(at) != list(range(n)):
-            raise ValueError("label lines do not cover the dimension")
-        names = [name for _, name in sorted(zip(at, names))]
-    return tuple(names)
+def _by_index(at: List[int], names: List[str], n: int) -> Optional[Tuple[str, ...]]:
+    """``names`` in the order of their indices ``at``, or None unless those
+    are 0..n-1 once each; a declared dimension alone builds no list."""
+    if len(at) == n and at == list(range(n)):
+        return tuple(names)
+    if len(at) == n and sorted(at) == list(range(n)):
+        return tuple(name for _, name in sorted(zip(at, names)))
+    return None
 
 
-def _read_columns(text: str, header: str, entry: Callable[[str], object]) -> Tuple[
-        Optional[int], Tuple[str, ...], Tuple[str, ...], array, array, List[object]]:
-    """The column pass of both readers: the ``r`` target, the labels and
-    the columns of a file whose label lines all precede its coordinate
-    lines.  A block of text whose every nonblank line has three tokens is
-    split once, as a whole, and its three token columns are read off by
-    slices and mapped to positions by C-level passes; only a block with
-    another line (the header's block) is walked line by line.  Raises
-    ValueError, KeyError (an undeclared label) or OverflowError for every
-    file it does not take whole, rejected or not; the per-line reader then
-    reads that file again."""
-    target_rank: Optional[int] = None
-    indices: Dict[str, List[str]] = {"row": [], "col": []}
-    names: Dict[str, List[str]] = {"row": [], "col": []}
-    dims: Optional[Tuple[int, int]] = None
-    labels: Optional[List[Tuple[str, ...]]] = None  # set by the first coordinate line
-    ri, ci, values = array("q"), array("q"), []
-    convert = functools.cache(entry)
-    for piece in _blocks(text, READ_BLOCK_CHARS):
-        lines = piece.splitlines()
-        if dims is not None and set(map(len, map(str.split, lines))) <= {0, 3}:
-            tokens = piece.split()
-            a, b, c = tokens[0::3], tokens[1::3], tokens[2::3]
-        else:
-            a, b, c = [], [], []
-            for p in filter(None, map(str.split, lines)):
-                if dims is None:
-                    if p[:2] != header.split() or len(p) != 4:
-                        raise ValueError("header")
-                    dims = int(p[2]), int(p[3])
-                    if min(dims) < 0:
-                        raise ValueError("header")
+class _MatrixReader:
+    """The one reader of both matrix formats.  ``read`` walks ``text`` once
+    and returns the ``r`` target and the matrix, of class ``kind(values)``.
+
+    A block's lines after its last line without three tokens take the block
+    path ``_block``, split once and mapped to label ids and values by
+    C-level passes; every other line, and a block that path refuses, takes
+    the per-line branch ``_lines``, the only place a line is rejected.  Ids
+    are label positions when the label lines before the first coordinate
+    cover the dimensions, else numbers in order of first use.  Only a file
+    read by positions with values the class stores as they are skips the
+    dict constructor, which names the first bad entry in file order.
+    """
+
+    def __init__(self, text: str, header: str, entry: Callable[[str], object],
+                 kind: Callable[[List[object]], type]) -> None:
+        self.text, self.header, self.kind = text, header, kind
+        self.entry = functools.cache(entry)  # few distinct values fill a file
+        self.dims: Optional[Tuple[int, int]] = None
+        self.target_rank: Optional[int] = None
+        self.index: Dict[str, List[int]] = {"row": [], "col": []}  # label lines
+        self.names: Dict[str, List[str]] = {"row": [], "col": []}
+        self.rid = self.cid = None  # label -> id maps, set at the first coordinate line
+        self.ri, self.ci, self.values = array("q"), array("q"), []
+        # per block: its span of text and the row, col and coordinate lines before it
+        self.spans: List[Tuple[int, int, int, int, int]] = []
+
+    def read(self) -> Tuple[Optional[int], _SparseMatrix]:
+        end = 0
+        for piece in _blocks(self.text, READ_BLOCK_CHARS):
+            start, end = end, end + len(piece)
+            self.spans.append((start, end, *map(len, self.index.values()), len(self.ri)))
+            lines = piece.splitlines()
+            cut = 0 if self.dims and {0, 3}.issuperset(map(len, map(str.split, lines))) else max(
+                (i + 1 for i, ln in enumerate(lines) if len(ln.split()) not in (0, 3)),
+                default=len(lines))
+            self._lines(lines[:cut])
+            self._block(lines[cut:])
+        return self._finish()
+
+    def _lines(self, lines: List[str]) -> None:
+        """The per-line branch: ``lines`` one at a time, in file order."""
+        for ln in filter(str.strip, lines):
+            p = ln.split()
+            try:
+                if self.dims is None:
+                    if p[:2] != self.header.split():
+                        raise ParseError(f"missing '{self.header}' header")
+                    if len(p) != 4:
+                        raise ValueError("expected 4 tokens")
+                    if min(dims := (int(p[2]), int(p[3]))) < 0:
+                        raise ValueError("negative dimension")
+                    self.dims = dims
+                elif len(p) == 3 and p[0] in self.index:
+                    self.index[p[0]].append(int(p[1]))
+                    self.names[p[0]].append(p[2])
                 elif len(p) == 3:
-                    a.append(p[0])
-                    b.append(p[1])
-                    c.append(p[2])
-                elif (len(p) == 2 and p[0] == "r" and header == MATRIX_HEADER
-                      and target_rank is None):
-                    target_rank = int(p[1])
-                    if target_rank < 0:
-                        raise ValueError("r line")
+                    if self.rid is None:
+                        self._start()
+                    self.ri.append(self.rid.setdefault(p[0], len(self.rid)))
+                    self.ci.append(self.cid.setdefault(p[1], len(self.cid)))
+                    self.values.append(self.entry(p[2]))
+                elif len(p) == 2 and p[0] == "r" and self.header == MATRIX_HEADER:
+                    if self.target_rank is not None:
+                        raise ParseError(f"repeated r line {ln!r}")
+                    self.target_rank = int(p[1])
+                    if self.target_rank < 0:
+                        raise ParseError(f"negative target rank in line {ln!r}")
                 else:
-                    raise ValueError("line")
-        if not indices.keys().isdisjoint(a):
-            if labels is not None:
-                raise ValueError("label line after a coordinate line")
-            n = (len(a) if indices.keys() >= set(a)  # the block's label lines
-                 else sum(1 for _ in takewhile(indices.__contains__, a)))
-            for kind, ix in indices.items():
-                mine = list(map(kind.__eq__, a[:n]))
-                ix += compress(b, mine)
-                names[kind] += compress(c, mine)
+                    raise ParseError(f"malformed matrix line: {ln!r}")
+            except ParseError as e:
+                self._fail(str(e))
+            except ValueError as e:
+                self._fail(f"malformed matrix {'line' if self.dims else 'header'}: {ln!r} ({e})")
+
+    def _block(self, lines: List[str]) -> None:
+        """The block path, for lines of three tokens after the header."""
+        tokens = " ".join(lines).split()
+        a, b, c = tokens[0::3], tokens[1::3], tokens[2::3]
+        kinds = self.index.keys()
+        n = 0  # the block's leading label lines
+        if not kinds.isdisjoint(a):
+            n = len(a) if kinds >= set(a) else sum(1 for _ in takewhile(kinds.__contains__, a))
+            masks = [list(map(k.__eq__, a[:n])) for k in kinds]
+            try:
+                if self.rid is not None or not kinds.isdisjoint(a[n:]):
+                    raise ValueError("a label line after a coordinate line")
+                found = [list(map(int, compress(b, mask))) for mask in masks]
+            except ValueError:
+                return self._lines(lines)
+            for k, mask, at in zip(kinds, masks, found):
+                self.index[k] += at
+                self.names[k] += compress(c, mask)
             a, b, c = a[n:], b[n:], c[n:]
-            if not indices.keys().isdisjoint(a):
-                raise ValueError("label line after a coordinate line")
-        if not a:
-            continue
-        if labels is None:
-            labels = [_read_labels(indices[kind], names[kind], n)
-                      for kind, n in zip(indices, dims)]
-            rpos = {l: i for i, l in enumerate(labels[0])}
-            cpos = rpos if labels[1] == labels[0] else {l: j for j, l in enumerate(labels[1])}
-        ri.extend(map(rpos.__getitem__, a))
-        ci.extend(map(cpos.__getitem__, b))
-        values += map(convert, c)
-    if dims is None:
-        raise ValueError("header")
-    if labels is None:
-        labels = [_read_labels(indices[kind], names[kind], n) for kind, n in zip(indices, dims)]
-    columns = _csr(dims[0], dims[1], ri, ci, values)
-    if columns is None:
-        raise ValueError("repeated coordinate")
-    return (target_rank, *labels, *columns)
+        if a:
+            if self.rid is None:
+                self._start()
+            m = len(self.values)
+            try:
+                self.ri.extend(map(self.rid.__getitem__, a))
+                self.ci.extend(map(self.cid.__getitem__, b))
+                self.values += map(self.entry, c)
+            except (KeyError, ValueError):  # undo the block's entries, then read it line by line
+                del self.ri[m:], self.ci[m:], self.values[m:]
+                return self._lines(list(filter(str.strip, lines))[n:])
 
+    def _labels(self) -> List[Optional[Tuple[str, ...]]]:
+        return [_by_index(self.index[k], self.names[k], n) for k, n in zip(self.index, self.dims)]
 
-def _parse_matrix_text(text: str, header: str, entry: Callable[[str], object]) -> Tuple[
-        Optional[int], Tuple[str, ...], Tuple[str, ...], Dict[Tuple[str, str], object]]:
-    """The per-line reader of both matrix formats, for files the column
-    pass does not take: returns the ``r`` target (only ``MATRIX_HEADER``
-    files may carry one), the row and column labels and the coordinate
-    entries converted by ``entry``.  Every rejected line, including a
-    repeated label index or coordinate, raises ParseError naming it."""
-    lines = nonblank_lines(text)
-    first = next(lines, "")
-    head = first.split()
-    if head[:2] != header.split():
-        raise ParseError(f"missing '{header}' header")
-    try:
-        if len(head) != 4:
-            raise ValueError("expected 4 tokens")
-        nrows, ncols = int(head[2]), int(head[3])
-        if nrows < 0 or ncols < 0:
-            raise ValueError("negative dimension")
-    except ValueError as e:
-        raise ParseError(f"malformed matrix header: {first!r} ({e})") from None
-    target_rank: Optional[int] = None
-    labels: Dict[str, Dict[int, str]] = {"row": {}, "col": {}}
-    data: Dict[Tuple[str, str], object] = {}
-    # Few distinct values fill most of a file: convert each token once.  The
-    # keys share one string object per label rather than two fresh ones per
-    # line (about 28 MB on M of x1*x1 - 1).
-    entry = functools.cache(entry)
-    names: Dict[str, str] = {}
-    for ln in lines:
-        parts = ln.split()
+    def _start(self) -> None:
+        """Number the labels at the first coordinate line: by position where
+        the label lines so far cover a dimension, else by first use."""
+        rows, cols = (labels or () for labels in self._labels())
+        self.rid = dict(zip(rows, count()))
+        self.cid = self.rid if cols == rows else dict(zip(cols, count()))
+        if len(self.rid) < len(rows) or len(self.cid) < len(cols):  # a repeated label
+            self.rid = self.cid = {}
+
+    def _fail(self, message: Optional[str]) -> None:
+        """Raise ParseError for the first line read so far that repeats an
+        earlier label index or coordinate, else for ``message`` (if any)."""
+        repeats = []
+        for column, kind, items in zip((2, 3, 4), ("row", "col", None),
+                                       (*self.index.values(), zip(self.ri, self.ci))):
+            seen: set = set()  # add returns None: stops at the first item seen before
+            i = next((i for i, x in enumerate(items) if x in seen or seen.add(x)), None)
+            if i is not None:  # split again only the block that holds line i
+                k = bisect_right([span[column] for span in self.spans], i) - 1
+                lines = filter(str.strip, self.text[slice(*self.spans[k][:2])].splitlines())
+                hits = [(n, ln) for n, ln in enumerate(lines) if len(p := ln.split()) == 3
+                        and (p[0] if p[0] in self.index else None) == kind]
+                n, ln = hits[i - self.spans[k][column]]
+                what = f"{kind} index" if kind else "coordinate"
+                repeats.append((k, n, f"repeated {what} in line {ln!r}"))
+        if repeats:
+            message = min(repeats)[2]
+        if message is not None:
+            raise ParseError(message) from None
+
+    def _finish(self) -> Tuple[Optional[int], _SparseMatrix]:
+        if self.dims is None:
+            raise ParseError(f"missing '{self.header}' header")
+        if self.rid is None:
+            self._start()
+        rows, cols = self._labels()
+        columns = (_csr(*self.dims, self.ri, self.ci, self.values)  # ids are positions
+                   if rows == tuple(self.rid) and cols == tuple(self.cid) else None)
+        if columns is None:
+            self._fail(None)
+        if rows is None or cols is None:
+            raise ParseError("row/col label lines do not cover the declared dimensions")
+        cls = self.kind(self.values)
         try:
-            if len(parts) == 3 and parts[0] in labels:
-                table = labels[parts[0]]
-                index = int(parts[1])
-                if index in table:
-                    raise ParseError(f"repeated {parts[0]} index in line {ln!r}")
-                table[index] = parts[2]
-            elif len(parts) == 3:
-                rc = (names.setdefault(parts[0], parts[0]),
-                      names.setdefault(parts[1], parts[1]))
-                if rc in data:
-                    raise ParseError(f"repeated coordinate in line {ln!r}")
-                data[rc] = entry(parts[2])
-            elif len(parts) == 2 and parts[0] == "r" and header == MATRIX_HEADER:
-                if target_rank is not None:
-                    raise ParseError(f"repeated r line {ln!r}")
-                target_rank = int(parts[1])
-                if target_rank < 0:
-                    raise ParseError(f"negative target rank in line {ln!r}")
-            else:
-                raise ParseError(f"malformed matrix line: {ln!r}")
-        except ParseError:
-            raise
+            if columns is not None and cls._clean(_distinct(self.values)):
+                return self.target_rank, cls._from_columns(rows, cols, *columns)
+            rl, cl = list(self.rid), list(self.cid)
+            keys = zip(map(rl.__getitem__, self.ri), map(cl.__getitem__, self.ci))
+            return self.target_rank, cls(rows, cols, dict(zip(keys, self.values)))
         except ValueError as e:
-            raise ParseError(f"malformed matrix line: {ln!r} ({e})") from None
-    rows, cols = labels["row"], labels["col"]
-    # the lengths first: a declared dimension alone builds no list
-    if (len(rows) != nrows or len(cols) != ncols
-            or sorted(rows) != list(range(nrows)) or sorted(cols) != list(range(ncols))):
-        raise ParseError("row/col label lines do not cover the declared dimensions")
-    return (target_rank, tuple(rows[i] for i in range(nrows)),
-            tuple(cols[j] for j in range(ncols)), data)
-
-
-def _parse(text: str, header: str, entry: Callable[[str], object],
-           kind: Callable[[List[object]], type]) -> Tuple[Optional[int], _SparseMatrix]:
-    """The ``r`` target and the matrix of a file, of class ``kind(values)``.
-    The column pass reads every file it takes whole whose values the class
-    stores as they are; any other file goes through the per-line reader
-    and the constructor, which raise the ParseError the file earns."""
-    try:
-        target_rank, rows, cols, starts, colpos, values = _read_columns(text, header, entry)
-        cls = kind(values)
-        if cls._clean(_distinct(values)):
-            return target_rank, cls._from_columns(rows, cols, starts, colpos, values)
-    except (ValueError, KeyError, OverflowError):
-        pass  # the per-line reader below names the first error in file order
-    target_rank, rows, cols, data = _parse_matrix_text(text, header, entry)
-    try:
-        return target_rank, kind(data.values())(rows, cols, data)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+            raise ParseError(str(e)) from None
 
 
 _MARKS = {"?": UNKNOWN, "*": NONZERO_UNKNOWN}
@@ -749,10 +747,11 @@ def _matrix_kind(values: Iterable[object]) -> type:
 
 
 def parse_matrix(text: str) -> ParsedMatrix:
-    target_rank, matrix = _parse(text, MATRIX_HEADER, _matrix_token, _matrix_kind)
+    target_rank, matrix = _MatrixReader(text, MATRIX_HEADER, _matrix_token, _matrix_kind).read()
     return ParsedMatrix(matrix, target_rank)
 
 
 def parse_polynomial_matrix(text: str) -> PolynomialMatrix:
     """Read back a polynomial matrix file; absent entries are zero."""
-    return _parse(text, POLYMATRIX_HEADER, parse_polynomial, lambda values: PolynomialMatrix)[1]
+    return _MatrixReader(text, POLYMATRIX_HEADER, parse_polynomial,
+                         lambda values: PolynomialMatrix).read()[1]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import sys
@@ -447,18 +448,31 @@ TABLES = ("A", "B", "B_square", "C", "B'", "M")
 
 @pytest.fixture(scope="module", params=list(ROOTS))
 def tables(request):
-    """A, B under both zero tests, C, B' at a root, and M for one f."""
+    """A, B under both zero tests, C, B' at a root, and M for one f, frozen
+    out of cyclic garbage collection while the module's tests use them."""
     f = parse_polynomial(request.param)
     B = build_B(f)
     xi = Assignment.exact({xvar(i): Fraction(x) for i, x in ROOTS[request.param].items()})
-    return {"A": build_A(f), "B": B, "B_square": build_B(f, True), "C": build_C(B),
-            "B'": completion_from_root(f, xi).matrix, "M": reduce(f).M}
+    built = {"A": build_A(f), "B": B, "B_square": build_B(f, True), "C": build_C(B),
+             "B'": completion_from_root(f, xi).matrix, "M": reduce(f).M}
+    gc.freeze()
+    yield built
+    gc.unfreeze()
 
 
 def row_major(m, keys):
     rpos = {l: i for i, l in enumerate(m.row_labels)}
     cpos = {l: j for j, l in enumerate(m.col_labels)}
     return sorted(keys, key=lambda rc: (rpos[rc[0]], cpos[rc[1]]))
+
+
+@pytest.fixture(scope="module")
+def orders(tables):
+    """The reference orders of each table: its keys, and its transpose's, in
+    row-major label order."""
+    return {name: (row_major(m, m.data),
+                   row_major(IncompleteMatrix(m.col_labels, m.row_labels), transposed_items(m)))
+            for name, m in tables.items()}
 
 
 def shuffled(m, seed):
@@ -521,10 +535,10 @@ def reference_unknown_positions(m):
 
 class TestRowMajorTables:
     @pytest.mark.parametrize("name", TABLES)
-    def test_stored_row_major(self, tables, name):
+    def test_stored_row_major(self, tables, orders, name):
         m = tables[name]
         assert m.data
-        assert list(m.data) == row_major(m, m.data)
+        assert list(m.data) == orders[name][0]
 
     @pytest.mark.parametrize("name", TABLES)
     def test_written_without_the_sort(self, tables, name, monkeypatch):
@@ -544,7 +558,7 @@ class TestRowMajorTables:
                 read(shuffled(m, 1))
 
     @pytest.mark.parametrize("name", TABLES)
-    def test_built_tables_skip_the_order_check(self, tables, name, monkeypatch):
+    def test_built_tables_skip_the_order_check(self, tables, orders, name, monkeypatch):
         # No reader checks or sorts the order of any matrix: a table the
         # package builds, a copy rebuilt from a dict in order, one written and
         # read back, and the transpose, whose dict comes in column-major
@@ -558,7 +572,7 @@ class TestRowMajorTables:
         t = m.transpose() if isinstance(m, IncompleteMatrix) else transposed(m)
         t_items = transposed_items(m)
         in_order = type(t)(t.row_labels, t.col_labels,
-                           {rc: t_items[rc] for rc in row_major(t, t_items)})
+                           {rc: t_items[rc] for rc in orders[name][1]})
         assert list(t_items) != list(in_order.data)
         t_reads = [read(t) for read in reads]
         assert t_reads == [read(in_order) for read in reads]
@@ -582,13 +596,13 @@ class TestRowMajorTables:
                                          {("r1", "c1"): 1, ("r0", "c0"): 1})
 
     @pytest.mark.parametrize("name", TABLES)
-    def test_entries_row_major(self, tables, name):
+    def test_entries_row_major(self, tables, orders, name):
         # m and its shuffles share one reference order, the transposes another;
         # each copy's entries() is walked once, holding no list of its pairs
         m, t = tables[name], transposed(tables[name])
-        t_order = row_major(t, t.data)
+        m_order, t_order = orders[name]
         assert list(transposed_items(m)) != t_order
-        for copies, order in (((m, shuffled(m, 1), shuffled(m, 2)), row_major(m, m.data)),
+        for copies, order in (((m, shuffled(m, 1), shuffled(m, 2)), m_order),
                               ((t, shuffled(t, 3)), t_order)):
             for c in copies:
                 keys = []
@@ -600,8 +614,9 @@ class TestRowMajorTables:
     @pytest.mark.parametrize("name", TABLES)
     def test_reordered_files_parse_to_the_table(self, tables, name, monkeypatch):
         # A file whose data lines are shuffled, or in column-major order,
-        # parses in the column pass (the per-line reader is never reached)
-        # to a matrix equal to the table, which writes back the same bytes.
+        # parses in the block path (the per-line branch reads the header
+        # and no other line) to a matrix equal to the table, which writes
+        # back the same bytes.
         m = tables[name]
         text = write_any(m)
         lines = text.splitlines(keepends=True)
@@ -612,10 +627,19 @@ class TestRowMajorTables:
         shuffled_body = body[:]
         random.Random(5).shuffle(shuffled_body)
         column_major = sorted(body, key=lambda ln: (cpos[ln.split()[1]], rpos[ln.split()[0]]))
-        monkeypatch.setattr(matrices, "_parse_matrix_text", no_order_check)
+        per_line = []
+        read_lines = matrices._MatrixReader._lines
+
+        def recorded(reader, lines):
+            per_line.extend(lines)
+            return read_lines(reader, lines)
+
+        monkeypatch.setattr(matrices._MatrixReader, "_lines", recorded)
         for reordered in (shuffled_body, column_major):
             assert reordered != body
+            per_line.clear()
             got = parse_text(m, "".join(lines[:head] + reordered))
+            assert per_line == [lines[0].rstrip("\n")]
             assert got == m
             assert write_any(got) == text
 
@@ -658,28 +682,56 @@ class TestRowMajorTables:
 # ---------------------------------------------------------------------------
 
 def corrupt(text, how):
-    """``text`` with its middle data line broken in the way ``how`` names."""
+    """``text`` with its middle data line (or its header, a label line or
+    its ``r`` line) broken or moved in the way ``how`` names."""
     lines = text.splitlines(keepends=True)
-    data = [i for i, ln in enumerate(lines)
-            if len(ln.split()) == 3 and ln.split()[0] not in ("row", "col")]
+    parts = [ln.split() for ln in lines]
+    data = [i for i, p in enumerate(parts) if len(p) == 3 and p[0] not in ("row", "col")]
+    labels = [i for i, p in enumerate(parts) if len(p) == 3 and p[0] in ("row", "col")]
+    rows = [i for i in labels if parts[i][0] == "row"]
     mid = data[len(data) // 2]
-    r, c, v = lines[mid].split()
+    r, c, v = parts[mid]
     if how in ("repeated", "repeated-then-malformed"):
         lines.insert(data[-1] + 1, lines[mid])
-    if how == "repeated-then-malformed":
+    if how in ("repeated-then-malformed", "undeclared-then-malformed"):
         lines.append("a b c d\n")
-    if how == "undeclared":
+    if how in ("undeclared", "undeclared-then-malformed"):
         lines[mid] = f"zz {c} {v}\n"
     if how == "negative":
         lines[mid] = f"{r} {c} -1/2\n"
     if how == "mark":
         lines[mid] = f"{r} {c} ?\n"
+    if how == "bad-value":
+        lines[mid] = f"{r} {c} 1/x\n"
+    if how == "header":
+        lines[0] = " ".join(parts[0][:2] + ["3x"] + parts[0][3:]) + "\n"
+    if how == "zero":  # a zero at the first column the middle line's row leaves empty
+        taken = {(p[0], p[1]) for p in map(parts.__getitem__, data)}
+        free = next(p[2] for p in parts if p[:1] == ["col"] and (r, p[2]) not in taken)
+        lines.insert(mid + 1, f"{r} {free} 0/1\n")
+    if how == "repeated-row":
+        lines.insert(labels[-1] + 1, lines[rows[len(rows) // 2]])
+    if how == "repeated-r":
+        lines.insert(data[-1] + 1, "r 8\n")
+        lines.insert(mid + 1, "r 7\n")
+    if how == "negative-r":
+        if parts[1][0] == "r":
+            lines[1] = "r -1\n"
+        else:
+            lines.insert(mid + 1, "r -1\n")
+    if how == "row-moved":
+        lines.append(lines.pop(rows[0]))
+    if how == "data-first":
+        lines = (lines[:labels[0]] + [lines[i] for i in data]
+                 + [lines[i] for i in labels])
     return "".join(lines)
 
 
 # The error code and message of each case, as the per-line reader gave them
-# before the column pass existed.  P(1) fits one block of text; M of x1 - 1
-# spans many, and its middle line lies deep inside the column pass.
+# (the first ten were pinned before the block path existed), or None for a
+# file that parses equal to the file it was made from.  P(1) fits one block
+# of text; M of x1 - 1 and A of x1 - 1 span many, and their middle line
+# lies deep inside the block path.
 PARITY_CASES = {
     ("P(1)", "repeated"): ("parse", "repeated coordinate in line '2 1 1/1'"),
     ("P(1)", "undeclared"): ("parse", "entry ('zz', '1') is outside the label sets"),
@@ -694,28 +746,93 @@ PARITY_CASES = {
     ("M[x1-1]", "mark"): ("usage", "file holds an incomplete matrix, not an instance"),
     ("M[x1-1]", "repeated-then-malformed"): (
         "parse", "repeated coordinate in line 'e2[7635] e2[7635] 144/1'"),
+    ("P(1)", "row-moved"): None,
+    ("P(1)", "data-first"): None,
+    ("P(1)", "zero"): None,
+    ("P(1)", "repeated-row"): ("parse", "repeated row index in line 'row 1 2'"),
+    ("P(1)", "repeated-r"): ("parse", "repeated r line 'r 8'"),
+    ("P(1)", "negative-r"): ("parse", "negative target rank in line 'r -1'"),
+    ("P(1)", "header"): ("parse", "malformed matrix header: 'psdrank-matrix v1 3x 3' "
+                                  "(invalid literal for int() with base 10: '3x')"),
+    ("P(1)", "bad-value"): ("parse", "malformed matrix line: '2 1 1/x' "
+                                     "(invalid literal for int() with base 10: 'x')"),
+    ("P(1)", "undeclared-then-malformed"): ("parse", "malformed matrix line: 'a b c d'"),
+    ("M[x1-1]", "row-moved"): None,
+    ("M[x1-1]", "data-first"): None,
+    ("M[x1-1]", "zero"): None,
+    ("M[x1-1]", "repeated-row"): ("parse", "repeated row index in line 'row 9555 e2[63]'"),
+    ("M[x1-1]", "repeated-r"): ("parse", "repeated r line 'r 7'"),
+    ("M[x1-1]", "negative-r"): ("parse", "negative target rank in line 'r -1'"),
+    ("M[x1-1]", "header"): ("parse", "malformed matrix header: 'psdrank-matrix v1 3x 19111' "
+                                     "(invalid literal for int() with base 10: '3x')"),
+    ("M[x1-1]", "bad-value"): ("parse", "malformed matrix line: 'e2[7635] e2[7635] 1/x' "
+                                        "(invalid literal for int() with base 10: 'x')"),
+    ("M[x1-1]", "undeclared-then-malformed"): ("parse", "malformed matrix line: 'a b c d'"),
+    ("A[x1-1]", "repeated"): (
+        "parse", "repeated coordinate in line '(1,1,-x1+1) (1,0,0) 1'"),
+    ("A[x1-1]", "undeclared"): ("parse", "entry ('zz', '(1,0,0)') is outside the label sets"),
 }
+REJECTED = [case for case, outcome in PARITY_CASES.items() if outcome]
+ACCEPTED = [case for case, outcome in PARITY_CASES.items() if not outcome]
 
 
 @pytest.fixture(scope="module")
 def parity_sources():
     return {"P(1)": write_matrix(build_P(1)),
-            "M[x1-1]": write_matrix(reduce(parse_polynomial("x1 - 1")).M, target_rank=5)}
+            "M[x1-1]": write_matrix(reduce(parse_polynomial("x1 - 1")).M, target_rank=5),
+            "A[x1-1]": write_polynomial_matrix(build_A(parse_polynomial("x1 - 1")))}
 
 
-@pytest.mark.parametrize("source, how", list(PARITY_CASES))
+def read_source(source, text):
+    """``text`` read by the reader of ``source``'s format: a polynomial
+    matrix, or the instance a matrix file must hold."""
+    if source.startswith("A["):
+        return parse_polynomial_matrix(text)
+    return parse_matrix(text).instance
+
+
+@pytest.mark.parametrize("source, how", REJECTED)
 def test_rejected_file_reports_as_the_per_line_reader(parity_sources, source, how,
                                                       tmp_path, capsys):
     code, message = PARITY_CASES[(source, how)]
     text = corrupt(parity_sources[source], how)
     with pytest.raises(ValueError) as got:
-        parse_matrix(text).instance
+        read_source(source, text)
     assert str(got.value) == message
     assert isinstance(got.value, ParseError) == (code == "parse")
+    if source.startswith("A["):
+        return  # no command reads a polynomial matrix file
     (tmp_path / "A.mtx").write_text(text)
     (tmp_path / "F.fac").write_text("")
     assert main(["verify", str(tmp_path / "A.mtx"), str(tmp_path / "F.fac")]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f'error code={code} msg="{message}"'
+
+
+@pytest.mark.parametrize("source, how", ACCEPTED)
+def test_reordered_file_parses_as_in_order(parity_sources, source, how):
+    # label lines after data lines and a written zero are valid
+    text = corrupt(parity_sources[source], how)
+    assert text != parity_sources[source]
+    assert parse_matrix(text) == parse_matrix(parity_sources[source])
+
+
+@pytest.mark.parametrize("source, how", [(s, None) for s in ("P(1)", "M[x1-1]", "A[x1-1]")]
+                         + list(PARITY_CASES))
+def test_each_parse_reads_the_text_once(parity_sources, source, how, monkeypatch):
+    text = parity_sources[source] if how is None else corrupt(parity_sources[source], how)
+    walks = []
+    blocks = matrices._blocks
+
+    def counted(*args):
+        walks.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(matrices, "_blocks", counted)
+    try:
+        read_source(source, text)
+    except ValueError:
+        assert how is not None and PARITY_CASES[(source, how)]
+    assert len(walks) == 1
 
 
 # ---------------------------------------------------------------------------
