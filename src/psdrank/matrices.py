@@ -19,12 +19,13 @@ layout:
 
 The columns are row-major label order itself, so every reader (the writer,
 ``unknown_positions``, ``entries``, the gadget M(S, K), the sqrt check, the
-search and full verification) walks them as stored, and none sorts.  A
-caller's dict goes through the constructor, which checks its labels once,
-every key by set containment and each distinct value object once, converts
-or rejects entry by entry only when some value needs it, and sorts only
-keys given out of row-major order.  Builders that fill rows in order (A,
-B, C, the completion B' and M) and the parser hand their columns to
+search and full verification) walks them as stored, and none sorts.  Each
+class states once, in ``_convert``, which values it stores.  A caller's
+dict (the constructor), a dense list (``from_dense``) and a parsed file give
+their entries by position to ``_fill``, which walks them in the order given
+only when some label is undeclared or some distinct value object needs it,
+and sorts only entries out of row-major order.  Builders that fill rows in
+order (A, B, C, the completion B' and M) hand their columns to
 ``_from_columns``, which checks the labels and not the entries.  ``data``
 is a read-only (row, col) -> value ``Mapping`` over the columns, for
 callers outside the package; nothing in the package reads it.
@@ -156,33 +157,19 @@ class _SparseMatrix:
     docstring; nothing changes them after construction, and matrices may
     share them (C shares B's ``starts`` and ``cols``).
 
-    The constructor takes a dict keyed by (row, col) label pairs.  It checks
-    each label once (once in all when rows and columns are equal tuples),
-    every key by set containment over its column of the keys and, through
-    ``_clean``, each distinct value object once.  Only when some value must
-    be converted, dropped or rejected, or some key lies outside the labels,
-    does ``_check_entries`` walk the entries one by one in the dict's item
-    order: it converts and drops, or rejects the first offending entry.
-    Equality compares labels and columns, so a parsed copy equals the
-    matrix it was written from however either was built.
+    The constructor takes a dict keyed by (row, col) label pairs.  Equality
+    compares labels and columns, so a parsed copy equals the matrix it was
+    written from however either was built.
     """
 
     def __init__(self, row_labels: Sequence[str], col_labels: Sequence[str],
                  data: Optional[Mapping[Tuple[str, str], Any]] = None) -> None:
-        rows, cols = _label_pair(row_labels, col_labels)
+        rows, cols = _label_pair(row_labels, col_labels)  # a bad label wins over a bad key
         data = {} if data is None else data
-        rset = set(rows)
-        cset = rset if cols is rows else set(cols)
-        if not (rset.issuperset(map(itemgetter(0), data))
-                and cset.issuperset(map(itemgetter(1), data))
-                and self._clean(_distinct(data.values()))):
-            data = self._check_entries(rset, cset, data)
-        rpos = {l: i for i, l in enumerate(rows)}
-        cpos = rpos if cols is rows else {l: j for j, l in enumerate(cols)}
-        ri = array("q", map(rpos.__getitem__, map(itemgetter(0), data)))
-        ci = array("q", map(cpos.__getitem__, map(itemgetter(1), data)))
-        # keys of a dict are distinct, so _csr always succeeds
-        self._set(rows, cols, *_csr(len(rows), len(cols), ri, ci, list(data.values())))
+        ri, ci = (array("q", map(dict(zip(labels, count())).get, map(itemgetter(k), data),
+                                 repeat(-1))) for k, labels in enumerate((rows, cols)))
+        # keys of a dict are distinct, so no position pair repeats
+        self._fill(rows, cols, data, ri, ci, list(data.values()), -1 not in ri and -1 not in ci)
 
     @classmethod
     def _from_columns(cls, row_labels: Sequence[str], col_labels: Sequence[str],
@@ -199,16 +186,42 @@ class _SparseMatrix:
         self.starts, self.cols, self.values = starts, colpos, values
 
     @classmethod
-    def _clean(cls, values: Iterable[Any]) -> bool:
-        """Whether every value may be stored as it is."""
-        return True
+    def _convert(cls, v: Any, r: str, c: str) -> Any:
+        """The entry rule: the value to store for ``v`` at (r, c), ``v``
+        itself when it may be stored as it is, or None to drop it; raises
+        ValueError for a rejected value.  Here every value is stored."""
+        return v
 
-    def _check_entries(self, rset: set, cset: set,
-                       data: Mapping[Tuple[str, str], Any]) -> Dict[Tuple[str, str], Any]:
-        for r, c in data:
-            if r not in rset or c not in cset:
-                raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
-        return dict(data)
+    def _fill(self, row_labels: Sequence[str], col_labels: Sequence[str],
+              keys: Iterable[Tuple[str, str]], ri: array, ci: array, values: List[Any],
+              declared: bool) -> bool:
+        """Check the labels and set the matrix from entries given in one
+        order by label pairs ``keys``, positions ``ri`` and ``ci`` (-1 for
+        an undeclared label; ``declared`` when none is) and ``values``.
+        Unless none is -1 and each distinct value object converts to itself,
+        one walk in that order converts and drops them, or raises for the
+        first outside the labels or rejected.  False, setting nothing, if a
+        position pair repeats."""
+        try:  # a value rejected here is raised for by the walk, at its first entry
+            whole = declared and all(self._convert(v, "", "") is v for v in _distinct(values))
+        except Exception:
+            whole = False
+        # sorted before the labels are checked: a large file then peaks lower in RSS
+        columns = whole and _csr(len(row_labels), len(col_labels), ri, ci, values)
+        rows, cols = _label_pair(row_labels, col_labels)
+        if not whole:
+            kept = []
+            for (r, c), i, j, v in zip(keys, ri, ci, values):
+                if i < 0 or j < 0:
+                    raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
+                v = self._convert(v, r, c)
+                if v is not None:
+                    kept.append((i, j, v))
+            ri, ci = array("q", map(itemgetter(0), kept)), array("q", map(itemgetter(1), kept))
+            columns = _csr(len(rows), len(cols), ri, ci, list(map(itemgetter(2), kept)))
+        if columns is not None:
+            self._set(rows, cols, *columns)
+        return columns is not None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -344,40 +357,18 @@ class IncompleteMatrix(_SparseMatrix):
     _instance = False  # InstanceMatrix: no marks, no negative entries
 
     @classmethod
-    def _clean(cls, values: Iterable[Any]) -> bool:
+    def _convert(cls, v: Any, r: str, c: str) -> Optional[Entry]:
         # Stored as is: a nonzero Fraction (positive in an instance), or a
-        # mark outside an instance.
-        instance = cls._instance
-        for v in values:
-            if type(v) is Fraction:
-                if v.numerator > 0 or (v.numerator and not instance):
-                    continue
-            elif type(v) is _Mark and not instance:
-                continue
-            return False
-        return True
-
-    def _check_entries(self, rset: set, cset: set,
-                       data: Mapping[Tuple[str, str], Any]) -> Dict[Tuple[str, str], Entry]:
-        # One pass over the entries in item order: membership, marks and values.
-        instance = self._instance
-        clean: Dict[Tuple[str, str], Entry] = {}
-        for (r, c), v in data.items():
-            if r not in rset or c not in cset:
-                raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
-            if type(v) is _Mark:
-                if instance:
-                    raise ValueError(f"mark {v.token!r} at ({r!r}, {c!r}) in an instance matrix")
-                clean[(r, c)] = v
-                continue
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            num = v.numerator
-            if num < 0 and instance:
-                raise ValueError(f"negative entry {v} at ({r!r}, {c!r})")
-            if num:
-                clean[(r, c)] = v
-        return clean
+        # mark outside an instance; other numbers become Fractions.
+        if type(v) is _Mark:
+            if cls._instance:
+                raise ValueError(f"mark {v.token!r} at ({r!r}, {c!r}) in an instance matrix")
+            return v
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if v.numerator < 0 and cls._instance:
+            raise ValueError(f"negative entry {v} at ({r!r}, {c!r})")
+        return v if v.numerator else None
 
     def entry(self, r: str, c: str) -> Entry:
         return self._get(r, c, Fraction(0))
@@ -399,14 +390,15 @@ class IncompleteMatrix(_SparseMatrix):
         nc = len(rows[0]) if nr else 0
         rl = tuple(row_labels) if row_labels is not None else tuple(f"r{i}" for i in range(nr))
         cl = tuple(col_labels) if col_labels is not None else tuple(f"c{j}" for j in range(nc))
-        data = {}
+        at = []  # (i, j, row label, col label, value) of each nonzero, row by row
         for i, row in enumerate(rows):
             if len(row) != nc:
                 raise ValueError("ragged dense matrix")
-            for j, v in enumerate(row):
-                if v:
-                    data[(rl[i], cl[j])] = v
-        return cls(rl, cl, data)
+            at += [(i, j, rl[i], cl[j], v) for j, v in enumerate(row) if v]
+        ri, ci = array("q", map(itemgetter(0), at)), array("q", map(itemgetter(1), at))
+        m = cls.__new__(cls)
+        m._fill(rl, cl, map(itemgetter(2, 3), at), ri, ci, list(map(itemgetter(4), at)), True)
+        return m
 
     def unknown_positions(self) -> Tuple[Tuple[str, str], ...]:
         """Unknown coordinates in row-major label order."""
@@ -581,9 +573,8 @@ class _MatrixReader:
     C-level passes; every other line, and a block that path refuses, takes
     the per-line branch ``_lines``, the only place a line is rejected.  Ids
     are label positions when the label lines before the first coordinate
-    cover the dimensions, else numbers in order of first use.  Only a file
-    read by positions with values the class stores as they are skips the
-    dict constructor, which names the first bad entry in file order.
+    cover the dimensions, else numbers in order of first use, which
+    ``_finish`` maps to positions through the labels' names.
     """
 
     def __init__(self, text: str, header: str, entry: Callable[[str], object],
@@ -717,21 +708,27 @@ class _MatrixReader:
         if self.rid is None:
             self._start()
         rows, cols = self._labels()
-        columns = (_csr(*self.dims, self.ri, self.ci, self.values)  # ids are positions
-                   if rows == tuple(self.rid) and cols == tuple(self.cid) else None)
-        if columns is None:
+        ri, ci, declared = self.ri, self.ci, True
+        rl, cl = rows, cols  # the label of each row id and column id
+        if rows != tuple(self.rid) or cols != tuple(self.cid):  # ids in order of first use
             self._fail(None)
-        if rows is None or cols is None:
-            raise ParseError("row/col label lines do not cover the declared dimensions")
-        cls = self.kind(self.values)
-        try:
-            if columns is not None and cls._clean(_distinct(self.values)):
-                return self.target_rank, cls._from_columns(rows, cols, *columns)
+            if rows is None or cols is None:
+                raise ParseError("row/col label lines do not cover the declared dimensions")
             rl, cl = list(self.rid), list(self.cid)
-            keys = zip(map(rl.__getitem__, self.ri), map(cl.__getitem__, self.ci))
-            return self.target_rank, cls(rows, cols, dict(zip(keys, self.values)))
+            # each id's position through its label, -1 for an undeclared one
+            rmap, cmap = (array("q", map(dict(zip(labels, count())).get, names, repeat(-1)))
+                          for labels, names in ((rows, rl), (cols, cl)))
+            ri, ci = array("q", map(rmap.__getitem__, ri)), array("q", map(cmap.__getitem__, ci))
+            declared = -1 not in rmap and -1 not in cmap
+        keys = zip(map(rl.__getitem__, self.ri), map(cl.__getitem__, self.ci))
+        m = object.__new__(self.kind(self.values))
+        try:
+            filled = m._fill(rows, cols, keys, ri, ci, self.values, declared)
         except ValueError as e:
-            raise ParseError(str(e)) from None
+            self._fail(str(e))
+        if not filled or m.nnz < len(self.values):  # a repeat, maybe among the entries dropped
+            self._fail(None)
+        return self.target_rank, m
 
 
 _MARKS = {"?": UNKNOWN, "*": NONZERO_UNKNOWN}

@@ -615,8 +615,8 @@ class TestRowMajorTables:
     def test_reordered_files_parse_to_the_table(self, tables, name, monkeypatch):
         # A file whose data lines are shuffled, or in column-major order,
         # parses in the block path (the per-line branch reads the header
-        # and no other line) to a matrix equal to the table, which writes
-        # back the same bytes.
+        # and no other line), without the dict constructor, to a matrix
+        # equal to the table, which writes back the same bytes.
         m = tables[name]
         text = write_any(m)
         lines = text.splitlines(keepends=True)
@@ -635,6 +635,7 @@ class TestRowMajorTables:
             return read_lines(reader, lines)
 
         monkeypatch.setattr(matrices._MatrixReader, "_lines", recorded)
+        monkeypatch.setattr(matrices._SparseMatrix, "__init__", no_dict_constructor)
         for reordered in (shuffled_body, column_major):
             assert reordered != body
             per_line.clear()
@@ -683,7 +684,10 @@ class TestRowMajorTables:
 
 def corrupt(text, how):
     """``text`` with its middle data line (or its header, a label line or
-    its ``r`` line) broken or moved in the way ``how`` names."""
+    its ``r`` line) broken or moved in the way ``how`` names; ``<how>+data-first``
+    breaks it in that way and then moves every label line after the data."""
+    if how.endswith("+data-first"):
+        return corrupt(corrupt(text, how[:-len("+data-first")]), "data-first")
     lines = text.splitlines(keepends=True)
     parts = [ln.split() for ln in lines]
     data = [i for i, p in enumerate(parts) if len(p) == 3 and p[0] not in ("row", "col")]
@@ -695,7 +699,7 @@ def corrupt(text, how):
         lines.insert(data[-1] + 1, lines[mid])
     if how in ("repeated-then-malformed", "undeclared-then-malformed"):
         lines.append("a b c d\n")
-    if how in ("undeclared", "undeclared-then-malformed"):
+    if how in ("undeclared", "undeclared-then-malformed", "undeclared-then-zero"):
         lines[mid] = f"zz {c} {v}\n"
     if how == "negative":
         lines[mid] = f"{r} {c} -1/2\n"
@@ -705,12 +709,16 @@ def corrupt(text, how):
         lines[mid] = f"{r} {c} 1/x\n"
     if how == "header":
         lines[0] = " ".join(parts[0][:2] + ["3x"] + parts[0][3:]) + "\n"
-    if how == "zero":  # a zero at the first column the middle line's row leaves empty
+    if how in ("zero", "undeclared-then-zero"):  # a zero at the first column the middle
+        # line's row leaves empty, just after that line
         taken = {(p[0], p[1]) for p in map(parts.__getitem__, data)}
         free = next(p[2] for p in parts if p[:1] == ["col"] and (r, p[2]) not in taken)
         lines.insert(mid + 1, f"{r} {free} 0/1\n")
     if how == "repeated-row":
         lines.insert(labels[-1] + 1, lines[rows[len(rows) // 2]])
+    if how == "row-name":  # the middle row line takes the first row line's label
+        k = rows[len(rows) // 2]
+        lines[k] = f"row {parts[k][1]} {parts[rows[0]][2]}\n"
     if how == "repeated-r":
         lines.insert(data[-1] + 1, "r 8\n")
         lines.insert(mid + 1, "r 7\n")
@@ -771,6 +779,21 @@ PARITY_CASES = {
     ("A[x1-1]", "repeated"): (
         "parse", "repeated coordinate in line '(1,1,-x1+1) (1,0,0) 1'"),
     ("A[x1-1]", "undeclared"): ("parse", "entry ('zz', '(1,0,0)') is outside the label sets"),
+    # Pinned before the reader stopped building a label-pair dict for files
+    # it cannot read by position, which these label lines after the data are.
+    ("P(1)", "zero+data-first"): None,
+    ("P(1)", "negative+data-first"): ("parse", "negative entry -1/2 at ('2', '1')"),
+    ("P(1)", "undeclared+data-first"): ("parse", "entry ('zz', '1') is outside the label sets"),
+    ("P(1)", "row-name+data-first"): ("parse", "matrix labels must be unique"),
+    ("P(1)", "undeclared-then-zero"): ("parse", "entry ('zz', '1') is outside the label sets"),
+    ("M[x1-1]", "zero+data-first"): None,
+    ("M[x1-1]", "negative+data-first"): (
+        "parse", "negative entry -1/2 at ('e2[7635]', 'e2[7635]')"),
+    ("M[x1-1]", "undeclared+data-first"): (
+        "parse", "entry ('zz', 'e2[7635]') is outside the label sets"),
+    ("M[x1-1]", "row-name+data-first"): ("parse", "matrix labels must be unique"),
+    ("M[x1-1]", "undeclared-then-zero"): (
+        "parse", "entry ('zz', 'e2[7635]') is outside the label sets"),
 }
 REJECTED = [case for case, outcome in PARITY_CASES.items() if outcome]
 ACCEPTED = [case for case, outcome in PARITY_CASES.items() if not outcome]
@@ -814,6 +837,70 @@ def test_reordered_file_parses_as_in_order(parity_sources, source, how):
     text = corrupt(parity_sources[source], how)
     assert text != parity_sources[source]
     assert parse_matrix(text) == parse_matrix(parity_sources[source])
+
+
+def no_dict_constructor(*args, **kwargs):
+    raise AssertionError("dict constructor reached")
+
+
+@pytest.mark.parametrize("source, how", ACCEPTED)
+def test_accepted_file_parses_without_the_dict_constructor(parity_sources, source, how,
+                                                            monkeypatch):
+    expected = parse_matrix(parity_sources[source])
+    monkeypatch.setattr(matrices._SparseMatrix, "__init__", no_dict_constructor)
+    assert parse_matrix(corrupt(parity_sources[source], how)) == expected
+
+
+# Each constructor case's outcome for each class, pinned before the
+# constructor, ``from_dense`` and the reader shared one entry walk: the
+# stored entries in row-major order, or the message of the first offending
+# entry in item order.
+CONSTRUCTOR_CASES = {
+    "numbers": {("b", "a"): 3, ("a", "b"): True, ("a", "a"): "3/4", ("b", "b"): 0,
+                ("b", "c"): False, ("a", "c"): "0", ("c", "c"): Fraction(0)},
+    "mark": {("a", "a"): Fraction(1), ("a", "b"): UNKNOWN},
+    "negative-then-outside": {("a", "a"): 1, ("b", "a"): -2, ("zz", "a"): 1},
+    "outside-then-negative": {("a", "a"): 1, ("a", "zz"): 1, ("b", "a"): -2},
+}
+NUMBERS_STORED = ("stored", [(("a", "a"), Fraction, Fraction(3, 4)),
+                             (("a", "b"), Fraction, 1), (("b", "a"), Fraction, 3)])
+CONSTRUCTOR_OUTCOMES = {
+    ("numbers", IncompleteMatrix): NUMBERS_STORED,
+    ("numbers", InstanceMatrix): NUMBERS_STORED,
+    ("numbers", PolynomialMatrix): ("stored", [
+        (("a", "a"), str, "3/4"), (("a", "b"), bool, True), (("a", "c"), str, "0"),
+        (("b", "a"), int, 3), (("b", "b"), int, 0), (("b", "c"), bool, False),
+        (("c", "c"), Fraction, 0)]),
+    ("mark", IncompleteMatrix): ("stored", [(("a", "a"), Fraction, 1),
+                                            (("a", "b"), matrices._Mark, UNKNOWN)]),
+    ("mark", InstanceMatrix): ("rejected", "mark '?' at ('a', 'b') in an instance matrix"),
+    ("mark", PolynomialMatrix): ("stored", [(("a", "a"), Fraction, 1),
+                                            (("a", "b"), matrices._Mark, UNKNOWN)]),
+    ("negative-then-outside", IncompleteMatrix): (
+        "rejected", "entry ('zz', 'a') is outside the label sets"),
+    ("negative-then-outside", InstanceMatrix): ("rejected", "negative entry -2 at ('b', 'a')"),
+    ("negative-then-outside", PolynomialMatrix): (
+        "rejected", "entry ('zz', 'a') is outside the label sets"),
+    **{("outside-then-negative", cls): ("rejected", "entry ('a', 'zz') is outside the label sets")
+       for cls in (IncompleteMatrix, InstanceMatrix, PolynomialMatrix)},
+}
+
+
+@pytest.mark.parametrize("case, cls", list(CONSTRUCTOR_OUTCOMES))
+def test_constructor_case_as_pinned(case, cls):
+    assert outcome(lambda: cls(("a", "b", "c"), ("a", "b", "c"),
+                               CONSTRUCTOR_CASES[case]).data) == CONSTRUCTOR_OUTCOMES[(case, cls)]
+
+
+def test_argument_errors_win_as_pinned():
+    # A bad label before a key that is no label pair; in from_dense, a row
+    # past too few labels before a later ragged row or an earlier negative.
+    with pytest.raises(ValueError, match="nonempty and whitespace-free: 'a b'"):
+        InstanceMatrix(("a b",), ("b",), {1: 2})
+    with pytest.raises(IndexError):
+        InstanceMatrix.from_dense([[1], [1, 2]], (), ("b",))
+    with pytest.raises(IndexError):
+        InstanceMatrix.from_dense([[-1], [1]], ("a",), ("b",))
 
 
 @pytest.mark.parametrize("source, how", [(s, None) for s in ("P(1)", "M[x1-1]", "A[x1-1]")]
