@@ -17,7 +17,8 @@ change the certified size, which is the vector dimension k.
 Each side of a witness is one `PieceTable`: every Gram vector is a piece, a
 template placed at a shift, and the few distinct templates are stored once.
 Labels go in as runs, each label with its count of pieces, and the table is
-its side's label -> vectors mapping.
+its side's label -> vectors mapping.  A witness holds only its two tables;
+what verification needs besides lives in a `_Join` built per call.
 
 The four-square expansion is the greedy one `four_squares` documents.  The
 bytes of every written witness depend on that choice, so any faster method
@@ -29,14 +30,15 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice
-from operator import add
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, ne, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .matrices import InstanceMatrix, nonblank_lines
+from .matrices import InstanceMatrix, _check_labels, nonblank_lines
 from .polynomials import Number, ParseError, parse_fraction
 
 Vector = Dict[int, Number]  # sparse coordinate -> value
@@ -71,9 +73,7 @@ class PieceTable(Mapping):
     templates, each a tuple of (coordinate, value) pairs whose lowest
     coordinate is 0; ``tids`` and ``shifts`` are flat columns of template
     ids and shifts, label by label, and label i owns the slice
-    ``starts[i]:starts[i + 1]`` of them.  ``los[i]`` and ``his[i]`` bound
-    the label's coordinates ((0, -1) when it has none), so two labels whose
-    spans miss each other share no coordinate.  Vectors are interned with
+    ``starts[i]:starts[i + 1]`` of them.  Vectors are interned with
     `template` and labels go in as runs through `extend` (`build` does both),
     and then the table is only read; every coordinate is in [0, k).
     """
@@ -85,7 +85,7 @@ class PieceTable(Mapping):
         self.templates: List[Template] = []
         self.tops: List[int] = []  # each template's largest coordinate, -1 if empty
         self._ids: Dict[Template, int] = {}
-        self.tids, self.shifts, self.los, self.his, self.starts = (_column(k) for _ in range(5))
+        self.tids, self.shifts, self.starts = (_column(k) for _ in range(3))
         self.starts.append(0)
 
     @classmethod
@@ -129,29 +129,13 @@ class PieceTable(Mapping):
         ValueError with `_check_vectors`' message for its first offending
         label and appends nothing."""
         k, top = self.k, self.tops.__getitem__
-        los, his = shifts, _column(k)
-        try:
-            if counts.count(1) == len(counts):  # a one-piece label spans its piece
-                his.extend(map(add, shifts, map(top, tids)))
-            else:
-                los = _column(k)
-                for a, b in zip(accumulate(counts, initial=0), accumulate(counts)):
-                    one = b - a == 1  # and a label without pieces spans (0, -1)
-                    los.append(shifts[a] if one else min(shifts[a:b], default=0))
-                    his.append(shifts[a] + top(tids[a]) if one else
-                               max(map(add, shifts[a:b], map(top, tids[a:b])), default=-1))
-            # a label's span bounds its pieces, so the spans bound the run
-            outside = bool(shifts) and (min(shifts) < 0 or max(his) >= k)
-        except OverflowError:  # a span past a machine word lies past k
-            outside = True
-        if outside:
+        # a piece's coordinates run from its shift to its shift plus its template's top
+        if shifts and (min(shifts) < 0 or max(map(add, shifts, map(top, tids))) >= k):
             for a, b in zip(accumulate(counts, initial=0), accumulate(counts)):
                 _check_vectors(({c + s: x for c, x in self.templates[t]}
                                 for t, s in zip(tids[a:b], shifts[a:b])), k)
         self.index.update(zip(labels, count(len(self.labels))))
         self.labels.extend(labels)
-        self.los.extend(los)
-        self.his.extend(his)
         self.tids.extend(tids)
         self.shifts.extend(shifts)
         self.starts.extend(accumulate(counts, initial=self.starts.pop()))
@@ -228,12 +212,17 @@ class PSDFactorization:
     The constructor takes label -> vector sequences; `parse_factorization`
     and `assemble_instance_witness` fill the tables directly through
     `from_tables`.  ``row_vectors`` and ``col_vectors`` are the tables
-    themselves, read as label -> vectors mappings."""
+    themselves, read as label -> vectors mappings, and ``row_labels`` and
+    ``col_labels`` their label lists.  The constructor refuses the labels the
+    file format cannot hold: non-strings, empty ones, ones holding whitespace
+    and repeats."""
 
     def __init__(self, k: int, row_labels: Sequence[str], col_labels: Sequence[str],
                  row_vectors: Mapping[str, Sequence[Vector]],
                  col_vectors: Mapping[str, Sequence[Vector]], mode: str = "exact") -> None:
         _check_size_and_mode(k, mode)
+        row_labels, col_labels = (_check_labels(labels, "factorization", frozenset())
+                                  for labels in (row_labels, col_labels))
         for labels, table, side in ((row_labels, row_vectors, "row"),
                                     (col_labels, col_vectors, "col")):
             known = set(labels)
@@ -260,10 +249,8 @@ class PSDFactorization:
                                    for t in T.templates for _, x in t):
             raise ValueError("exact factorization holds a float value")
         self.k, self.mode, self.rows, self.cols = rows.k, mode, rows, cols
-        self.row_labels, self.col_labels = tuple(rows.labels), tuple(cols.labels)
         self.row_vectors, self.col_vectors = rows, cols
-        self._kernel: Dict[Tuple[int, int, int], Tuple[int, Number]] = {}
-        self._scaled: Optional[tuple] = None
+        self.row_labels, self.col_labels = rows.labels, cols.labels
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PSDFactorization):
@@ -277,77 +264,87 @@ class PSDFactorization:
         return (f"PSDFactorization(k={self.k}, rows={len(self.rows.labels)}, "
                 f"cols={len(self.cols.labels)}, mode={self.mode!r})")
 
-    # -- verification kernel ------------------------------------------------
+    def entry(self, r: str, c: str) -> Number:
+        """Certified sum (u.v)^2 over vector pairs with shared support."""
+        join = _Join(self)
+        total = join.sum(self.rows.index[r], self.cols.index[c]) or 0
+        return Fraction(total, join.denominator) if join.exact else float(total)
 
-    def _denominator(self) -> Number:
-        """(Dr * Dc)^2: exact templates are held as integers over a common
-        denominator per side, Dr for rows and Dc for columns; 1 for float."""
-        if self._scaled is None:
-            scaled, dens = [], []
-            for T in (self.rows, self.cols):
-                if self.mode == "exact":
-                    D = math.lcm(*(x.denominator for t in T.templates for _, x in t))
-                    T_int = [tuple((c, x.numerator * (D // x.denominator)) for c, x in t)
-                             for t in T.templates]
-                else:
-                    D, T_int = 1, T.templates
-                scaled.append(T_int)
-                dens.append(D)
-            self._scaled = (scaled[0], [dict(t) for t in scaled[1]], (dens[0] * dens[1]) ** 2)
-        return self._scaled[2]
 
-    def _pair(self, a: int, b: int, d: int) -> Tuple[int, Number]:
+class _Join:
+    """The verification kernel of one witness, built per call.  Exact
+    templates are held as integers over one common denominator per side,
+    Dr for rows and Dc for columns, so two pieces that share a coordinate
+    contribute (u.v)^2 in units of ``denominator`` = (Dr * Dc)^2 (1 for
+    float), memoized by (row template, column template, shift difference)."""
+
+    def __init__(self, F: PSDFactorization) -> None:
+        self.rows, self.cols, self.exact = F.rows, F.cols, F.mode == "exact"
+        scaled, D = [], 1
+        for T in (F.rows, F.cols):
+            d = math.lcm(*(x.denominator for t in T.templates for _, x in t)) if self.exact else 1
+            scaled.append([tuple((c, x.numerator * (d // x.denominator)) for c, x in t)
+                           for t in T.templates] if self.exact else T.templates)
+            D *= d
+        self.row_templates, self.col_templates = scaled[0], [dict(t) for t in scaled[1]]
+        self.denominator = D * D
+        self.kernel: Dict[Tuple[int, int, int], Tuple[Optional[int], Number]] = {}
+
+    def pair(self, a: int, b: int, d: int) -> Tuple[Optional[int], Number]:
         """Row template a against column template b placed d coordinates
         lower, for two pieces that share a coordinate: the first coordinate
-        of a (in item order) that b uses and (a.b)^2 in scaled units.  It
-        depends only on (a, b, d), so it is memoized."""
-        key = (a, b, d)
-        hit = self._kernel.get(key)
-        if hit is None:
-            self._denominator()
-            ct, first, dot = self._scaled[1][b], None, 0
-            for c, x in self._scaled[0][a]:
-                y = ct.get(c + d)
-                if y is not None:
-                    if first is None:
-                        first = c
-                    dot += x * y
-            hit = self._kernel[key] = (first, dot * dot)
+        of a (in item order) that b uses and (a.b)^2 in scaled units."""
+        ct, first, dot = self.col_templates[b], None, 0
+        for c, x in self.row_templates[a]:
+            y = ct.get(c + d)
+            if y is not None:
+                if first is None:
+                    first = c
+                dot += x * y
+        self.kernel[(a, b, d)] = hit = (first, dot * dot)
         return hit
 
-    def _row_pairs(self, i: int, index: Mapping[int, List[int]]) -> Iterator[Tuple[int, Number]]:
+    def row_pairs(self, i: int, index: Mapping[int, List[int]]) -> Iterator[Tuple[int, Number]]:
         """(column piece, kernel value) for each pair of a piece of row i and
         a column piece that ``index`` lists at a coordinate of it.  A pair
         that shares several coordinates counts once, at the first shared
         coordinate of its row piece."""
-        R, C, kernel = self.rows, self.cols, self._kernel
+        R, C, kernel = self.rows, self.cols, self.kernel
         for p in R.pieces(i):
             a, s = R.tids[p], R.shifts[p]
             for x, _ in R.templates[a]:
                 for q in index.get(x + s, ()):
                     key = (a, C.tids[q], s - C.shifts[q])
-                    first, value = kernel.get(key) or self._pair(*key)
+                    first, value = kernel.get(key) or self.pair(*key)
                     if first == x:
                         yield q, value
 
-    def _sum(self, i: int, j: int) -> Optional[Number]:
+    def sum(self, i: int, j: int) -> Optional[Number]:
         """Row i against column j in scaled units, or None when their vectors
-        share no coordinate.  Labels whose spans miss each other are
-        rejected first; otherwise column j's pieces are indexed by
-        coordinate for this call alone and joined with row i's."""
-        R, C = self.rows, self.cols
-        if R.los[i] > C.his[j] or C.los[j] > R.his[i]:
-            return None
+        share no coordinate: column j's pieces are indexed by coordinate for
+        this call alone and joined with row i's."""
         total = None
-        for _, value in self._row_pairs(i, _coordinate_index(C, C.pieces(j))):
+        for _, value in self.row_pairs(i, _coordinate_index(self.cols, self.cols.pieces(j))):
             total = value if total is None else total + value
         return total
 
-    def entry(self, r: str, c: str) -> Number:
-        """Certified sum (u.v)^2 over vector pairs with shared support."""
-        total = self._sum(self.rows.index[r], self.cols.index[c])
-        total = 0 if total is None else total
-        return Fraction(total, self._denominator()) if self.mode == "exact" else float(total)
+    @staticmethod
+    def spans(T: PieceTable) -> Tuple[Sequence[int], Sequence[int]]:
+        """Each label's coordinate span (lo, hi), (0, -1) when it has none, as
+        two columns; labels whose spans miss each other share no coordinate.
+        Column operations read every label as one piece; a walk fixes the rest."""
+        starts, shifts, top, n = T.starts, T.shifts, T.tops.__getitem__, len(T.labels)
+        m = bisect_left(starts, len(shifts), 0, n)  # the labels from m on hold no pieces
+        firsts, los, his = starts[:m], _column(T.k), _column(T.k)
+        los.extend(map(shifts.__getitem__, firsts))
+        his.extend(map(add, los, map(top, map(T.tids.__getitem__, firsts))))
+        los.extend(repeat(0, n - m))
+        his.extend(repeat(-1, n - m))
+        for i in compress(count(), map(ne, map(sub, starts[1:], starts[:-1]), repeat(1))):
+            a, b = starts[i], starts[i + 1]
+            los[i] = min(shifts[a:b], default=0)
+            his[i] = max(map(add, shifts[a:b], map(top, T.tids[a:b])), default=-1)
+        return los, his
 
 
 def _coordinate_index(T: PieceTable, pieces: Iterable[int]) -> Dict[int, List[int]]:
@@ -430,14 +427,15 @@ def verify_factorization(
 ) -> VerificationReport:
     """Check tr(B_i C_j) against A entrywise.  An entry whose row and column
     vectors share no coordinate is 0, so where A is 0 too the supports certify
-    it; the memoized piece kernel of `PSDFactorization` computes the rest.
+    it; a `_Join` built for this call computes the rest from the pieces.
     Full mode certifies every entry by joining each row's pieces with the
     column pieces indexed by coordinate; sampled mode checks ``samples``
     (row, column) index pairs of the splitmix64 stream of ``seed``, testing
-    label spans before pieces.  ``worst_entry`` is the first largest residual
-    in row-major label order (full) or stream order (sampled); a NaN residual
-    fails.  The default tolerance is exact zero for exact witnesses and 1e-9
-    otherwise; a negative or NaN one raises ValueError."""
+    label spans, which it computes first, before pieces.  ``worst_entry``
+    is the first largest residual in row-major label order (full) or
+    stream order (sampled); a NaN residual fails.  The default tolerance
+    is exact zero for exact witnesses and 1e-9 otherwise; a negative or
+    NaN one raises ValueError."""
     if set(A.row_labels) != set(F.row_labels) or set(A.col_labels) != set(F.col_labels):
         raise ValueError("matrix and factorization label sets differ")
     exact = F.mode == "exact"
@@ -455,7 +453,8 @@ def verify_factorization(
     worst: Optional[Tuple[int, int]] = None  # positions in A
     max_res: Union[Fraction, float] = Fraction(0) if exact else 0.0
     joined = nonzero = visited = 0
-    DD = F._denominator()
+    join = _Join(F)
+    DD = join.denominator
 
     def visit(i: int, j: int, a: Number, total: Number, first: bool) -> None:
         """Compare the scaled sum ``total`` of entry (i, j) with its value
@@ -490,7 +489,7 @@ def verify_factorization(
         # worst entry so far are decided by position.
         for i, (r, lo, hi) in enumerate(zip(A.row_labels, A.starts, islice(A.starts, 1, None))):
             sums: Dict[int, Number] = {}  # column position -> scaled entry
-            for q, value in F._row_pairs(R.index[r], index):
+            for q, value in join.row_pairs(R.index[r], index):
                 sums[owner[q]] = sums.get(owner[q], 0) + value
             joined += len(sums)
             for j, a in zip(A.cols[lo:hi], values[lo:hi]):
@@ -502,13 +501,13 @@ def verify_factorization(
         nrows, ncols = A.nrows, A.ncols
         rpos = [R.index[r] for r in A.row_labels]
         cpos = [C.index[c] for c in A.col_labels]
-        rlo, rhi, clo, chi = R.los, R.his, C.los, C.his
+        (rlo, rhi), (clo, chi) = join.spans(R), join.spans(C)
         gen = splitmix64(seed)
         for _ in range(samples):
             ai, aj = next(gen) % nrows, next(gen) % ncols
             i, j = rpos[ai], cpos[aj]
             # most pairs are rejected by their spans, without a call
-            total = F._sum(i, j) if rlo[i] <= chi[j] and clo[j] <= rhi[i] else None
+            total = join.sum(i, j) if rlo[i] <= chi[j] and clo[j] <= rhi[i] else None
             p = A._at(ai, aj)
             meet, hit = total is not None, p >= 0
             joined, nonzero = joined + meet, nonzero + hit

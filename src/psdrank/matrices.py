@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 from array import array
+from contextlib import suppress
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
@@ -84,25 +85,23 @@ Entry = Union[Fraction, _Mark]
 _KEYWORDS = frozenset(("row", "col", "r"))
 
 
-def _check_label(label: str) -> None:
-    if label.split() != [label]:
-        raise ValueError(f"matrix labels must be nonempty and whitespace-free: {label!r}")
-    if label in _KEYWORDS:
-        raise ValueError(f"label {label!r} collides with a format keyword")
-
-
-def _check_labels(labels: Sequence[str]) -> Tuple[str, ...]:
-    """The labels as a tuple, checked in one pass: joined by spaces they
-    split back into themselves exactly when each is nonempty and
-    whitespace-free.  Only a rejected tuple walks the labels one by one, so
-    the message names the first bad label."""
+def _check_labels(labels: Sequence[str], kind: str = "matrix",
+                  keywords: frozenset = _KEYWORDS) -> Tuple[str, ...]:
+    """The labels as a tuple, each a nonempty, whitespace-free string, none
+    of ``keywords`` and none repeated (``kind`` names the format in the
+    message).  Checked in one pass: joined by spaces they split back into
+    themselves exactly when each is such a string.  Only a rejected tuple
+    walks the labels one by one, so the message names the first bad label."""
     out = tuple(labels)
-    if not (" ".join(out).split() == list(out) and _KEYWORDS.isdisjoint(out)
+    if not (" ".join(map(str, out)).split() == list(out) and keywords.isdisjoint(out)
             and len(set(out)) == len(out)):
         for l in out:
-            _check_label(l)
+            if not isinstance(l, str) or l.split() != [l]:
+                raise ValueError(f"{kind} labels must be nonempty and whitespace-free: {l!r}")
+            if l in keywords:
+                raise ValueError(f"label {l!r} collides with a format keyword")
         if len(set(out)) != len(out):
-            raise ValueError("matrix labels must be unique")
+            raise ValueError(f"{kind} labels must be unique")
     return out
 
 
@@ -198,14 +197,15 @@ class _SparseMatrix:
         """Check the labels and set the matrix from entries given in one
         order by label pairs ``keys``, positions ``ri`` and ``ci`` (-1 for
         an undeclared label; ``declared`` when none is) and ``values``.
-        Unless none is -1 and each distinct value object converts to itself,
-        one walk in that order converts and drops them, or raises for the
-        first outside the labels or rejected.  False, setting nothing, if a
-        position pair repeats."""
-        try:  # a value rejected here is raised for by the walk, at its first entry
-            whole = declared and all(self._convert(v, "", "") is v for v in _distinct(values))
-        except Exception:
-            whole = False
+        Each distinct value object is converted once; unless none is -1 and
+        each converts to itself, one walk in that order drops them, or raises
+        for the first outside the labels or rejected.  False, setting
+        nothing, if a position pair repeats."""
+        distinct, converted = _distinct(values), {}  # id of a value -> what it stores
+        for v in distinct:
+            with suppress(Exception):  # a rejected value is raised for by the walk
+                converted[id(v)] = self._convert(v, "", "")
+        whole = declared and all(converted.get(id(v), distinct) is v for v in distinct)
         # sorted before the labels are checked: a large file then peaks lower in RSS
         columns = whole and _csr(len(row_labels), len(col_labels), ri, ci, values)
         rows, cols = _label_pair(row_labels, col_labels)
@@ -214,7 +214,7 @@ class _SparseMatrix:
             for (r, c), i, j, v in zip(keys, ri, ci, values):
                 if i < 0 or j < 0:
                     raise ValueError(f"entry ({r!r}, {c!r}) is outside the label sets")
-                v = self._convert(v, r, c)
+                v = converted[id(v)] if id(v) in converted else self._convert(v, r, c)
                 if v is not None:
                     kept.append((i, j, v))
             ri, ci = array("q", map(itemgetter(0), kept)), array("q", map(itemgetter(1), kept))

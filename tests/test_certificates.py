@@ -156,7 +156,7 @@ class TestAssembleInstanceWitness:
         f, xi = P(text), exact_point(x1=root)
         F = assemble_instance_witness(f, xi)
         k, labels, rows, cols = copied_block_witness(f, xi)
-        assert (F.k, F.row_labels, F.col_labels) == (k, labels, labels)
+        assert (F.k, tuple(F.row_labels), tuple(F.col_labels)) == (k, labels, labels)
         assert F.row_vectors.keys() == rows.keys() and F.col_vectors.keys() == cols.keys()
         for l in labels:
             assert F.row_vectors[l] == tuple(rows[l])

@@ -17,6 +17,7 @@ from psdrank.factorizations import (
     PSDFactorization,
     VerificationReport,
     _is_prime,
+    _Join,
     _num_token,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
@@ -103,6 +104,23 @@ class TestValidation:
             PSDFactorization(3, ("a",), ("a",), {"a": (vec,)}, {})
         with pytest.raises(ValueError, match=f"vector coordinate {coord} outside dimension 3"):
             from_pieces(3, ("a",), {"a": [(vec, 0)]})
+
+    @pytest.mark.parametrize("rows,message", [
+        (("a 1",), "factorization labels must be nonempty and whitespace-free: 'a 1'"),
+        (("",), "factorization labels must be nonempty and whitespace-free: ''"),
+        (("a", "a"), "factorization labels must be unique"),
+        ((1,), "factorization labels must be nonempty and whitespace-free: 1"),
+    ])
+    def test_labels_the_file_format_cannot_hold_refused(self, rows, message):
+        # each would be written as lines that read back as other labels, or
+        # not at all; "row", "col" and "r" are labels like any other here
+        with pytest.raises(ValueError) as refused:
+            PSDFactorization(1, rows, ("c",), {}, {"c": ({0: ONE},)})
+        assert str(refused.value) == message
+        with pytest.raises(ValueError, match="^factorization labels"):
+            PSDFactorization(1, ("c",), rows, {"c": ({0: ONE},)}, {})
+        F = PSDFactorization(1, ("row", "col"), ("r",), {"row": ({0: ONE},)}, {})
+        assert parse_factorization(write_factorization(F)) == F
 
     def test_shifted_template_in_range(self):
         F = from_pieces(3, ("a",), {"a": [({0: ONE, 1: ONE}, 1)]})
@@ -411,6 +429,32 @@ def _tied_hadamard():
             hadamard_square_factorization(Pm, Qm))
 
 
+def _span_cases():
+    """A size-6 witness whose labels test the span rejection at its edges:
+    pieces out of shift order ("ro", "co"), no pieces ("rn", "cn"), spans
+    that touch at one coordinate from either side ("r1"/"c1", "c4"/"r4"),
+    spans that overlap with no shared coordinate ("r3"/"c3") and pieces at
+    coordinate k - 1 ("rk", "ck").  Its target, with the row labels in
+    reverse order, and the target off by 1 at the two touching pairs and
+    made nonzero at the overlapping one."""
+    h, two, three = Fraction(1, 2), Fraction(2), Fraction(3)
+    rows = {"ro": ({4: ONE, 5: two}, {0: ONE}, {2: Fraction(3, 2)}), "rn": (),
+            "r1": ({2: ONE, 0: two},), "r3": ({0: ONE, 4: ONE},),
+            "r4": ({3: two, 4: ONE},), "rk": ({5: two},)}
+    cols = {"co": ({3: ONE}, {1: two, 0: ONE}, {5: h}), "cn": (),
+            "c1": ({2: three, 4: ONE},), "c3": ({2: ONE},),
+            "c4": ({1: ONE, 3: ONE},), "ck": ({5: ONE},)}
+    F = PSDFactorization(6, tuple(rows), tuple(cols), rows, cols)
+    order = tuple(reversed(rows))
+    dense = [[oracle_entry(F, r, c) for c in cols] for r in order]
+    A = InstanceMatrix.from_dense(dense, order, tuple(cols))
+    off = {("r1", "c1"): 1, ("r4", "c4"): 1, ("r3", "c3"): 2}
+    wrong = InstanceMatrix.from_dense(
+        [[x + off.get((r, c), 0) for c, x in zip(cols, row)] for r, row in zip(order, dense)],
+        order, tuple(cols))
+    return {"spans": (A, F), "spans-wrong": (wrong, F)}
+
+
 def _oracle_cases():
     cases = {f"P({a})": (build_P(a), p_alpha_factorization(a))
              for a in (0, Fraction(1, 2), 1, 2, 3, 4)}
@@ -428,6 +472,7 @@ def _oracle_cases():
     cases["completion(x1-1)"] = (comp.matrix, comp.factorization)
     cases["wrong-A"] = _wrong_hadamard()
     cases["tied-A"] = _tied_hadamard()
+    cases.update(_span_cases())
     return cases
 
 
@@ -638,8 +683,9 @@ class TestPieceTable:
 
     @staticmethod
     def columns(T):
+        """The table's columns, then its label spans as verification reads them."""
         return (list(T.labels), dict(T.index),
-                *(list(c) for c in (T.tids, T.shifts, T.starts, T.los, T.his)))
+                *(list(c) for c in (T.tids, T.shifts, T.starts, *_Join.spans(T))))
 
     def test_mixed_run_columns(self):
         k = 9
@@ -658,6 +704,8 @@ class TestPieceTable:
             [1, 0, 0, 0, 0, k - 1, k - 3, 0, 4],
             [5, k - 1, 5, -1, -1, k - 1, k - 1, 0, 3])
         assert T["m"] == ({2: ONE, 4: Fraction(1, 2)}, {}, {5: ONE}) and T["none"] == ()
+        T.extend(["last"], [0], [], [])  # no pieces after the last piece
+        assert [c[-1] for c in _Join.spans(T)] == [0, -1]
 
     @pytest.mark.parametrize("prefix", [False, True])
     def test_one_piece_run_equals_one_call_per_label(self, prefix):
@@ -670,8 +718,9 @@ class TestPieceTable:
         for label, t, s in zip(labels, tids, shifts):
             B.extend([label], [1], [t], [s])
         assert self.columns(A) == self.columns(B) and A == B
-        assert (A.los[-5:], A.his[-5:]) == (array("q", [0, k - 1, k - 3, 0, 4]),
-                                            array("q", [-1, k - 1, k - 1, 0, 3]))
+        los, his = _Join.spans(A)
+        assert (los[-5:], his[-5:]) == (array("q", [0, k - 1, k - 3, 0, 4]),
+                                        array("q", [-1, k - 1, k - 1, 0, 3]))
         A.extend([], [], [], [])
         assert self.columns(A) == self.columns(B)
 

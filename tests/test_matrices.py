@@ -492,6 +492,24 @@ def transposed(m):
     return type(m)(m.col_labels, m.row_labels, transposed_items(m))
 
 
+@pytest.fixture(scope="module")
+def rebuilt(tables):
+    """Each table's copies from dicts in a seeded random order (seeds 1 and
+    2, and 3 for B and B_square), its transpose from a dict in column-major
+    order ("T") and that transpose shuffled with seed 3 (("T", 3)), built
+    once per module and frozen out of cyclic garbage collection like
+    ``tables``."""
+    built = {}
+    for name, m in tables.items():
+        t = transposed(m)
+        seeds = (1, 2, 3) if name in ("B", "B_square") else (1, 2)
+        built[name] = {**{seed: shuffled(m, seed) for seed in seeds},
+                       "T": t, ("T", 3): shuffled(t, 3)}
+    gc.freeze()
+    yield built
+    gc.unfreeze()
+
+
 def write_any(m):
     if isinstance(m, PolynomialMatrix):
         return write_polynomial_matrix(m)
@@ -558,7 +576,7 @@ class TestRowMajorTables:
                 read(shuffled(m, 1))
 
     @pytest.mark.parametrize("name", TABLES)
-    def test_built_tables_skip_the_order_check(self, tables, orders, name, monkeypatch):
+    def test_built_tables_skip_the_order_check(self, tables, orders, rebuilt, name, monkeypatch):
         # No reader checks or sorts the order of any matrix: a table the
         # package builds, a copy rebuilt from a dict in order, one written and
         # read back, and the transpose, whose dict comes in column-major
@@ -569,7 +587,7 @@ class TestRowMajorTables:
         copies = [type(m)(m.row_labels, m.col_labels, dict(m.data)), parse_any(m)]
         assert all(c == m for c in copies)
         assert all([read(c) for read in reads] == expected for c in copies)
-        t = m.transpose() if isinstance(m, IncompleteMatrix) else transposed(m)
+        t = m.transpose() if isinstance(m, IncompleteMatrix) else rebuilt[name]["T"]
         t_items = transposed_items(m)
         in_order = type(t)(t.row_labels, t.col_labels,
                            {rc: t_items[rc] for rc in orders[name][1]})
@@ -596,15 +614,15 @@ class TestRowMajorTables:
                                          {("r1", "c1"): 1, ("r0", "c0"): 1})
 
     @pytest.mark.parametrize("name", TABLES)
-    def test_entries_row_major(self, tables, orders, name):
+    def test_entries_row_major(self, tables, orders, rebuilt, name):
         # m and its shuffles share one reference order, the transposes another;
         # each copy's entries() is walked once, holding no list of its pairs
-        m, t = tables[name], transposed(tables[name])
+        m, built = tables[name], rebuilt[name]
         m_order, t_order = orders[name]
         assert list(transposed_items(m)) != t_order
-        for copies, order in (((m, shuffled(m, 1), shuffled(m, 2)), m_order),
-                              ((t, shuffled(t, 3)), t_order)):
-            for c in copies:
+        for group, order in (((m, built[1], built[2]), m_order),
+                             ((built["T"], built["T", 3]), t_order)):
+            for c in group:
                 keys = []
                 for rc, v in c.entries():
                     assert c.data[rc] is v
@@ -654,13 +672,13 @@ class TestRowMajorTables:
                                      (("r0", "c1"), 2), (("r1", "c0"), UNKNOWN)]
 
     @pytest.mark.parametrize("name", ["B", "B_square"])
-    def test_unknown_positions_match_the_pair_scan(self, tables, name):
+    def test_unknown_positions_match_the_pair_scan(self, tables, rebuilt, name):
         B = tables[name]
         expected = reference_unknown_positions(B)
         assert expected
         assert B.unknown_positions() == expected
         for seed in (1, 2, 3):
-            assert shuffled(B, seed).unknown_positions() == expected
+            assert rebuilt[name][seed].unknown_positions() == expected
         T = B.transpose()
         assert list(B.cols) != sorted(B.cols)  # the transpose reorders B's entries
         assert T.unknown_positions() == reference_unknown_positions(T)
@@ -901,6 +919,24 @@ def test_argument_errors_win_as_pinned():
         InstanceMatrix.from_dense([[1], [1, 2]], (), ("b",))
     with pytest.raises(IndexError):
         InstanceMatrix.from_dense([[-1], [1]], ("a",), ("b",))
+
+
+def test_each_value_object_is_converted_once(monkeypatch):
+    # 900 ints, two distinct nonzero objects: each is converted to a
+    # Fraction once, not once per entry
+    calls = []
+    convert = IncompleteMatrix._convert.__func__
+
+    def counted(cls, v, r, c):
+        calls.append(v)
+        return convert(cls, v, r, c)
+
+    monkeypatch.setattr(IncompleteMatrix, "_convert", classmethod(counted))
+    rng = random.Random(3)
+    dense = [[rng.choice((0, 1, 2)) for _ in range(30)] for _ in range(30)]
+    m = InstanceMatrix.from_dense(dense)
+    assert m.to_dense() == dense and m.nnz > 500
+    assert len(calls) <= len({id(v) for row in dense for v in row if v}) == 2
 
 
 @pytest.mark.parametrize("source, how", [(s, None) for s in ("P(1)", "M[x1-1]", "A[x1-1]")]
