@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .polynomials import (
     Assignment,
@@ -196,18 +196,19 @@ def formula_truth(f: Formula, a: Assignment) -> bool:
 # Equation trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VarE:
+# Expression nodes are tuples, so building, hashing and comparing them (the
+# flatten memo) run in C.  Their payloads (VarId, int, str) never compare
+# equal to each other, so nodes of different classes are never equal.
+
+class VarE(NamedTuple):
     v: VarId
 
 
-@dataclass(frozen=True)
-class ConstE:
+class ConstE(NamedTuple):
     value: int  # 0 or 1
 
 
-@dataclass(frozen=True)
-class OpE:
+class OpE(NamedTuple):
     op: str  # "+", "-", "*"
     left: "Expr"
     right: "Expr"

@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Collection, Dict, Iterable, Mapping, Tuple, Union
 
 Number = Union[int, Fraction, float]
@@ -34,36 +36,37 @@ class VarKind(IntEnum):
 _GADGET_LETTERS = "uvw"
 _LETTER_TO_KIND = {"x": VarKind.ORIGINAL, "y": VarKind.HOMOGENIZATION,
                    "z": VarKind.SLACK}
+_KIND_LETTERS = {kind: letter for letter, kind in _LETTER_TO_KIND.items()}
 _VAR_RE = re.compile(r"([uvwxyz])(\d+)\Z")
 
 
-@dataclass(frozen=True, order=True)
-class VarId:
+class VarId(tuple):
     """A variable, identified by its kind and a dense per-kind index.
 
-    Gadget variables come in aligned triples: raw index 3t, 3t+1, 3t+2
-    display as u<t>, v<t>, w<t>.  The display name is invertible, so text
-    round-trips.
+    The immutable tuple ``(kind, index)``, so sorting, hashing and equality
+    run on tuples.  Gadget variables come in aligned triples: raw index 3t,
+    3t+1, 3t+2 display as u<t>, v<t>, w<t>.  The display name is invertible,
+    so text round-trips.
     """
 
-    kind: VarKind
-    index: int
+    __slots__ = ()
+    kind = property(itemgetter(0))
+    index = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"variable index must be nonnegative, got {self.index}")
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))  # hashed often
+    def __new__(cls, kind: VarKind, index: int) -> "VarId":
+        if index < 0:
+            raise ValueError(f"variable index must be nonnegative, got {index}")
+        return tuple.__new__(cls, (kind, index))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> Tuple[VarKind, int]:
+        return tuple(self)
 
     @property
     def name(self) -> str:
-        if self.kind == VarKind.GADGET:
-            return f"{_GADGET_LETTERS[self.index % 3]}{self.index // 3}"
-        letter = {VarKind.ORIGINAL: "x", VarKind.HOMOGENIZATION: "y",
-                  VarKind.SLACK: "z"}[self.kind]
-        return f"{letter}{self.index}"
+        kind, index = self
+        if kind == VarKind.GADGET:
+            return f"{_GADGET_LETTERS[index % 3]}{index // 3}"
+        return f"{_KIND_LETTERS[kind]}{index}"
 
     def __str__(self) -> str:
         return self.name
@@ -93,6 +96,12 @@ VarsKey = Tuple[VarId, ...]
 
 def _graded_key(vars_: VarsKey):
     return (len(vars_), vars_)
+
+
+def _canonical_keys(keys: Iterable[VarsKey]) -> list[VarsKey]:
+    """Monomial keys in canonical term order: highest degree first, then
+    ascending.  Both sorts compare in C; the second is stable."""
+    return sorted(sorted(keys), key=len, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -161,11 +170,9 @@ class Polynomial:
         with the highest-degree terms first."""
         if self._terms is None:
             out = []
-            keys = sorted(self._coeffs, key=lambda k: (-len(k), k))
-            for k in keys:
+            for k in _canonical_keys(self._coeffs):
                 c = self._coeffs[k]
-                s = 1 if c > 0 else -1
-                out.extend(Monomial(s, k) for _ in range(abs(c)))
+                out += [Monomial(1 if c > 0 else -1, k)] * abs(c)  # one frozen copy, repeated
             self._terms = tuple(out)
         return self._terms
 
@@ -273,14 +280,29 @@ def evaluate(p: Polynomial, a: Assignment) -> Number:
     Arithmetic follows the bound values (rational bindings keep exact
     arithmetic even in float mode, where only the result is coerced), so
     high-precision rational approximations of irrational witnesses do not
-    lose accuracy to intermediate rounding.
+    lose accuracy to intermediate rounding.  Integer and rational values
+    are summed as integers: each value is N/D over the lcm D of their
+    denominators, and each degree d adds its terms' sum over D^d.
     """
-    total: Number = Fraction(0)
-    for k, c in p.coefficients().items():
-        term: Number = Fraction(c)
-        for v in k:
-            term *= a.value_of(v)
-        total += term
+    coeffs = p._coeffs
+    values = {v: a.value_of(v) for v in dict.fromkeys(chain.from_iterable(coeffs))}
+    if all(isinstance(x, (int, Fraction)) for x in values.values()):
+        lcm = math.lcm(*(x.denominator for x in values.values()))
+        scaled = {v: x.numerator * (lcm // x.denominator) for v, x in values.items()}
+        sums = [0] * (max(map(len, coeffs), default=0) + 1)
+        for k, c in coeffs.items():
+            sums[len(k)] += math.prod(map(scaled.__getitem__, k), start=c)
+        num = 0
+        for s in sums:  # Horner in D: sum_d sums[d] * D^(n - d)
+            num = num * lcm + s
+        total: Number = Fraction(num, lcm ** (len(sums) - 1))
+    else:  # a float binding: multiply in the bound values' own arithmetic
+        total = Fraction(0)
+        for k, c in coeffs.items():
+            term: Number = Fraction(c)
+            for v in k:
+                term *= values[v]
+            total += term
     return total if a.mode == "exact" else float(total)
 
 
@@ -351,18 +373,19 @@ def format_polynomial(p: Polynomial, compact: bool = False) -> str:
 
     Compact renderings are used as matrix labels and contain no whitespace.
     """
-    terms = p.terms
-    if not terms:
+    coeffs = p._coeffs
+    if not coeffs:
         return "0"
     plus, minus = ("+", "-") if compact else (" + ", " - ")
+    names = {v: v.name for v in set(chain.from_iterable(coeffs))}
     parts = []
-    for i, t in enumerate(terms):
-        body = "*".join(v.name for v in t.vars) if t.vars else "1"
-        if i == 0:
-            parts.append(body if t.sign > 0 else ("-" + body))
-        else:
-            parts.append((plus if t.sign > 0 else minus) + body)
-    return "".join(parts)
+    for k in _canonical_keys(coeffs):
+        c = coeffs[k]
+        body = "*".join(map(names.__getitem__, k)) or "1"
+        parts.append(((plus if c > 0 else minus) + body) * abs(c))  # |c| signed copies
+    text = "".join(parts)
+    # the first term takes no joiner: "x1" rather than "+x1", "-x1" rather than " - x1"
+    return text[len(plus):] if text.startswith(plus) else "-" + text[len(minus):]
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z]\w*)|(>=|<=|!=|[-+*<>=()&|!])|(\S))")

@@ -236,6 +236,48 @@ class TestFlatten:
         assert defined.count("(x1+1)") == 1
 
 
+class TestExpressionNodes:
+    """Nodes are tuples: equal nodes hash equal, and nodes of different
+    classes are never equal, so flatten's memo keys cannot collide."""
+
+    LEAVES = [VarE(v) for v in (xvar(0), xvar(1), var("u0"), var("w0"), var("y0"), var("z1"))]
+    LEAVES += [ConstE(0), ConstE(1)]
+
+    @classmethod
+    def random_tree(cls, rng, depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(cls.LEAVES)
+        return OpE(rng.choice("+-*"), cls.random_tree(rng, depth - 1),
+                   cls.random_tree(rng, depth - 1))
+
+    def test_equal_nodes_hash_equal(self):
+        rng = random.Random(31)
+        trees = [self.random_tree(rng, 3) for _ in range(400)]
+        rng = random.Random(31)
+        rebuilt = [self.random_tree(rng, 3) for _ in range(400)]
+        for a, b, c in zip(trees, rebuilt, rebuilt[1:] + rebuilt[:1]):
+            assert a == b and hash(a) == hash(b)
+            assert (a == c) == (format_expr(a) == format_expr(c))
+            if a == c:
+                assert hash(a) == hash(c)
+
+    def test_classes_never_compare_equal(self):
+        nodes = self.LEAVES + [OpE(op, l, r) for op in "+-*"
+                               for l in self.LEAVES[:2] for r in self.LEAVES[-2:]]
+        for a in nodes:
+            for b in nodes:
+                if type(a) is not type(b):
+                    assert a != b
+        assert VarE(xvar(0)) != ConstE(0) and VarE(xvar(1)) != ConstE(1)
+
+    def test_memo_shares_only_equal_subexpressions(self):
+        x = VarE(xvar(1))
+        tree = OpE("*", OpE("+", x, ConstE(1)), OpE("*", OpE("+", x, ConstE(1)),
+                                                      OpE("+", ConstE(1), x)))
+        out = flatten(EquationSystem((tree,)))
+        assert [format_expr(e) for _, e in out.definitions] == ["(x1+1)", "(1+x1)", "(u0*v0)"]
+
+
 class TestSinglePolynomial:
     def test_single_square(self):
         system = flatten(EquationSystem((OpE("-", VarE(xvar(1)), ConstE(1)),)))

@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -12,6 +14,7 @@ from psdrank.polynomials import (
     Polynomial,
     VarId,
     VarKind,
+    approx_sqrt,
     evaluate,
     format_polynomial,
     is_multiple_of,
@@ -153,6 +156,75 @@ class TestEvaluate:
         assert isinstance(v, float) and abs(v + 0.75) < 1e-15
 
 
+def evaluate_by_terms(p, a):
+    """Oracle: multiply each term out in the bound values' own arithmetic
+    and add the terms one by one as Fractions."""
+    total = Fraction(0)
+    for k, c in p.coefficients().items():
+        term = Fraction(c)
+        for v in k:
+            term *= a.value_of(v)
+        total += term
+    return total if a.mode == "exact" else float(total)
+
+
+EVAL_VARS = (xvar(1), xvar(2), xvar(3), var("u0"), var("w4"), var("y2"), var("z0"))
+
+
+def random_value(rng, floats):
+    kind = rng.randrange(5 if floats else 4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    if kind == 3:  # the size of an approx_sqrt binding in a lifted witness
+        return rng.choice((1, -1)) * approx_sqrt(Fraction(rng.randint(1, 99), rng.randint(1, 99)))
+    return rng.uniform(-3, 3)
+
+
+class TestEvaluateDifferential:
+    """``evaluate`` against the term-by-term Fraction loop, equal in value
+    and in type, on seeded polynomials with repeated and cancelling terms."""
+
+    @staticmethod
+    def polynomial(rng):
+        terms = []
+        for _ in range(rng.randint(0, 300)):
+            vars_ = [rng.choice(EVAL_VARS) for _ in range(rng.randint(0, 6))]
+            terms += [Monomial(rng.choice((1, -1)), vars_)] * rng.choice((1, 1, 2, 3))
+        if terms and rng.random() < 0.3:  # cancel a share of the terms exactly
+            terms += [Monomial(-t.sign, t.vars) for t in rng.sample(terms, len(terms) // 2)]
+        return Polynomial(terms)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_fraction_loop(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            p = self.polynomial(rng)
+            for mode in ("exact", "float"):
+                values = {v: random_value(rng, mode == "float") for v in EVAL_VARS}
+                a = Assignment(values, mode)
+                got, want = evaluate(p, a), evaluate_by_terms(p, a)
+                assert got == want and type(got) is type(want), (p, a)
+
+    def test_unbound_variable_message(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            p = self.polynomial(rng)
+            bound = rng.sample(EVAL_VARS, rng.randint(0, len(EVAL_VARS) - 1))
+            a = Assignment({v: random_value(rng, False) for v in bound})
+            try:
+                want = evaluate_by_terms(p, a)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    evaluate(p, a)
+                assert str(got.value) == str(e)
+            else:
+                assert evaluate(p, a) == want
+
+
 class TestMonomialOrder:
     def test_graded_order_respects_multiplication(self):
         # the division routine relies on a*t < b*t whenever a < b
@@ -284,8 +356,30 @@ class TestVarId:
         assert sorted(vs) == [var("x1"), var("x2"), var("u0"), var("y0"), var("z1")]
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            VarId(VarKind.ORIGINAL, -1)
+        for kind in VarKind:
+            with pytest.raises(ValueError, match="nonnegative, got -1"):
+                VarId(kind, -1)
+
+    def test_order_and_hash_are_those_of_kind_then_index(self):
+        rng = random.Random(23)
+        vs = [VarId(rng.choice(list(VarKind)), rng.randint(0, 9)) for _ in range(300)]
+        assert sorted(vs) == sorted(vs, key=lambda v: (v.kind, v.index))
+        for a, b in zip(vs, reversed(vs)):
+            assert (a == b) == ((a.kind, a.index) == (b.kind, b.index))
+            assert (a < b) == ((a.kind, a.index) < (b.kind, b.index))
+            if a == b:
+                assert hash(a) == hash(b)
+
+    def test_name_repr_and_copies_round_trip(self):
+        for kind in VarKind:
+            for index in (0, 1, 2, 5, 31):
+                v = VarId(kind, index)
+                assert var(v.name) == v and str(v) == v.name
+                assert repr(v) == f"VarId({v.name!r})"
+                for copied in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+                    assert copied == v and type(copied) is VarId
+        assert repr(var("v2")) == "VarId('v2')"
+        assert VarId(kind=VarKind.SLACK, index=3) == var("z3")
 
 
 def test_rational_sqrt():
