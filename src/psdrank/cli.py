@@ -26,6 +26,7 @@ from .polynomials import (
     format_polynomial,
     parse_fraction,
     parse_polynomial,
+    term_count,
     var,
 )
 
@@ -114,7 +115,7 @@ def cmd_normalize(args, trace: _Trace) -> int:
     poly = formulas.to_single_polynomial(system)
     out = format_polynomial(poly) + "\n"
     _write(args.output, [out], trace, "normalize", _digest(text),
-           equations=len(system.equations), terms=len(poly.terms))
+           equations=len(system.equations), terms=term_count(poly))
     return 0
 
 
@@ -124,7 +125,7 @@ def cmd_bound(args, trace: _Trace) -> int:
     inst = cube.build_phi(f, args.m)
     out = format_polynomial(inst.phi) + "\n"
     _write(args.output, [out], trace, "bound", _digest(text),
-           m=args.m, degree=inst.d, terms=len(inst.phi.terms))
+           m=args.m, degree=inst.d, terms=term_count(inst.phi))
     print("note roots outside 2^(2^m) are not captured; m is a caller choice",
           file=sys.stderr)
     return 0

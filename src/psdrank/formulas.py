@@ -27,6 +27,7 @@ from .polynomials import (
     evaluate,
     read_terms,
     sqrt_binding,
+    term_count,
 )
 
 RELATIONS = (">", ">=", "=", "!=", "<", "<=")
@@ -67,7 +68,7 @@ Formula = Union[Atom, Not, And, Or]
 def formula_size(f: Formula) -> int:
     """Structural size: connective nodes plus standard-form atom lengths."""
     if isinstance(f, Atom):
-        return 1 + len(f.lhs.terms)
+        return 1 + term_count(f.lhs)
     if isinstance(f, Not):
         return 1 + formula_size(f.child)
     return 1 + formula_size(f.left) + formula_size(f.right)

@@ -39,7 +39,8 @@ value is ``p/q``, ``?`` (unknown), ``*`` (nonzero unknown) or a compact
 polynomial.  Labels contain no whitespace.  The writer yields the text in
 blocks of lines (``matrix_blocks``), so a caller can stream it to a file,
 and the readers walk it once, a block of lines at a time; the matrix reader
-(``_MatrixReader``) names a rejected file's first faulty line in file order.
+(``_MatrixReader``) reads every line in one loop and names a rejected
+file's first faulty line in file order.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, count, islice, pairwise, repeat, takewhile
+from itertools import accumulate, chain, compress, count, islice, pairwise, repeat
 from operator import add, is_, itemgetter, lt, mul, sub
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
@@ -89,19 +90,16 @@ def _check_labels(labels: Sequence[str], kind: str = "matrix",
                   keywords: frozenset = _KEYWORDS) -> Tuple[str, ...]:
     """The labels as a tuple, each a nonempty, whitespace-free string, none
     of ``keywords`` and none repeated (``kind`` names the format in the
-    message).  Checked in one pass: joined by spaces they split back into
-    themselves exactly when each is such a string.  Only a rejected tuple
-    walks the labels one by one, so the message names the first bad label."""
+    message).  One walk checks the labels in order, so the message names
+    the first bad label; a repeat is looked for after the walk."""
     out = tuple(labels)
-    if not (" ".join(map(str, out)).split() == list(out) and keywords.isdisjoint(out)
-            and len(set(out)) == len(out)):
-        for l in out:
-            if not isinstance(l, str) or l.split() != [l]:
-                raise ValueError(f"{kind} labels must be nonempty and whitespace-free: {l!r}")
-            if l in keywords:
-                raise ValueError(f"label {l!r} collides with a format keyword")
-        if len(set(out)) != len(out):
-            raise ValueError(f"{kind} labels must be unique")
+    for l in out:
+        if not isinstance(l, str) or l.split() != [l]:
+            raise ValueError(f"{kind} labels must be nonempty and whitespace-free: {l!r}")
+        if l in keywords:
+            raise ValueError(f"label {l!r} collides with a format keyword")
+    if len(set(out)) != len(out):
+        raise ValueError(f"{kind} labels must be unique")
     return out
 
 
@@ -568,13 +566,12 @@ class _MatrixReader:
     """The one reader of both matrix formats.  ``read`` walks ``text`` once
     and returns the ``r`` target and the matrix, of class ``kind(values)``.
 
-    A block's lines after its last line without three tokens take the block
-    path ``_block``, split once and mapped to label ids and values by
-    C-level passes; every other line, and a block that path refuses, takes
-    the per-line branch ``_lines``, the only place a line is rejected.  Ids
-    are label positions when the label lines before the first coordinate
-    cover the dimensions, else numbers in order of first use, which
-    ``_finish`` maps to positions through the labels' names.
+    ``_lines`` reads every line, in file order, and is the only place a
+    line is rejected.  Ids are label positions when the label lines before
+    the first coordinate cover the dimensions, else numbers in order of
+    first use, which ``_finish`` maps to positions through the labels'
+    names.  Only ``_fail`` looks at the blocks the text was read in: it
+    splits again the one block that holds a repeated line, to name it.
     """
 
     def __init__(self, text: str, header: str, entry: Callable[[str], object],
@@ -591,20 +588,17 @@ class _MatrixReader:
         self.spans: List[Tuple[int, int, int, int, int]] = []
 
     def read(self) -> Tuple[Optional[int], _SparseMatrix]:
+        """Read each ``READ_BLOCK_CHARS`` piece's lines by ``_lines``, then build the matrix."""
         end = 0
         for piece in _blocks(self.text, READ_BLOCK_CHARS):
             start, end = end, end + len(piece)
             self.spans.append((start, end, *map(len, self.index.values()), len(self.ri)))
-            lines = piece.splitlines()
-            cut = 0 if self.dims and {0, 3}.issuperset(map(len, map(str.split, lines))) else max(
-                (i + 1 for i, ln in enumerate(lines) if len(ln.split()) not in (0, 3)),
-                default=len(lines))
-            self._lines(lines[:cut])
-            self._block(lines[cut:])
+            self._lines(piece.splitlines())
         return self._finish()
 
     def _lines(self, lines: List[str]) -> None:
-        """The per-line branch: ``lines`` one at a time, in file order."""
+        """Read ``lines`` in file order, each split once: the header, then label,
+        ``r`` and coordinate lines; a blank line is skipped, any other rejected."""
         for ln in filter(str.strip, lines):
             p = ln.split()
             try:
@@ -637,37 +631,6 @@ class _MatrixReader:
                 self._fail(str(e))
             except ValueError as e:
                 self._fail(f"malformed matrix {'line' if self.dims else 'header'}: {ln!r} ({e})")
-
-    def _block(self, lines: List[str]) -> None:
-        """The block path, for lines of three tokens after the header."""
-        tokens = " ".join(lines).split()
-        a, b, c = tokens[0::3], tokens[1::3], tokens[2::3]
-        kinds = self.index.keys()
-        n = 0  # the block's leading label lines
-        if not kinds.isdisjoint(a):
-            n = len(a) if kinds >= set(a) else sum(1 for _ in takewhile(kinds.__contains__, a))
-            masks = [list(map(k.__eq__, a[:n])) for k in kinds]
-            try:
-                if self.rid is not None or not kinds.isdisjoint(a[n:]):
-                    raise ValueError("a label line after a coordinate line")
-                found = [list(map(int, compress(b, mask))) for mask in masks]
-            except ValueError:
-                return self._lines(lines)
-            for k, mask, at in zip(kinds, masks, found):
-                self.index[k] += at
-                self.names[k] += compress(c, mask)
-            a, b, c = a[n:], b[n:], c[n:]
-        if a:
-            if self.rid is None:
-                self._start()
-            m = len(self.values)
-            try:
-                self.ri.extend(map(self.rid.__getitem__, a))
-                self.ci.extend(map(self.cid.__getitem__, b))
-                self.values += map(self.entry, c)
-            except (KeyError, ValueError):  # undo the block's entries, then read it line by line
-                del self.ri[m:], self.ci[m:], self.values[m:]
-                return self._lines(list(filter(str.strip, lines))[n:])
 
     def _labels(self) -> List[Optional[Tuple[str, ...]]]:
         return [_by_index(self.index[k], self.names[k], n) for k, n in zip(self.index, self.dims)]

@@ -306,11 +306,16 @@ def evaluate(p: Polynomial, a: Assignment) -> Number:
     return total if a.mode == "exact" else float(total)
 
 
+def term_count(f: Polynomial) -> int:
+    """``len(f.terms)`` without building the terms: the sum of |c|."""
+    return sum(map(abs, f._coeffs.values()))
+
+
 def length_of(f: Polynomial) -> int:
     """Number of signed monomials in canonical standard form."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no length")
-    return len(f.terms)
+    return term_count(f)
 
 
 def is_multiple_of(g: Polynomial, f: Polynomial) -> bool:

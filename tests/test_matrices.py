@@ -632,9 +632,8 @@ class TestRowMajorTables:
     @pytest.mark.parametrize("name", TABLES)
     def test_reordered_files_parse_to_the_table(self, tables, name, monkeypatch):
         # A file whose data lines are shuffled, or in column-major order,
-        # parses in the block path (the per-line branch reads the header
-        # and no other line), without the dict constructor, to a matrix
-        # equal to the table, which writes back the same bytes.
+        # parses without the dict constructor to a matrix equal to the
+        # table, which writes back the same bytes.
         m = tables[name]
         text = write_any(m)
         lines = text.splitlines(keepends=True)
@@ -645,20 +644,10 @@ class TestRowMajorTables:
         shuffled_body = body[:]
         random.Random(5).shuffle(shuffled_body)
         column_major = sorted(body, key=lambda ln: (cpos[ln.split()[1]], rpos[ln.split()[0]]))
-        per_line = []
-        read_lines = matrices._MatrixReader._lines
-
-        def recorded(reader, lines):
-            per_line.extend(lines)
-            return read_lines(reader, lines)
-
-        monkeypatch.setattr(matrices._MatrixReader, "_lines", recorded)
         monkeypatch.setattr(matrices._SparseMatrix, "__init__", no_dict_constructor)
         for reordered in (shuffled_body, column_major):
             assert reordered != body
-            per_line.clear()
             got = parse_text(m, "".join(lines[:head] + reordered))
-            assert per_line == [lines[0].rstrip("\n")]
             assert got == m
             assert write_any(got) == text
 
@@ -754,10 +743,10 @@ def corrupt(text, how):
 
 
 # The error code and message of each case, as the per-line reader gave them
-# (the first ten were pinned before the block path existed), or None for a
-# file that parses equal to the file it was made from.  P(1) fits one block
-# of text; M of x1 - 1 and A of x1 - 1 span many, and their middle line
-# lies deep inside the block path.
+# (the first ten were pinned before a block path, since deleted, was added),
+# or None for a file that parses equal to the file it was made from.  P(1)
+# fits one block of text at the default size; M of x1 - 1 and A of x1 - 1
+# span many, and their middle line lies deep inside one.
 PARITY_CASES = {
     ("P(1)", "repeated"): ("parse", "repeated coordinate in line '2 1 1/1'"),
     ("P(1)", "undeclared"): ("parse", "entry ('zz', '1') is outside the label sets"),
@@ -824,6 +813,12 @@ def parity_sources():
             "A[x1-1]": write_polynomial_matrix(build_A(parse_polynomial("x1 - 1")))}
 
 
+@pytest.fixture(scope="module")
+def parsed_sources(parity_sources):
+    """The matrix sources parsed once, at the default block size."""
+    return {source: parse_matrix(parity_sources[source]) for source in ("P(1)", "M[x1-1]")}
+
+
 def read_source(source, text):
     """``text`` read by the reader of ``source``'s format: a polynomial
     matrix, or the instance a matrix file must hold."""
@@ -832,29 +827,39 @@ def read_source(source, text):
     return parse_matrix(text).instance
 
 
+# Characters per block of read text, the default last: at 16 a block holds
+# about one line, so a repeat is named from one of thousands of blocks.
+READ_BLOCKS = [16, 200, matrices.READ_BLOCK_CHARS]
+
+
+@pytest.mark.parametrize("block", READ_BLOCKS)
 @pytest.mark.parametrize("source, how", REJECTED)
-def test_rejected_file_reports_as_the_per_line_reader(parity_sources, source, how,
-                                                      tmp_path, capsys):
+def test_rejected_file_reports_as_the_per_line_reader(parity_sources, source, how, block,
+                                                      tmp_path, capsys, monkeypatch):
     code, message = PARITY_CASES[(source, how)]
     text = corrupt(parity_sources[source], how)
+    monkeypatch.setattr(matrices, "READ_BLOCK_CHARS", block)
     with pytest.raises(ValueError) as got:
         read_source(source, text)
     assert str(got.value) == message
     assert isinstance(got.value, ParseError) == (code == "parse")
-    if source.startswith("A["):
-        return  # no command reads a polynomial matrix file
+    if source.startswith("A[") or block != READ_BLOCKS[-1]:
+        return  # no command reads a polynomial matrix file; the CLI runs at the default size
     (tmp_path / "A.mtx").write_text(text)
     (tmp_path / "F.fac").write_text("")
     assert main(["verify", str(tmp_path / "A.mtx"), str(tmp_path / "F.fac")]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f'error code={code} msg="{message}"'
 
 
+@pytest.mark.parametrize("block", READ_BLOCKS)
 @pytest.mark.parametrize("source, how", ACCEPTED)
-def test_reordered_file_parses_as_in_order(parity_sources, source, how):
+def test_reordered_file_parses_as_in_order(parity_sources, parsed_sources, source, how, block,
+                                           monkeypatch):
     # label lines after data lines and a written zero are valid
     text = corrupt(parity_sources[source], how)
     assert text != parity_sources[source]
-    assert parse_matrix(text) == parse_matrix(parity_sources[source])
+    monkeypatch.setattr(matrices, "READ_BLOCK_CHARS", block)
+    assert parse_matrix(text) == parsed_sources[source]
 
 
 def no_dict_constructor(*args, **kwargs):

@@ -186,7 +186,8 @@ def random_value(rng, floats):
 
 class TestEvaluateDifferential:
     """``evaluate`` against the term-by-term Fraction loop, equal in value
-    and in type, on seeded polynomials with repeated and cancelling terms."""
+    and in type, and ``length_of`` against ``len(p.terms)``, on seeded
+    polynomials with repeated and cancelling terms."""
 
     @staticmethod
     def polynomial(rng):
@@ -203,6 +204,7 @@ class TestEvaluateDifferential:
         rng = random.Random(seed)
         for _ in range(60):
             p = self.polynomial(rng)
+            assert p.is_zero or length_of(p) == len(p.terms), p
             for mode in ("exact", "float"):
                 values = {v: random_value(rng, mode == "float") for v in EVAL_VARS}
                 a = Assignment(values, mode)
