@@ -14,7 +14,8 @@ import functools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, pairwise, repeat
+from operator import is_
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .factorizations import (
@@ -24,11 +25,14 @@ from .factorizations import (
     dense_vector,
     p_alpha_gram_vectors,
 )
-from .gadgets import build_B, compute_K, index_set_H, instance_labels, sigma_set
+from .gadgets import (
+    _gram_table, build_B, compute_K, index_set_H, instance_labels, sigma_set)
 from .matrices import (
+    UNKNOWN,
     IncompleteMatrix,
     InstanceMatrix,
     LabelVector,
+    _distinct,
 )
 from .polynomials import (
     Assignment,
@@ -74,51 +78,24 @@ def _root_values(f: Polynomial, xi: Assignment) -> Dict[Polynomial, Number]:
     return {p: evaluate(p, xi) for p in sigma_set(f)}
 
 
-def _interned_points(value: Mapping[Polynomial, Number], H: Sequence[LabelVector]):
-    """The distinct evaluated label points, each label's index into them, and
-    (p.q)^2 per pair of indices, memoized (None where p.q = 0)."""
-    ids: Dict[Tuple[Number, ...], int] = {}
-    pid = [ids.setdefault(tuple(value[c] for c in h.coords), len(ids)) for h in H]
-    points = list(ids)
-
-    @functools.cache
-    def square(p: int, q: int) -> Optional[Number]:
-        a, b = points[p], points[q]
-        d = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-        return d * d if d else None
-
-    return points, pid, square
-
-
 def completion_from_root(f: Polynomial, xi: Assignment) -> Completion:
-    """Entrywise square of the evaluated label matrix, plus its witness.
+    """B', the Gram table of H at xi, plus its rank-one witness by the
+    evaluated label vectors.
 
     B'(u|v) = ((u.v)(xi))^2 agrees with every known entry of B and its
-    entries stay within 9*(length f)^4 because |xi_i| <= 1.  B' is filled
-    row by row into columns; a float square that underflows to 0 stays
-    absent, as the constructor would drop it.  The witness is the rank-one
-    factorization by evaluated label vectors.
+    entries stay within 9*(length f)^4 because |xi_i| <= 1.  Each dot product
+    d is exact, from the Fractions the coordinates equal (a float root's
+    too); a float root stores the Fraction of the float nearest d^2, absent
+    where that underflows to 0.
     """
     value = _root_values(f, xi)
-    H = index_set_H(f)
-    exact = xi.mode == "exact"
-    labels = tuple(h.render() for h in H)
-    points, pid, square = _interned_points(value, H)
-    starts, cols, values = array("q", [0]), array("q"), []
-    for p in pid:
-        for j, q in enumerate(pid):
-            sq = square(p, q)
-            if sq:
-                cols.append(j)
-                values.append(sq)
-        starts.append(len(values))
-    if not exact:
-        values = list(map(Fraction, values))
-    matrix = InstanceMatrix._from_columns(labels, labels, starts, cols, values)
-    vectors = [(dense_vector(p),) for p in points]  # one per distinct point
-    rows = {l: vectors[p] for l, p in zip(labels, pid)}
-    fact = PSDFactorization(3, labels, labels, rows, rows, "exact" if exact else "float")
-    return Completion(matrix, fact)
+    square = ((lambda d: d * d or None) if xi.mode == "exact"
+              else (lambda d: Fraction(float(d * d)) or None))
+    labels, *columns = _gram_table(f, square, lambda p: Fraction(value[p]))
+    rows = {l: (dense_vector([value[c] for c in h.coords]),)
+            for l, h in zip(labels, index_set_H(f))}
+    return Completion(InstanceMatrix._from_columns(labels, labels, *columns),
+                      PSDFactorization(3, labels, labels, rows, rows, xi.mode))
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +111,25 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment) -> PSDFactorization
     exactly the block-diagonal padding of the direct-sum bound.  B' is read
     only at the k unknown entries e of B.
     """
-    value = _root_values(f, xi)
+    completion = completion_from_root(f, xi)
     B = build_B(f)
     K = Fraction(compute_K(f))
     E, labels = instance_labels(B)
     k = len(E)
     rows, cols = PieceTable(2 * k + 3), PieceTable(2 * k + 3)
 
-    # A block depends only on its completion value: its vectors are interned
-    # once per value, as template ids and offsets in the block per table
-    # slot, memoized per pair of point ids, and placed in each label at 3+2t.
-    points, pids, square = _interned_points(value, index_set_H(f))
-    pid = dict(zip(B.row_labels, pids))
-
     def placed(T: PieceTable, vectors: Sequence[Vector]) -> Tuple[Tuple[int, ...], ...]:
         """The vectors' template ids in T and their lowest coordinates."""
         ids = [T.template(v) for v in vectors]
         return tuple(t for t, _ in ids), tuple(lo or 0 for _, lo in ids)
 
-    core = [(placed(rows, (v,)), placed(cols, (v,))) for v in map(dense_vector, points)]
+    # each H label's core piece is its completion vector
+    core = {l: (placed(rows, V), placed(cols, V))
+            for l, V in completion.factorization.rows.items()}
 
+    # A block depends only on its completion value: its vectors are interned
+    # once per value, as template ids and offsets in the block per table
+    # slot, and placed in each label at 3+2t.
     @functools.cache
     def value_block(bval: Fraction):
         if bval > K:
@@ -165,8 +141,15 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment) -> PSDFactorization
         return (tuple(placed(rows, slot) for slot in prows),
                 tuple(placed(cols, slot) for slot in pcols))
 
-    pair_block = functools.cache(lambda p, q: value_block(Fraction(square(p, q) or 0)))
-    blocks = [pair_block(pid[i], pid[j]) for i, j in E]
+    # B'(e) row by row (E is row-major in B, whose labels B' shares), then its
+    # block, found per value object: B' shares one per distinct dot product
+    Bp, zero, blocks = completion.matrix, Fraction(0), []
+    for (lo, hi), (plo, phi) in zip(pairwise(B.starts), pairwise(Bp.starts)):
+        row = dict(zip(Bp.cols[plo:phi], Bp.values[plo:phi]))
+        unknown = compress(B.cols[lo:hi], map(is_, B.values[lo:hi], repeat(UNKNOWN)))
+        blocks += map(row.get, unknown, repeat(zero))
+    by_id = {id(v): value_block(v) for v in _distinct(blocks)}
+    blocks = [by_id[id(v)] for v in blocks]
     # per side, each label of B -> the blocks it holds a piece of
     own: Tuple[Dict[str, List[int]], Dict[str, List[int]]] = (
         {l: [] for l in B.row_labels}, {l: [] for l in B.row_labels})
@@ -178,15 +161,13 @@ def assemble_instance_witness(f: Polynomial, xi: Assignment) -> PSDFactorization
         for slot in (1, 2):  # every E1 label, then every E2 label
             tids, offs = ([b[side][slot][n] for b in blocks] for n in (0, 1))
             counts = array("q", map(len, tids))
-            bases = range(3, 2 * k + 3, 2)  # block t's base, once per piece
-            if counts.count(1) != k:
-                bases = chain.from_iterable(map(repeat, bases, counts))
+            bases = chain.from_iterable(map(repeat, range(3, 2 * k + 3, 2), counts))  # per piece
             T.extend(labels[(slot - 1) * k:slot * k], counts, array("q", chain.from_iterable(tids)),
                      array("q", map(int.__add__, bases, chain.from_iterable(offs))))
         # one run per label of B: a run of them all would first copy their pieces
         # into flat columns (3 MB on x1 - x2), which raised peak RSS by about 2 MB
         for l in B.row_labels:
-            tids, shifts = map(list, core[pid[l]][side])
+            tids, shifts = map(list, core[l][side])
             for t in own[side][l]:
                 btids, offs = blocks[t][side][0]
                 tids += btids

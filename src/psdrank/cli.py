@@ -192,10 +192,12 @@ def cmd_witness(args, trace: _Trace) -> int:
 
 
 def cmd_verify(args, trace: _Trace) -> int:
-    mtext = _read(args.matrix)
-    ftext = _read(args.factorization)
-    A = matrices.parse_matrix(mtext).instance
-    F = factorizations.parse_factorization(ftext)
+    # both texts are hashed as they are read and each is released once parsed
+    # (popped from the list), so neither is held through verification
+    texts = [_read(args.matrix), _read(args.factorization)]
+    digests = list(map(_digest, texts))
+    A = matrices.parse_matrix(texts.pop(0)).instance
+    F = factorizations.parse_factorization(texts.pop())
     tol = parse_fraction(args.tol) if args.tol is not None else None
     if tol is not None and F.mode == "float":
         tol = float(tol)
@@ -203,7 +205,7 @@ def cmd_verify(args, trace: _Trace) -> int:
         A, F, mode=args.mode, tol=tol, seed=args.seed, samples=args.samples)
     print(report.summary())
     counts = ("joined", "nonzero", "zero_by_support") if report.mode == "full" else ()
-    trace.stage("verify", _digest(mtext), _digest(ftext), mode=args.mode, seed=args.seed,
+    trace.stage("verify", *digests, mode=args.mode, seed=args.seed,
                 entries=report.entries_checked, **{k: getattr(report, k) for k in counts})
     return 0 if report.passed else 1
 

@@ -78,28 +78,31 @@ def index_set_size(sigma: Sequence[Polynomial]) -> int:
     return s ** 3 - (s - 1) ** 3
 
 
-def _gram_table(f: Polynomial, entry: Callable[[Polynomial], Any]) -> Tuple[
+def _gram_table(f: Polynomial, entry: Callable[[Any], Any],
+                value: Callable[[Polynomial], Any] = lambda p: p) -> Tuple[
         Tuple[str, ...], array, array, List[Any]]:
     """The rendered labels of H(f) and the columns (starts, cols, values) of
     the symmetric table (u, v) -> entry(u.v) over H, filled row by row;
-    pairs whose entry is None stay absent.
+    pairs whose entry is None stay absent.  Sigma element p stands for
+    ``value(p)``: p itself for A and B, its exact value at a root for B'.
 
     Every coordinate of an H label lies in sigma(f), so u.v is a sum of three
     entries of the |sigma| x |sigma| product table.  Each distinct product
     gets an integer id, and a pair is keyed by the sorted triple of its three
-    ids (addition commutes and polynomial forms are canonical).  The sum is
-    formed once per distinct key and ``entry`` runs once per distinct sum: the
-    table repeats a few hundred dot products over tens of thousands of pairs.
+    ids (addition commutes and values are exact).  The sum is formed once per
+    distinct key and ``entry`` runs once per distinct sum, every pair with
+    that sum sharing its result: a few hundred sums fill the table.
     """
     sigma = sigma_set(f)
     H = _triples_with_one(sigma)
     labels = tuple(h.render() for h in H)
     pos = {p: t for t, p in enumerate(sigma)}
-    ids: Dict[Polynomial, int] = {}
-    product = [[ids.setdefault(p * q, len(ids)) for q in sigma] for p in sigma]
-    polys = tuple(ids)
+    values = list(map(value, sigma))
+    ids: Dict[Any, int] = {}
+    product = [[ids.setdefault(p * q, len(ids)) for q in values] for p in values]
+    products = tuple(ids)
     index = [tuple(pos[c] for c in h.coords) for h in H]
-    by_sum: Dict[Polynomial, Any] = {}
+    by_sum: Dict[Any, Any] = {}
     by_key: Dict[Tuple[int, int, int], Any] = {}
     # Ids in coordinate order, in front of ``by_key``: a pair seen before
     # costs one lookup and no sort.
@@ -108,7 +111,7 @@ def _gram_table(f: Polynomial, entry: Callable[[Polynomial], Any]) -> Tuple[
     def resolve(triple: Tuple[int, int, int]) -> Any:
         key = tuple(sorted(triple))
         if key not in by_key:
-            d = polys[key[0]] + polys[key[1]] + polys[key[2]]
+            d = products[key[0]] + products[key[1]] + products[key[2]]
             if d not in by_sum:
                 by_sum[d] = entry(d)
             by_key[key] = by_sum[d]

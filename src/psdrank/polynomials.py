@@ -331,8 +331,9 @@ def is_multiple_of(g: Polynomial, f: Polynomial) -> bool:
     if g.is_zero:
         return True
     rem_is_zero = True
-    work: Dict[VarsKey, Fraction] = {k: Fraction(c) for k, c in g.coefficients().items()}
-    f_coeffs = {k: Fraction(c) for k, c in f.coefficients().items()}
+    # integers until a lead is no multiple of f's lead coefficient
+    work: Dict[VarsKey, Number] = dict(g._coeffs)
+    f_coeffs = f._coeffs
     f_lead = max(f_coeffs, key=_graded_key)
     f_lead_c = f_coeffs[f_lead]
     while work:
@@ -343,10 +344,11 @@ def is_multiple_of(g: Polynomial, f: Polynomial) -> bool:
             rem_is_zero = False
             del work[lead]
             continue
-        factor = work[lead] / f_lead_c
+        factor, rest = divmod(work[lead], f_lead_c)
+        factor = Fraction(work[lead], f_lead_c) if rest else factor
         for k, c in f_coeffs.items():
             kk = tuple(sorted(k + quot))
-            nc = work.get(kk, Fraction(0)) - factor * c
+            nc = work.get(kk, 0) - factor * c
             if nc:
                 work[kk] = nc
             else:

@@ -31,6 +31,7 @@ from psdrank.matrices import (
     write_matrix,
 )
 from psdrank.polynomials import Assignment, Polynomial, evaluate, parse_polynomial, xvar
+from test_matrices import ROOTS
 
 ONE = Polynomial.constant(1)
 ZERO = Polynomial.zero()
@@ -53,6 +54,55 @@ def _instance_and_witness(text):
     """M(B, K) of a polynomial with a root at x1 = 1, and its witness."""
     f = P(text)
     return build_M(build_B(f), compute_K(f)), assemble_instance_witness(f, exact_point(x1=1))
+
+
+def point_pair_completion(f, xi, coordinate=lambda x: x, entry=lambda sq: sq):
+    """B' by the kernel the Gram table replaced: the distinct evaluated label
+    points (each coordinate passed through ``coordinate``) and (p.q)^2 per
+    pair of point ids, memoized, where p.q is nonzero; ``entry`` maps each
+    square to the value stored (None for none)."""
+    value = {p: coordinate(evaluate(p, xi)) for p in sigma_set(f)}
+    H = index_set_H(f)
+    ids = {}
+    pid = [ids.setdefault(tuple(value[c] for c in h.coords), len(ids)) for h in H]
+    points = list(ids)
+
+    @functools.cache
+    def square(p, q):
+        a, b = points[p], points[q]
+        d = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+        return entry(d * d) if d else None
+
+    labels = [h.render() for h in H]
+    return {(labels[a], labels[b]): sq for a, p in enumerate(pid) for b, q in enumerate(pid)
+            if (sq := square(p, q)) is not None}
+
+
+FLOAT_ROOTS = [("x1*x1 + x2*x2 - 1", (0.6, 0.8)), ("x1 - x2", (0.3, 0.3)),
+               ("x1*x2 - x1", (0.1, 1.0))]
+
+
+class TestGramTableCompletion:
+    """B' is the Gram table at the root: exactly the per-point-pair squares
+    at an exact root, and at a float root the nearest float to each exact
+    square of a dot product of the coordinates' Fraction values."""
+
+    @pytest.mark.parametrize("text", list(ROOTS))
+    def test_equals_point_pair_kernel_at_exact_roots(self, text):
+        f = P(text)
+        xi = Assignment.exact({xvar(i): Fraction(x) for i, x in ROOTS[text].items()})
+        assert dict(completion_from_root(f, xi).matrix.data.items()) == point_pair_completion(f, xi)
+
+    @pytest.mark.parametrize("text,root", FLOAT_ROOTS)
+    def test_float_root_entries_round_exact_squares(self, text, root):
+        f = P(text)
+        xi = Assignment.floating({xvar(i + 1): x for i, x in enumerate(root)})
+        comp = completion_from_root(f, xi)
+        got = dict(comp.matrix.data.items())
+        assert all(type(v) is Fraction for v in got.values())
+        assert got == point_pair_completion(f, xi, Fraction, lambda sq: Fraction(float(sq)) or None)
+        report = verify_factorization(comp.matrix, comp.factorization)
+        assert report.passed and report.max_residual <= 1e-12
 
 
 class TestCompletionFromRoot:

@@ -242,6 +242,33 @@ class TestMonomialOrder:
                 assert _graded_key(at) < _graded_key(bt)
 
 
+def fraction_is_multiple_of(g, f):
+    """``is_multiple_of`` as it was before it divided on integers: every
+    coefficient a ``Fraction`` from the start, kept as its reference."""
+    from psdrank.polynomials import _graded_key, _monomial_quotient
+    rem_is_zero = True
+    work = {k: Fraction(c) for k, c in g.coefficients().items()}
+    f_coeffs = {k: Fraction(c) for k, c in f.coefficients().items()}
+    f_lead = max(f_coeffs, key=_graded_key)
+    f_lead_c = f_coeffs[f_lead]
+    while work:
+        lead = max(work, key=_graded_key)
+        quot = _monomial_quotient(lead, f_lead)
+        if quot is None:
+            rem_is_zero = False
+            del work[lead]
+            continue
+        factor = work[lead] / f_lead_c
+        for k, c in f_coeffs.items():
+            kk = tuple(sorted(k + quot))
+            nc = work.get(kk, Fraction(0)) - factor * c
+            if nc:
+                work[kk] = nc
+            else:
+                work.pop(kk, None)
+    return rem_is_zero
+
+
 class TestDivisibility:
     def test_constructed_multiple(self):
         f = P("x1*x1 - 1")
@@ -270,6 +297,24 @@ class TestDivisibility:
             if f.variables():
                 assert not is_multiple_of(prod + Polynomial.constant(1), f)
             checked += 1
+
+    @pytest.mark.parametrize("lead", [1, -1, 2, -2, 3])
+    def test_integer_division_matches_fraction_reference(self, lead):
+        """f's leading coefficient is ``lead`` (a cubic monomial over lower
+        terms); g is a multiple of f, that multiple plus 1, or random."""
+        rng = random.Random(100 + lead)
+        seen = set()
+        for _ in range(60):
+            top = tuple(sorted(xvar(rng.randint(1, 3)) for _ in range(3)))
+            f = (Polynomial([Monomial(1 if lead > 0 else -1, top)] * abs(lead))
+                 + random_polynomial(rng, max_vars=3, max_degree=2, max_terms=4))
+            q = random_polynomial(rng, max_vars=3, max_degree=2, max_terms=4)
+            for g in (f * q, f * q + Polynomial.constant(1),
+                      random_polynomial(rng, max_vars=3, max_degree=5, max_terms=6)):
+                want = fraction_is_multiple_of(g, f)
+                assert is_multiple_of(g, f) == want
+                seen.add(want)
+        assert seen == {True, False}
 
     def test_against_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
